@@ -1,15 +1,18 @@
 """Alternating-direction loop: power allocation (AD1) and switch selection (AD2).
 
-AD1 minimizes transmit power at fixed switches via the log-barrier solver
-over the K per-user received totals, which carry both the cost and the rate;
-AD2 minimizes a convex quadratic model of the Lagrangian in x over
-the linearized rate constraint via the penalty-homotopy Boolean QP.  The loop
+AD1 minimizes transmit power at fixed switches over the K per-user received
+totals, which carry both the cost and the rate: it returns the log-barrier
+central point in closed form, each total the root of a quadratic once two
+nested scalar root finds have fixed the rate and budget multipliers.  AD2
+minimizes a convex quadratic model of the Lagrangian in x over the
+linearized rate constraint via the penalty-homotopy Boolean QP.  The loop
 terminates when the concatenated update norm ||[dP | dx]|| drops below the
 configured tolerance.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -18,7 +21,9 @@ import scipy.linalg
 
 from . import rate as rate_mod
 from .bqp import BqpConfig, BqpIterate, penalty_phi, solve_bqp
-from .nlp import InfeasibleProblemError, NlpProblem, solve_barrier
+# solve_barrier is unused here but stays importable as driver.solve_barrier,
+# a call site that perfbench's tracer tests wrap.
+from .nlp import InfeasibleProblemError, solve_barrier  # noqa: F401
 from .qp import QpProblem
 from .rate import EsrProblem
 
@@ -103,6 +108,14 @@ class Ad1InfeasibleError(InfeasibleProblemError):
         self.achievable_rate = achievable_rate
 
 
+# Root finding in ad1 (_increasing_root): a step grows the guess at most
+# _GROW-fold; a solve stops when a Newton step moves the guess by at most
+# _ROOT_RTOL relative, well above the rounding noise of the rate, or after
+# _MAX_ROOT_STEPS evaluations.
+_GROW = 4.0
+_LOG_GROW = math.log(_GROW)
+_MAX_ROOT_STEPS = 100
+_ROOT_RTOL = 1e-13
 _START_SCALES = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0 - 1e-6)
 
 
@@ -131,62 +144,125 @@ def _uniform_start(prob: EsrProblem, x_bar: np.ndarray):
     return best
 
 
+def _increasing_root(f, z):
+    """Root of an increasing f on (0, inf) by safeguarded Newton steps in log z.
+
+    f(z) returns (value, df/dz).  A step multiplies z by at most _GROW.
+    Where the Newton step is undefined or leaves the bracket known so far,
+    z grows _GROW-fold while no f(z) > 0 has bracketed the root, and the
+    bracket is bisected after that.  Returns the first Newton step that
+    moves z by at most _ROOT_RTOL relative; after _MAX_ROOT_STEPS
+    evaluations, the last z if the root is bracketed and None if it is not.
+    """
+    lo, hi = 0.0, np.inf
+    for _ in range(_MAX_ROOT_STEPS):
+        value, slope = f(z)
+        if value > 0.0:
+            hi = z
+        else:
+            lo = z
+        step = np.nan
+        if slope > 0.0:
+            step = z * math.exp(min(-value / (z * slope), _LOG_GROW))
+            if abs(step - z) <= _ROOT_RTOL * z:
+                return step
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi) if hi < np.inf else _GROW * z
+        z = step
+    return z if hi < np.inf else None
+
+
 def ad1(prob: EsrProblem, x_bar: np.ndarray, cfg: AdConfig | None = None):
     """Optimal power allocation at fixed switches.
 
     Minimizes sum_ij x_i p_ij subject to the rate threshold, per-antenna row
     caps and P >= 0.  Cost and rate depend on P only through the per-user
     received totals a_j = sum_i x_i p_ij, and the row caps only through the
-    budget sum_j a_j <= p_th * sum_i x_i, so the barrier solve runs over the
-    K totals; each active row (x_i above boolean_tol) then holds a / sum x_i
-    and the others are zero.  Returns (P_star, lambda_bar, info) where
-    lambda_bar is the rate-constraint multiplier and info the NLP solution.
+    budget sum_j a_j <= p_th * sum_i x_i, so the problem lives on the K
+    totals.  The returned totals are the central point of the log barrier
+    over them at mu = nlp_tol / 10, where a barrier solve at nlp_tol ends;
+    it keeps the rate slack mu / lambda that the smooth baselines' stall
+    depends on.  With g_j the SNR per unit total, c = B / ln2 and eta the
+    budget multiplier, stationarity makes each a_j the positive root of
+
+        (1 + eta) g_j a^2 + (1 + eta - mu g_j - lambda c g_j) a - mu = 0,
+
+    and the multipliers solve lambda * (rate - r_th) = mu and
+    eta * (budget - sum_j a_j) = mu.  Written as rate - r_th - mu / lambda
+    = 0 and budget - sum_j a_j - mu / eta = 0, both are increasing in their
+    multiplier, and safeguarded Newton solves them: lambda for each eta,
+    inside a solve over eta.  Each active row (x_i above boolean_tol) then
+    holds a / sum x_i and the others are zero.  Feasibility is decided by
+    the uniform start scan; a multiplier without a root raises
+    Ad1InfeasibleError as well.  Returns (P_star, lambda_bar, evaluations):
+    the rate-constraint multiplier and the number of evaluations of the
+    totals.
     """
     if cfg is None:
         cfg = AdConfig()
     x_bar = np.asarray(x_bar, dtype=float)
-    k = prob.n_users
     active = np.flatnonzero(x_bar > cfg.boolean_tol)
     if active.size == 0:
         raise Ad1InfeasibleError("all antennas are switched off", achievable_rate=0.0)
-    x_act = x_bar[active]
-    x_sum = float(x_act.sum())
+    x_sum = float(x_bar[active].sum())
+    budget = prob.cfg.p_th * x_sum
     g = ((x_bar ** 2) @ prob.gains) / prob.sigma  # SNR per unit received total
     c_rate = prob.bandwidth / rate_mod.LN2
-
-    a0 = x_act @ _uniform_start(prob, x_bar)[active]
+    mu = 0.1 * cfg.nlp_tol
+    a0 = x_bar[active] @ _uniform_start(prob, x_bar)[active]
+    evaluations = 0
 
     def rate_of(a):
-        return float(c_rate * np.sum(np.log1p(a * g)))
+        return float(c_rate * np.log1p(a * g).sum())
 
-    def constraints(a):
-        return np.array([prob.r_th - rate_of(a), a.sum() - prob.cfg.p_th * x_sum])
+    def central(lam, eta):
+        """Totals a at (lam, eta) with da/dlam and da/deta, then the rate gap
+        rate - r_th - mu / lam with its partials in lam and eta."""
+        nonlocal evaluations
+        evaluations += 1
+        quad = (1.0 + eta) * g
+        lin = 1.0 + eta - (mu + lam * c_rate) * g
+        root = np.sqrt(lin * lin + 4.0 * quad * mu)  # = 2 quad a + lin
+        # Positive root of quad*a^2 + lin*a - mu, in the form that adds the
+        # two positive terms |lin| and root (quad = 0 only where lin > 0).
+        s = np.abs(lin) + root
+        a = np.divide(s, 2.0 * quad, out=2.0 * mu / s, where=lin <= 0.0)
+        da_dlam = c_rate * g * a / root
+        da_deta = -a * (1.0 + g * a) / root
+        rate_da = c_rate * g / (1.0 + g * a)
+        gap = rate_of(a) - prob.r_th - mu / lam
+        return a, da_dlam, da_deta, gap, rate_da @ da_dlam + mu / lam ** 2, rate_da @ da_deta
 
-    def constraints_jac(a):
-        return np.vstack((-c_rate * g / (1.0 + a * g), np.ones(k)))
+    # lambda / (1 + eta) barely moves with eta, so each solve starts from
+    # the last root.  The totals water-fill to lambda c / (1 + eta) - 1 / g_j
+    # as mu -> 0, so the first start is a water level above any that fits
+    # the budget (users with g_j = 0 take no power).
+    lam_scaled = (budget + 1.0 / float(np.min(g, where=g > 0.0, initial=np.inf))) / c_rate
 
-    def constraints_hess(a, w):
-        return np.diag(w[0] * c_rate * (g / (1.0 + a * g)) ** 2)
+    def lambda_at(eta):
+        return _increasing_root(lambda lam: central(lam, eta)[3:5], (1.0 + eta) * lam_scaled)
 
-    nlp = NlpProblem(
-        n=k,
-        objective=lambda a: float(a.sum()),
-        gradient=lambda a: np.ones(k),
-        hessian=lambda a: np.zeros((k, k)),
-        lower=np.zeros(k),
-        upper=np.full(k, np.inf),
-        m=2,
-        constraints=constraints,
-        constraints_jac=constraints_jac,
-        constraints_hess=constraints_hess,
-    )
-    try:
-        sol = solve_barrier(nlp, tol=cfg.nlp_tol, z0=a0)
-    except InfeasibleProblemError as exc:
-        raise Ad1InfeasibleError(str(exc), achievable_rate=rate_of(a0)) from exc
-    P_star = np.zeros((prob.n_tx, k))
-    P_star[active] = sol.z_star / x_sum
-    return P_star, float(sol.duals[0]), sol
+    def budget_gap(eta):
+        nonlocal lam_scaled
+        lam = lambda_at(eta)
+        if lam is None:
+            return np.nan, np.nan
+        lam_scaled = lam / (1.0 + eta)
+        a, da_dlam, da_deta, _, gap_dlam, gap_deta = central(lam, eta)
+        dlam_deta = -gap_deta / gap_dlam
+        slope = mu / eta ** 2 - float(np.sum(da_deta + da_dlam * dlam_deta))
+        return budget - float(a.sum()) - mu / eta, slope
+
+    eta = _increasing_root(budget_gap, 2.0 * mu / budget)
+    lam = None if eta is None else lambda_at(eta)
+    if lam is None:
+        raise Ad1InfeasibleError(
+            f"rate threshold {prob.r_th:.6g} not met within the power budget {budget:.6g}",
+            achievable_rate=rate_of(a0),
+        )
+    P_star = np.zeros((prob.n_tx, prob.n_users))
+    P_star[active] = central(lam, eta)[0] / x_sum
+    return P_star, lam, evaluations
 
 
 def full_activation_allocation(prob: EsrProblem, cfg: AdConfig | None = None):

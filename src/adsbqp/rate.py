@@ -13,6 +13,7 @@ x_i^2 = x_i.  This is the single authoritative definition used everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import numpy as np
 
 from .channel import ChannelMatrix, ScenarioConfig, generate_channel
@@ -55,9 +56,12 @@ class EsrProblem:
     def n_users(self) -> int:
         return self.channel.n_users
 
-    @property
+    @cached_property
     def gains(self) -> np.ndarray:
-        return self.channel.gains()
+        """|h_ij|^2, computed once per problem and read-only."""
+        gains = self.channel.gains()
+        gains.flags.writeable = False
+        return gains
 
     @property
     def sigma(self) -> float:

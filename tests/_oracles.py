@@ -37,24 +37,25 @@ def fd_jacobian(g, x, h=1e-6):
 
 
 def dykstra_project(y, C, d, lower, upper, cycles=60):
-    """Projection onto {x: Cx <= d, lower <= x <= upper} by Dykstra's method."""
-    m = C.shape[0]
+    """Projection onto {x: Cx <= d, lower <= x <= upper} by Dykstra's method.
+
+    Row norms are computed once, and the box step and the row products use
+    the numpy calls with the least overhead that give np.clip's and ``@``'s
+    results bit for bit.
+    """
     x = np.asarray(y, dtype=float).copy()
-    corrections = [np.zeros_like(x) for _ in range(m + 1)]
+    rows = [(row, float(row @ row), float(d_k)) for row, d_k in zip(C, d)]
+    box_correction = np.zeros_like(x)
+    row_corrections = [np.zeros_like(x) for _ in rows]
     for _ in range(cycles):
-        for idx in range(m + 1):
-            z = x + corrections[idx]
-            if idx == 0:
-                x_new = np.clip(z, lower, upper)
-            else:
-                row = C[idx - 1]
-                violation = float(row @ z - d[idx - 1])
-                if violation > 0.0:
-                    x_new = z - (violation / float(row @ row)) * row
-                else:
-                    x_new = z
-            corrections[idx] = z - x_new
-            x = x_new
+        z = x + box_correction
+        x = np.minimum(np.maximum(z, lower), upper)
+        box_correction = z - x
+        for k, (row, norm_sq, d_k) in enumerate(rows):
+            z = x + row_corrections[k]
+            violation = float(row.dot(z)) - d_k
+            x = z - (violation / norm_sq) * row if violation > 0.0 else z
+            row_corrections[k] = z - x
     return x
 
 

@@ -173,3 +173,15 @@ def test_criterion_8_trace_outputs_are_byte_reproducible(tmp_path):
     assert main(["run", "--scenario", str(scen), "--out", str(out_b)]) == 0
     for name in ("trace_AD-SBQP.csv", "trace_AD-SBQP.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+def test_criterion_9_never_beats_enumeration_over_seeds():
+    t0 = time.perf_counter()
+    for seed in range(20):
+        prob = selection_problem(seed=seed, n=8, k=8)
+        sol, _ = solve(prob)
+        report, _, _ = enumerate_selections(prob)
+        assert sol.status == "success"
+        assert report.status == "success"
+        assert sol.objective >= report.objective - 1e-9 * abs(report.objective)
+    assert time.perf_counter() - t0 < 60.0

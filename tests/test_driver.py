@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,57 @@ def test_ad1_matches_barrier_over_all_powers():
             assert np.all(P.sum(axis=1) <= prob.cfg.p_th + 1e-8)
             assert sum_rate(P, x, prob) >= prob.r_th
         assert 0 < feasible < len(cases)
+
+
+def fewest_feasible_antennas(prob):
+    """A Boolean x with the fewest antennas on that still meets the rate."""
+    n = prob.n_tx
+    for m in range(1, n + 1):
+        for chosen in itertools.combinations(range(n), m):
+            x = np.zeros(n)
+            x[list(chosen)] = 1.0
+            try:
+                ad1(prob, x)
+            except Ad1InfeasibleError:
+                continue
+            return x
+    raise AssertionError("no feasible selection")
+
+
+def test_ad1_is_barrier_central_point():
+    # ad1 returns the central point of the log barrier over the totals at
+    # mu = nlp_tol / 10.  Each condition is checked to 1e-9 relative to its
+    # largest term: the rate slack mu / lambda is ~1e-8 of r_th, so the
+    # rate itself is known to ~1e-8 of the slack, not to 1e-9 of mu.
+    cfg = AdConfig()
+    mu = 0.1 * cfg.nlp_tol
+    n = 8
+    prob = scaled_problem(seed=11, n=n, k=n)
+    g = prob.gains / prob.sigma
+    c = prob.bandwidth / np.log(2.0)
+    rng = np.random.default_rng(11)
+    boolean = (rng.uniform(size=n) < 0.7).astype(float)
+    near = np.abs(boolean - rng.uniform(0.0, 1e-6, size=n))
+    cases = (boolean, rng.uniform(0.2, 1.0, size=n), near, fewest_feasible_antennas(prob))
+
+    def balanced(*terms):
+        return abs(sum(terms)) <= 1e-9 * max(abs(t) for t in terms)
+
+    for x in cases:
+        P, lam, _ = ad1(prob, x, cfg)
+        active = x > cfg.boolean_tol
+        a = x @ P
+        g_x = (x ** 2) @ g
+        budget_slack = prob.cfg.p_th * x[active].sum() - a.sum()
+        assert np.all(a > 0.0) and budget_slack > 0.0
+        # lambda * (rate - r_th) = mu; the budget condition
+        # eta * (budget - sum a) = mu sets the budget multiplier.
+        rate = sum_rate(P, x, prob)
+        assert balanced(lam * rate, -lam * prob.r_th, -mu)
+        eta = mu / budget_slack
+        # Per user, the barrier gradient in a_j vanishes.
+        for j in range(n):
+            assert balanced(1.0 + eta, -mu / a[j], -lam * c * g_x[j] / (1.0 + g_x[j] * a[j]))
 
 
 def test_build_ad2_subproblem_matches_taylor_model():
