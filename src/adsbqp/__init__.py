@@ -1,8 +1,9 @@
 """Joint transmit-antenna selection and power allocation toolkit.
 
 Alternating-direction optimization of a mixed-Boolean power-minimization
-problem: a log-barrier NLP solver handles the continuous power allocation,
-and a penalty-homotopy sequential Boolean QP handles the antenna switches.
+problem: the power allocation is solved in closed form after an exact
+water-filling feasibility test, and a penalty-homotopy sequential Boolean
+QP handles the antenna switches.
 """
 
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ exhaustive enumeration oracle provides ground truth at desk scale.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import numpy as np
 
 from . import rate as rate_mod
@@ -59,10 +59,10 @@ def _interior_start(nlp: NlpProblem, x_hat: np.ndarray):
         return None
 
 
-def _penalty_escalation(cfg: AdConfig, rho_scale: float, solve_at_rho, x_bar: np.ndarray) -> Ad2Result:
+def _penalty_escalation(cfg: AdConfig, solve_at_rho, x_bar: np.ndarray) -> Ad2Result:
     """Shared rho loop: solve the penalized subproblem, check phi, escalate."""
     bqp = cfg.bqp
-    rho = bqp.rho0 * rho_scale
+    rho = bqp.rho0
     x_hat = np.asarray(x_bar, dtype=float).copy()
     trace: list[BqpIterate] = []
     status = "complementarity_not_met"
@@ -80,14 +80,12 @@ def _penalty_escalation(cfg: AdConfig, rho_scale: float, solve_at_rho, x_bar: np
         if rho * bqp.beta > bqp.max_penalty:
             break
         rho *= bqp.beta
-    return Ad2Result(x_hat, status, penalty_phi(x_hat), trace)
+    return Ad2Result(x_hat, status, trace)
 
 
-def _spen_ad2(prob, P_star, x_bar, lambda_bar, cfg: AdConfig, rho_scale: float) -> Ad2Result:
+def _spen_ad2(prob, P_star, x_bar, lambda_bar, cfg: AdConfig) -> Ad2Result:
     """Quadratic switch model plus the exact quadratic penalty rho*x'(1-x)."""
-    qp, _, relaxation = build_ad2_subproblem(
-        prob, P_star, x_bar, lambda_bar, cfg.hessian_shift_floor
-    )
+    qp, _ = build_ad2_subproblem(prob, P_star, x_bar, lambda_bar, cfg.hessian_shift_floor)
     n = qp.n
     a = qp.A[0]
     u = float(qp.u[0])
@@ -125,12 +123,10 @@ def _spen_ad2(prob, P_star, x_bar, lambda_bar, cfg: AdConfig, rho_scale: float) 
         value = qp.objective(sol.z_star) + rho * penalty_phi(sol.z_star)
         return sol.z_star, value, sol.iterations
 
-    res = _penalty_escalation(cfg, rho_scale, solve_at_rho, x_bar)
-    res.elastic_relaxation = relaxation
-    return res
+    return _penalty_escalation(cfg, solve_at_rho, x_bar)
 
 
-def _nspen_ad2(prob, P_star, x_bar, lambda_bar, cfg: AdConfig, rho_scale: float) -> Ad2Result:
+def _nspen_ad2(prob, P_star, x_bar, lambda_bar, cfg: AdConfig) -> Ad2Result:
     """Full nonlinear switch problem with the penalty added to the cost."""
     n = prob.n_tx
     f_lin = P_star.sum(axis=1) + prob.cfg.p_rf
@@ -176,7 +172,7 @@ def _nspen_ad2(prob, P_star, x_bar, lambda_bar, cfg: AdConfig, rho_scale: float)
         value = float(f_lin @ sol.z_star) + rho * penalty_phi(sol.z_star)
         return sol.z_star, value, sol.iterations
 
-    return _penalty_escalation(cfg, rho_scale, solve_at_rho, x_bar)
+    return _penalty_escalation(cfg, solve_at_rho, x_bar)
 
 
 def solve_ad_spen(prob: EsrProblem, cfg: AdConfig | None = None):

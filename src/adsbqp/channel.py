@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 import numpy as np
 
 __all__ = [
@@ -47,6 +47,11 @@ class ScenarioConfig:
     r_th_value: float | None = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            parts = value if isinstance(value, (tuple, list)) else (value,)
+            if any(isinstance(v, (int, float)) and not np.isfinite(v) for v in parts):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if int(self.n_tx) < 1:
             raise ValueError("n_tx must be >= 1")
         if int(self.n_users) < 1:

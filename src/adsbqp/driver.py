@@ -1,26 +1,26 @@
 """Alternating-direction loop: power allocation (AD1) and switch selection (AD2).
 
 AD1 minimizes transmit power at fixed switches over the K per-user received
-totals, which carry both the cost and the rate: it returns the log-barrier
-central point in closed form, each total the root of a quadratic once two
-nested scalar root finds have fixed the rate and budget multipliers.  AD2
-minimizes a convex quadratic model of the Lagrangian in x over the
-linearized rate constraint via the penalty-homotopy Boolean QP.  The loop
-terminates when the concatenated update norm ||[dP | dx]|| drops below the
-configured tolerance.
+totals: behind rate.rate_reachable's exact feasibility test it returns the
+log-barrier central point in closed form, each total the root of a
+quadratic once two nested scalar root finds have fixed the rate and budget
+multipliers.  AD2 minimizes a convex quadratic model of the Lagrangian in x
+over the linearized rate constraint via the penalty-homotopy Boolean QP.
+The loop stops when ||[dP | dx]|| drops below the configured tolerance, or
+as infeasible_selection at switches AD1 cannot serve.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 import numpy as np
 import scipy.linalg
 
 from . import rate as rate_mod
-from .bqp import BqpConfig, BqpIterate, penalty_phi, solve_bqp
+from .bqp import BqpConfig, penalty_phi, solve_bqp
 # solve_barrier is unused here but stays importable as driver.solve_barrier,
 # a call site that perfbench's tracer tests wrap.
 from .nlp import InfeasibleProblemError, solve_barrier  # noqa: F401
@@ -48,7 +48,6 @@ class AdConfig:
     bqp: BqpConfig = field(default_factory=BqpConfig)
     nlp_tol: float = 1e-8
     boolean_tol: float = 1e-9
-    max_recovery: int = 5
 
     def __post_init__(self) -> None:
         if not self.eps_term > 0:
@@ -69,7 +68,6 @@ class AdIterate:
     ad1_time: float
     ad2_time: float
     ad2_status: str
-    elastic_relaxation: float
     ad2_trace: list = field(default_factory=list)
 
 
@@ -95,9 +93,7 @@ class Solution:
 class Ad2Result:
     x_star: np.ndarray
     status: str
-    complementarity: float
     trace: list
-    elastic_relaxation: float = 0.0
 
 
 class Ad1InfeasibleError(InfeasibleProblemError):
@@ -116,32 +112,6 @@ _GROW = 4.0
 _LOG_GROW = math.log(_GROW)
 _MAX_ROOT_STEPS = 100
 _ROOT_RTOL = 1e-13
-_START_SCALES = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0 - 1e-6)
-
-
-def _uniform_start(prob: EsrProblem, x_bar: np.ndarray):
-    """Strictly feasible uniform allocation t * p_th / K, or raise.
-
-    Scans t upward and keeps the smallest scale whose rate strictly exceeds
-    the threshold, so both the rate slack and the row-cap slack are positive.
-    """
-    slack_min = 1e-9 * prob.r_th
-    best = None
-    top_rate = -np.inf
-    for t in _START_SCALES:
-        P = rate_mod.uniform_power(prob, scale=t)
-        achieved = rate_mod.sum_rate(P, x_bar, prob)
-        top_rate = max(top_rate, achieved)
-        if achieved > prob.r_th + slack_min:
-            best = P
-            break
-    if best is None:
-        raise Ad1InfeasibleError(
-            f"rate threshold {prob.r_th:.6g} unreachable at this switch vector "
-            f"(uniform-cap rate {top_rate:.6g})",
-            achievable_rate=top_rate,
-        )
-    return best
 
 
 def _increasing_root(f, z):
@@ -192,11 +162,11 @@ def ad1(prob: EsrProblem, x_bar: np.ndarray, cfg: AdConfig | None = None):
     = 0 and budget - sum_j a_j - mu / eta = 0, both are increasing in their
     multiplier, and safeguarded Newton solves them: lambda for each eta,
     inside a solve over eta.  Each active row (x_i above boolean_tol) then
-    holds a / sum x_i and the others are zero.  Feasibility is decided by
-    the uniform start scan; a multiplier without a root raises
-    Ad1InfeasibleError as well.  Returns (P_star, lambda_bar, evaluations):
-    the rate-constraint multiplier and the number of evaluations of the
-    totals.
+    holds a / sum x_i and the others are zero.  The central point exists
+    exactly when rate.rate_reachable holds; otherwise, or when a multiplier
+    has no root, Ad1InfeasibleError carries the rate at the even split of
+    the budget over the users.  Returns (P_star, lambda_bar, evaluations):
+    the rate multiplier and the number of evaluations of the totals.
     """
     if cfg is None:
         cfg = AdConfig()
@@ -209,7 +179,6 @@ def ad1(prob: EsrProblem, x_bar: np.ndarray, cfg: AdConfig | None = None):
     g = ((x_bar ** 2) @ prob.gains) / prob.sigma  # SNR per unit received total
     c_rate = prob.bandwidth / rate_mod.LN2
     mu = 0.1 * cfg.nlp_tol
-    a0 = x_bar[active] @ _uniform_start(prob, x_bar)[active]
     evaluations = 0
 
     def rate_of(a):
@@ -253,12 +222,13 @@ def ad1(prob: EsrProblem, x_bar: np.ndarray, cfg: AdConfig | None = None):
         slope = mu / eta ** 2 - float(np.sum(da_deta + da_dlam * dlam_deta))
         return budget - float(a.sum()) - mu / eta, slope
 
-    eta = _increasing_root(budget_gap, 2.0 * mu / budget)
+    reachable = rate_mod.rate_reachable(g, budget, prob.r_th, prob.bandwidth)
+    eta = _increasing_root(budget_gap, 2.0 * mu / budget) if reachable else None
     lam = None if eta is None else lambda_at(eta)
     if lam is None:
         raise Ad1InfeasibleError(
             f"rate threshold {prob.r_th:.6g} not met within the power budget {budget:.6g}",
-            achievable_rate=rate_of(a0),
+            achievable_rate=rate_of(np.full(prob.n_users, budget / prob.n_users)),
         )
     P_star = np.zeros((prob.n_tx, prob.n_users))
     P_star[active] = central(lam, eta)[0] / x_sum
@@ -284,15 +254,14 @@ def build_ad2_subproblem(
     Cost is linear in x (per-antenna transmit total plus standby draw); the
     rate constraint is linearized at x_bar; the curvature matrix is the
     constraint Hessian weighted by the rate multiplier, eigenvalue-shifted to
-    the configured floor.  Returns (qp, offset, relaxation) with the QP
-    objective equal to the quadratic Lagrangian model minus offset, and
-    relaxation > 0 when the linearized constraint had to be loosened to stay
-    feasible over the box.
+    the configured floor.  Returns (qp, offset) with the QP objective equal
+    to the quadratic Lagrangian model minus offset.  At an ad1 point the
+    rate exceeds r_th by the slack mu / lambda > 0, so x_bar itself meets
+    the linearized constraint and the QP is feasible over the box.
     """
     f_lin = P_star.sum(axis=1) + prob.cfg.p_rf
     c_val = prob.r_th - rate_mod.sum_rate(P_star, x_bar, prob)
     a = -rate_mod.grad_rate_wrt_switch(P_star, x_bar, prob)
-    u0 = float(a @ x_bar - c_val)
 
     h_rate = rate_mod.hess_rate_wrt_switch(P_star, x_bar, prob)
     Q0 = -lambda_bar * h_rate
@@ -305,23 +274,15 @@ def build_ad2_subproblem(
     f_center = rate_mod.economic_objective(P_star, x_bar, prob)
     offset = f_center + 0.5 * float(x_bar @ Q @ x_bar) - float(f_lin @ x_bar)
 
-    box_min = float(np.minimum(a, 0.0).sum())
-    relaxation = 0.0
-    u = u0
-    if u0 < box_min:
-        # Linearization can cut off the whole box far from x_bar; loosen it
-        # minimally (elastic relaxation) and report the amount.
-        u = box_min + 1e-8 * max(1.0, abs(box_min))
-        relaxation = u - u0
     qp = QpProblem(
         Q=Q,
         g=g,
         A=a[None, :],
-        u=np.array([u]),
+        u=np.array([float(a @ x_bar - c_val)]),
         lower=np.zeros(prob.n_tx),
         upper=np.ones(prob.n_tx),
     )
-    return qp, offset, relaxation
+    return qp, offset
 
 
 def _complete_boolean(prob: EsrProblem, x: np.ndarray, cfg: AdConfig):
@@ -341,8 +302,6 @@ def _complete_boolean(prob: EsrProblem, x: np.ndarray, cfg: AdConfig):
     for bits in range(2 ** frac.size):
         cand = base.copy()
         cand[frac] = [(bits >> i) & 1 for i in range(frac.size)]
-        if cand.sum() == 0:
-            continue
         try:
             P, _, _ = ad1(prob, cand, cfg)
         except Ad1InfeasibleError:
@@ -353,18 +312,15 @@ def _complete_boolean(prob: EsrProblem, x: np.ndarray, cfg: AdConfig):
     return None if best is None else best[1]
 
 
-def _sbqp_ad2(prob, P_star, x_bar, lambda_bar, cfg: AdConfig, rho_scale: float) -> Ad2Result:
-    qp, _, relaxation = build_ad2_subproblem(
-        prob, P_star, x_bar, lambda_bar, cfg.hessian_shift_floor
-    )
-    bqp_cfg = replace(cfg.bqp, rho0=cfg.bqp.rho0 * rho_scale)
-    res = solve_bqp(qp, bqp_cfg)
+def _sbqp_ad2(prob, P_star, x_bar, lambda_bar, cfg: AdConfig) -> Ad2Result:
+    qp, _ = build_ad2_subproblem(prob, P_star, x_bar, lambda_bar, cfg.hessian_shift_floor)
+    res = solve_bqp(qp, cfg.bqp)
     x_star, status = res.x_star, res.status
     if status == "complementarity_not_met":
         completed = _complete_boolean(prob, x_star, cfg)
         if completed is not None:
             x_star, status = completed, "success"
-    return Ad2Result(x_star, status, penalty_phi(x_star), res.trace, relaxation)
+    return Ad2Result(x_star, status, res.trace)
 
 
 def _initial_switch(prob: EsrProblem, cfg: AdConfig) -> np.ndarray:
@@ -373,11 +329,9 @@ def _initial_switch(prob: EsrProblem, cfg: AdConfig) -> np.ndarray:
     n = prob.n_tx
     for s in (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.9999):
         x = np.full(n, s)
-        try:
-            _uniform_start(prob, x)
-        except Ad1InfeasibleError:
-            continue
-        return x
+        g = (x ** 2) @ prob.gains / prob.sigma
+        if rate_mod.rate_reachable(g, prob.cfg.p_th * float(x.sum()), prob.r_th, prob.bandwidth):
+            return x
     return np.full(n, 0.9999)
 
 
@@ -414,10 +368,7 @@ def _ad_loop(
         return sol, trace
 
     x_bar = _initial_switch(prob, cfg)
-    P_bar = _uniform_start(prob, x_bar)
-    last_good = None  # (x_bar, P_star, lambda_bar)
-    rho_scale = 1.0
-    recoveries = 0
+    P_bar = np.zeros((n, k))
     status = "max_iter"
     it = 0
 
@@ -427,23 +378,10 @@ def _ad_loop(
         try:
             P_star, lambda_bar, _ = ad1(prob, x_bar, cfg)
         except Ad1InfeasibleError:
-            if last_good is None or recoveries >= cfg.max_recovery:
-                status = "infeasible_selection"
-                break
-            # Reject the offending switch step: reinstate the last feasible
-            # switches and redo the selection with a doubled initial penalty.
-            recoveries += 1
-            rho_scale *= 2.0
-            x_prev, P_prev, lam_prev = last_good
-            ad2_retry = ad2_fn(prob, P_prev, x_prev, lam_prev, cfg, rho_scale)
-            if np.allclose(ad2_retry.x_star, x_bar):
-                status = "infeasible_selection"
-                break
-            x_bar = ad2_retry.x_star
-            continue
+            status = "infeasible_selection"
+            break
         t1 = time.perf_counter()
-        last_good = (x_bar.copy(), P_star, lambda_bar)
-        ad2_res = ad2_fn(prob, P_star, x_bar, lambda_bar, cfg, rho_scale)
+        ad2_res = ad2_fn(prob, P_star, x_bar, lambda_bar, cfg)
         t2 = time.perf_counter()
         x_star = ad2_res.x_star
 
@@ -461,7 +399,6 @@ def _ad_loop(
                 ad1_time=t1 - t0,
                 ad2_time=t2 - t1,
                 ad2_status=ad2_res.status,
-                elastic_relaxation=ad2_res.elastic_relaxation,
                 ad2_trace=ad2_res.trace,
             )
         )
@@ -488,15 +425,12 @@ def _ad_loop(
             status = "complementarity_not_met"
 
     if full_fallback and status in ("success", "complementarity_not_met", "max_iter"):
-        ones = np.ones(n)
         try:
-            P_ones, _, _ = ad1(prob, ones, cfg)
+            P_ones, obj_ones = full_activation_allocation(prob, cfg)
         except Ad1InfeasibleError:
-            P_ones = None
-        if P_ones is not None:
-            obj_ones = rate_mod.economic_objective(P_ones, ones, prob)
-            if obj_ones < rate_mod.economic_objective(P_final, x_bar, prob):
-                P_final, x_bar, status = P_ones, ones, "success"
+            obj_ones = np.inf
+        if obj_ones < rate_mod.economic_objective(P_final, x_bar, prob):
+            P_final, x_bar, status = P_ones, np.ones(n), "success"
 
     comp = penalty_phi(x_bar)
     rate_res = rate_mod.sum_rate(P_final, x_bar, prob) - prob.r_th

@@ -21,6 +21,7 @@ from .channel import ChannelMatrix, ScenarioConfig, generate_channel
 __all__ = [
     "EsrProblem",
     "build_esr_problem",
+    "rate_reachable",
     "uniform_power",
     "is_boolean_feasible",
     "snr_user",
@@ -79,8 +80,29 @@ def uniform_power(prob: EsrProblem, scale: float = 1.0) -> np.ndarray:
     )
 
 
+def rate_reachable(snr_gain: np.ndarray, budget: float, r_th: float, bandwidth: float) -> bool:
+    """Exact feasibility of the power subproblem: True when totals a >= 0
+    with sum(a) < budget reach B sum_j log2(1 + g_j a_j) >= r_th.
+
+    Water-filling (Boyd & Vandenberghe, Convex Optimization, 5.5.3) gives
+    the least total m nu - sum 1/g_j over the m strongest users, with
+    log nu = (r_th ln2 / B - sum log g_j) / m for the first m whose level
+    stays below 1/g_(m+1).  It meets the budget in log space, so no exp
+    overflows.
+    """
+    g = np.sort(snr_gain[snr_gain > 0.0])[::-1]
+    if g.size == 0:
+        return False
+    log_g = np.log(g)
+    log_nu = (r_th * LN2 / bandwidth - np.cumsum(log_g)) / np.arange(1, g.size + 1)
+    held = np.flatnonzero(log_nu[:-1] + log_g[1:] <= 0.0)
+    m = int(held[0]) if held.size else g.size - 1
+    floors = np.sum(1.0 / g[: m + 1])
+    return bool(np.log(m + 1) + log_nu[m] < np.log(budget + floors))
+
+
 def build_esr_problem(cfg: ScenarioConfig, channel: ChannelMatrix | None = None) -> EsrProblem:
-    """Resolve the rate threshold and flag infeasibility at full activation.
+    """Resolve the rate threshold; rate_reachable decides feasibility at full activation.
 
     The capacity reference is the full-activation rate at the uniform
     per-antenna power cap; a fractional threshold resolves against it.
@@ -104,7 +126,9 @@ def build_esr_problem(cfg: ScenarioConfig, channel: ChannelMatrix | None = None)
         cfg=cfg,
         r_th=r_th,
         full_capacity=full_cap,
-        feasible_at_full_activation=bool(r_th <= full_cap),
+        feasible_at_full_activation=rate_reachable(
+            ones @ gains / cfg.noise_n0b, cfg.p_th * cfg.n_tx, r_th, cfg.bandwidth_b
+        ),
     )
 
 

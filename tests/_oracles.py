@@ -9,8 +9,8 @@ subproblem solved over all N*K powers instead of the K per-user totals.
 import numpy as np
 
 from adsbqp import rate as rate_mod
-from adsbqp.driver import AdConfig, _uniform_start
-from adsbqp.nlp import NlpProblem, solve_barrier
+from adsbqp.driver import Ad1InfeasibleError, AdConfig
+from adsbqp.nlp import InfeasibleProblemError, NlpProblem, solve_barrier
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -98,8 +98,11 @@ def barrier_ad1(prob, x_bar, cfg=None):
     """Power subproblem as a barrier NLP over every power p_ij of the active rows.
 
     Minimizes sum_ij x_i p_ij subject to the rate threshold, one cap per
-    active row and P >= 0, from the same uniform start as ``driver.ad1``
-    (which raises ``Ad1InfeasibleError`` when no such start exists).  Returns
+    active row and P >= 0.  It starts from the uniform allocation just
+    inside the row caps; when that misses the rate, the barrier solver's
+    phase 1 looks for a strictly feasible point on its own, so feasibility
+    is decided independently of ``rate.rate_reachable``.  A failed phase 1
+    raises ``Ad1InfeasibleError``, as ``driver.ad1`` does.  Returns
     (P_star, lambda_bar) with lambda_bar the rate-constraint multiplier.
     """
     cfg = cfg or AdConfig()
@@ -110,7 +113,7 @@ def barrier_ad1(prob, x_bar, cfg=None):
     na = active.size
     nz = na * k
     b = (x_bar ** 2) @ prob.gains
-    P0 = _uniform_start(prob, x_bar)
+    P0 = rate_mod.uniform_power(prob, 1.0 - 1e-6)
 
     def to_full(z):
         P = np.zeros((n, k))
@@ -157,5 +160,8 @@ def barrier_ad1(prob, x_bar, cfg=None):
         constraints_jac=constraints_jac,
         constraints_hess=constraints_hess,
     )
-    sol = solve_barrier(nlp, tol=cfg.nlp_tol, z0=P0[active].flatten(order="F"))
+    try:
+        sol = solve_barrier(nlp, tol=cfg.nlp_tol, z0=P0[active].flatten(order="F"))
+    except InfeasibleProblemError as exc:
+        raise Ad1InfeasibleError(str(exc), achievable_rate=np.nan) from exc
     return to_full(sol.z_star), float(sol.duals[0])

@@ -107,3 +107,17 @@ def test_scenario_config_defaults_and_validation():
         ScenarioConfig(r_th_mode="fraction", r_th_value=1.5)
     with pytest.raises(ValueError):
         ScenarioConfig(r_th_mode="nonsense")
+    for bad in (
+        {"pathloss_exponent_eta": np.nan},
+        {"noise_n0b": np.inf},
+        {"p_rf": np.nan},
+        {"cell_radius": np.nan},
+        {"pathloss_t0_db": -np.inf},
+        {"bandwidth_b": np.inf},
+        {"p_th": np.inf},
+        {"r_th_mode": "absolute", "r_th_value": np.inf},
+        {"cell_center": (np.nan, 0.0)},
+        {"bs_position": (0.0, np.inf)},
+    ):
+        with pytest.raises(ValueError, match="must be finite"):
+            ScenarioConfig(n_tx=8, n_users=8, **bad)

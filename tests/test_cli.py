@@ -190,6 +190,13 @@ def test_enumerate_subcommand_refuses_oversized_instances(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_finite_scenario_values_exit_with_usage_error(tmp_path, capsys):
+    for line in ("pathloss_exponent_eta = nan", "noise_n0b = inf", "p_rf = nan"):
+        scen = write_scenario(tmp_path, SCENARIO + line + "\n")
+        assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+
 def test_bad_scenario_path_exits_with_usage_error(tmp_path, capsys):
     code = main(["run", "--scenario", str(tmp_path / "missing.txt")])
     assert code == 2

@@ -10,6 +10,7 @@ from adsbqp.rate import (
     grad_rate_wrt_switch,
     hess_rate_wrt_switch,
     is_boolean_feasible,
+    rate_reachable,
     snr_all,
     snr_user,
     sum_rate,
@@ -167,6 +168,21 @@ def test_build_esr_problem_fraction_resolution():
     prob = build_esr_problem(cfg)
     assert prob.r_th == pytest.approx(0.25 * prob.full_capacity, rel=1e-12)
     assert prob.feasible_at_full_activation
+
+
+def test_rate_reachable_is_the_water_filling_bound():
+    # One user, g = 4: 2 bits need a = (2^2 - 1) / 4 = 0.75.
+    assert rate_reachable(np.array([4.0]), 0.75 + 1e-9, 2.0, 1.0)
+    assert not rate_reachable(np.array([4.0]), 0.75 - 1e-9, 2.0, 1.0)
+    # Gains (4, 1, 0), 4 bits: the level nu = 2 serves both users with
+    # positive gain, a = (1.75, 1), rate log2(8) + log2(2); least total 2.75.
+    g = np.array([4.0, 1.0, 0.0])
+    assert rate_reachable(g, 2.75 + 1e-9, 4.0, 1.0)
+    assert not rate_reachable(g, 2.75 - 1e-9, 4.0, 1.0)
+    # A threshold far out of reach is decided without overflow.
+    with np.errstate(all="raise"):
+        assert not rate_reachable(g, 1.0, 1e6, 1.0)
+    assert not rate_reachable(np.zeros(3), 1.0, 1.0, 1.0)
 
 
 def test_build_esr_problem_rejects_mismatched_channel():
