@@ -3,7 +3,8 @@
 Alternating-direction optimization of a mixed-Boolean power-minimization
 problem: the power allocation is solved in closed form after an exact
 water-filling feasibility test, and a penalty-homotopy sequential Boolean
-QP handles the antenna switches.
+QP handles the antenna switches.  AdConfig holds the only two settable
+values, the AD iteration cap and the complementarity tolerance.
 """
 
 __version__ = "0.1.0"
@@ -22,7 +23,7 @@ from .rate import (
 )
 from .qp import QpProblem, QpSolution, kkt_residual, solve_qp
 from .nlp import InfeasibleProblemError, NlpProblem, NlpSolution, find_strictly_feasible, solve_barrier
-from .bqp import BqpConfig, BqpResult, penalty_phi, solve_bqp
+from .bqp import BqpResult, penalty_phi, solve_bqp
 from .driver import AdConfig, AdTrace, Solution, ad1, build_ad2_subproblem, full_activation_allocation, solve
 from .baselines import MethodReport, enumerate_selections, solve_ad_nspen, solve_ad_spen
 
@@ -51,7 +52,6 @@ __all__ = [
     "NlpSolution",
     "find_strictly_feasible",
     "solve_barrier",
-    "BqpConfig",
     "BqpResult",
     "penalty_phi",
     "solve_bqp",

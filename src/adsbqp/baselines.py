@@ -2,8 +2,9 @@
 
 AD-SPen keeps the quadratic switch model but adds the exact (indefinite)
 quadratic penalty; AD-NSPen keeps the full nonlinear switch problem and adds
-the penalty to its objective.  Both are solved by the log-barrier NLP solver
-with the same penalty escalation schedule as the Boolean-QP method.  The
+the penalty to its objective.  Both run bqp.penalty_homotopy, the rho
+schedule of the Boolean-QP method, with a log-barrier NLP solve per round;
+they differ only in the objective and the constraint they hand to it.  The
 exhaustive enumeration oracle provides ground truth at desk scale.
 """
 
@@ -14,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rate as rate_mod
-from .bqp import BqpIterate, penalty_phi, penalty_grad
+from .bqp import penalty_grad, penalty_homotopy, penalty_phi
 from .driver import (
+    NLP_TOL,
     Ad2Result,
     AdConfig,
     Ad1InfeasibleError,
@@ -50,129 +52,59 @@ class MethodReport:
             raise ValueError(f"unknown method name {self.method!r}")
 
 
-def _interior_start(nlp: NlpProblem, x_hat: np.ndarray):
-    """Strictly feasible start near x_hat, or None when none exists."""
-    x0 = np.clip(x_hat, 1e-6, 1.0 - 1e-6)
-    try:
-        return find_strictly_feasible(nlp, x0)
-    except InfeasibleProblemError:
-        return None
+def _penalized_barrier_ad2(x_bar: np.ndarray, cfg: AdConfig, f, grad_f, hess_f, *,
+                           constraints, constraints_jac, constraints_hess=None) -> Ad2Result:
+    """Penalty homotopy over min f(x) + rho * x'(1-x) on the box under one
+    constraint, each round a log-barrier solve from the last iterate.
 
+    The method supplies f with its gradient and Hessian and the constraint
+    callbacks of NlpProblem.  A round that finds no strictly feasible start
+    near the last iterate ends the homotopy as "stalled".
+    """
+    n = x_bar.size
 
-def _penalty_escalation(cfg: AdConfig, solve_at_rho, x_bar: np.ndarray) -> Ad2Result:
-    """Shared rho loop: solve the penalized subproblem, check phi, escalate."""
-    bqp = cfg.bqp
-    rho = bqp.rho0
-    x_hat = np.asarray(x_bar, dtype=float).copy()
-    trace: list[BqpIterate] = []
-    status = "complementarity_not_met"
-    for _ in range(bqp.max_outer):
-        result = solve_at_rho(rho, x_hat)
-        if result is None:
-            status = "stalled"
-            break
-        x_hat, objective, inner_iters = result
-        comp = penalty_phi(x_hat)
-        trace.append(BqpIterate(rho, objective, comp, float("nan"), inner_iters))
-        if comp <= bqp.eps_comp:
-            status = "success"
-            break
-        if rho * bqp.beta > bqp.max_penalty:
-            break
-        rho *= bqp.beta
-    return Ad2Result(x_hat, status, trace)
+    def step(rho, x_hat):
+        # Gradient-based objective scaling keeps the barrier subproblem
+        # well-conditioned when the penalty weight dwarfs the power cost.
+        s = 1.0 / max(1.0, rho)
+        nlp = NlpProblem(
+            n=n,
+            objective=lambda x: s * (f(x) + rho * penalty_phi(x)),
+            gradient=lambda x: s * (grad_f(x) + rho * penalty_grad(x)),
+            hessian=lambda x: s * (hess_f(x) - 2.0 * rho * np.eye(n)),
+            lower=np.zeros(n), upper=np.ones(n), m=1,
+            constraints=constraints,
+            constraints_jac=constraints_jac,
+            constraints_hess=constraints_hess,
+        )
+        try:
+            x0 = find_strictly_feasible(nlp, np.clip(x_hat, 1e-6, 1.0 - 1e-6))
+        except InfeasibleProblemError:
+            return "stalled"
+        sol = solve_barrier(nlp, tol=NLP_TOL, z0=x0)
+        x = sol.z_star
+        return x, f(x) + rho * penalty_phi(x), float("nan"), sol.iterations
+
+    return Ad2Result(*penalty_homotopy(step, x_bar, cfg.eps_comp))
 
 
 def _spen_ad2(prob, P_star, x_bar, lambda_bar, cfg: AdConfig) -> Ad2Result:
     """Quadratic switch model plus the exact quadratic penalty rho*x'(1-x)."""
-    qp, _ = build_ad2_subproblem(prob, P_star, x_bar, lambda_bar, cfg.hessian_shift_floor)
-    n = qp.n
-    a = qp.A[0]
-    u = float(qp.u[0])
-
-    def solve_at_rho(rho, x_hat):
-        # Gradient-based objective scaling keeps the barrier subproblem
-        # well-conditioned when the penalty weight dwarfs the power cost.
-        s = 1.0 / max(1.0, rho)
-
-        def objective(x):
-            return s * (qp.objective(x) + rho * penalty_phi(x))
-
-        def gradient(x):
-            return s * (qp.Q @ x + qp.g + rho * penalty_grad(x))
-
-        def hessian(x):
-            return s * (qp.Q - 2.0 * rho * np.eye(n))
-
-        nlp = NlpProblem(
-            n=n,
-            objective=objective,
-            gradient=gradient,
-            hessian=hessian,
-            lower=np.zeros(n),
-            upper=np.ones(n),
-            m=1,
-            constraints=lambda x: np.array([a @ x - u]),
-            constraints_jac=lambda x: a[None, :],
-            constraints_hess=None,
-        )
-        x0 = _interior_start(nlp, x_hat)
-        if x0 is None:
-            return None
-        sol = solve_barrier(nlp, tol=cfg.nlp_tol, z0=x0)
-        value = qp.objective(sol.z_star) + rho * penalty_phi(sol.z_star)
-        return sol.z_star, value, sol.iterations
-
-    return _penalty_escalation(cfg, solve_at_rho, x_bar)
+    qp, _ = build_ad2_subproblem(prob, P_star, x_bar, lambda_bar)
+    a, u = qp.A[0], float(qp.u[0])
+    return _penalized_barrier_ad2(
+        x_bar, cfg, qp.objective, lambda x: qp.Q @ x + qp.g, lambda x: qp.Q,
+        constraints=lambda x: np.array([a @ x - u]), constraints_jac=lambda x: a[None, :])
 
 
 def _nspen_ad2(prob, P_star, x_bar, lambda_bar, cfg: AdConfig) -> Ad2Result:
     """Full nonlinear switch problem with the penalty added to the cost."""
-    n = prob.n_tx
     f_lin = P_star.sum(axis=1) + prob.cfg.p_rf
-
-    def cons(x):
-        return np.array([prob.r_th - rate_mod.sum_rate(P_star, x, prob)])
-
-    def cons_jac(x):
-        return -rate_mod.grad_rate_wrt_switch(P_star, x, prob)[None, :]
-
-    def cons_hess(x, w):
-        return -w[0] * rate_mod.hess_rate_wrt_switch(P_star, x, prob)
-
-    def solve_at_rho(rho, x_hat):
-        # Same gradient-based objective scaling as the quadratic variant.
-        s = 1.0 / max(1.0, rho)
-
-        def objective(x):
-            return s * (float(f_lin @ x) + rho * penalty_phi(x))
-
-        def gradient(x):
-            return s * (f_lin + rho * penalty_grad(x))
-
-        def hessian(x):
-            return s * (-2.0 * rho * np.eye(n))
-
-        nlp = NlpProblem(
-            n=n,
-            objective=objective,
-            gradient=gradient,
-            hessian=hessian,
-            lower=np.zeros(n),
-            upper=np.ones(n),
-            m=1,
-            constraints=cons,
-            constraints_jac=cons_jac,
-            constraints_hess=cons_hess,
-        )
-        x0 = _interior_start(nlp, x_hat)
-        if x0 is None:
-            return None
-        sol = solve_barrier(nlp, tol=cfg.nlp_tol, z0=x0)
-        value = float(f_lin @ sol.z_star) + rho * penalty_phi(sol.z_star)
-        return sol.z_star, value, sol.iterations
-
-    return _penalty_escalation(cfg, solve_at_rho, x_bar)
+    return _penalized_barrier_ad2(
+        x_bar, cfg, lambda x: float(f_lin @ x), lambda x: f_lin, lambda x: 0.0,  # linear cost
+        constraints=lambda x: np.array([prob.r_th - rate_mod.sum_rate(P_star, x, prob)]),
+        constraints_jac=lambda x: -rate_mod.grad_rate_wrt_switch(P_star, x, prob)[None, :],
+        constraints_hess=lambda x, w: -w[0] * rate_mod.hess_rate_wrt_switch(P_star, x, prob))
 
 
 def solve_ad_spen(prob: EsrProblem, cfg: AdConfig | None = None):
@@ -186,7 +118,6 @@ def solve_ad_nspen(prob: EsrProblem, cfg: AdConfig | None = None):
 def enumerate_selections(
     prob: EsrProblem,
     n_limit: int = 16,
-    cfg: AdConfig | None = None,
     order=None,
 ):
     """Ground truth by exhausting every Boolean switch vector.
@@ -201,7 +132,6 @@ def enumerate_selections(
         raise ValueError(
             f"enumeration refused: {n} antennas exceeds the limit of {n_limit}"
         )
-    cfg = cfg or AdConfig()
     masks = range(1, 2 ** n) if order is None else order
     best = None  # (objective, mask, x, P)
     evaluated = 0
@@ -209,7 +139,7 @@ def enumerate_selections(
     for mask in masks:
         x = np.array([(mask >> i) & 1 for i in range(n)], dtype=float)
         try:
-            P, _, _ = ad1(prob, x, cfg)
+            P, _, _ = ad1(prob, x)
         except Ad1InfeasibleError:
             continue
         evaluated += 1

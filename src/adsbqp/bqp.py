@@ -1,22 +1,25 @@
 """Penalty-homotopy Boolean QP over the relaxed box [0, 1]^n.
 
 The Boolean requirement x in {0,1}^n is handled through the complementarity
-penalty phi(x) = x'(1 - x), which is zero exactly at Boolean points.  Each
-round minimizes the convex QP with the penalty replaced by its first-order
-model rho * (1 - 2*x_hat)' x (the quadratic part of the penalty is dropped so
-the subproblem stays convex), takes an Armijo step toward that minimizer and
-escalates rho geometrically until the complementarity tolerance is met.
+penalty phi(x) = x'(1 - x), which is zero exactly at Boolean points.
+penalty_homotopy owns the rho schedule: it starts at RHO0, runs one round
+per penalty weight and multiplies rho by BETA until the complementarity
+tolerance is met, the weight would pass MAX_PENALTY or MAX_OUTER rounds
+have run.  solve_bqp's round minimizes the convex QP with the penalty
+replaced by its first-order model rho * (1 - 2*x_hat)' x (the quadratic part
+of the penalty is dropped so the subproblem stays convex) and takes an
+Armijo step toward that minimizer; the smooth baselines run their penalized
+barrier solves on the same schedule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 import numpy as np
 
 from .qp import QpProblem, QpSolution, solve_qp
 
 __all__ = [
-    "BqpConfig",
     "BqpIterate",
     "BqpResult",
     "penalty_phi",
@@ -24,29 +27,23 @@ __all__ = [
     "global_search",
     "local_search",
     "armijo_step",
+    "penalty_homotopy",
     "solve_bqp",
 ]
 
-
-@dataclass(frozen=True)
-class BqpConfig:
-    rho0: float = 1.0
-    beta: float = 2.0
-    eps_comp: float = 1e-10
-    max_penalty: float = 2.0 ** 32
-    armijo_c1: float = 1e-4
-    backtrack_factor: float = 0.5
-    min_step: float = 1e-12
-    max_outer: int = 64
-    qp_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not self.beta > 1.0:
-            raise ValueError("beta must be > 1")
-        if not self.rho0 > 0:
-            raise ValueError("rho0 must be > 0")
-        if not self.eps_comp > 0:
-            raise ValueError("eps_comp must be > 0")
+# Round i runs at rho = RHO0 * BETA**i <= MAX_PENALTY, i < MAX_OUTER, until
+# phi(x) <= EPS_COMP (the default tolerance).
+RHO0 = 1.0
+BETA = 2.0
+MAX_PENALTY = 2.0 ** 32
+MAX_OUTER = 64
+EPS_COMP = 1e-10
+# Armijo backtracking: decrease constant, step factor, last step tried.
+ARMIJO_C1 = 1e-4
+BACKTRACK_FACTOR = 0.5
+MIN_STEP = 1e-12
+# Box QP tolerance at rho <= 1; it scales with rho above that.
+QP_TOL = 1e-10
 
 
 @dataclass
@@ -81,45 +78,36 @@ def _boxed(qp: QpProblem) -> QpProblem:
     return replace(qp, lower=np.zeros(qp.n), upper=np.ones(qp.n))
 
 
-def global_search(qp: QpProblem, tol: float = 1e-10) -> QpSolution:
+def global_search(qp: QpProblem, tol: float = QP_TOL) -> QpSolution:
     """Minimize the plain QP over the box, complementarity ignored."""
     return solve_qp(_boxed(qp), tol=tol)
 
 
-def local_search(qp: QpProblem, x_hat: np.ndarray, rho: float, tol: float = 1e-10) -> QpSolution:
+def local_search(qp: QpProblem, x_hat: np.ndarray, rho: float, tol: float = QP_TOL) -> QpSolution:
     """Minimize the QP with the linearized penalty folded into the linear term."""
-    tilted = replace(
-        _boxed(qp), g=qp.g + rho * penalty_grad(x_hat)
-    )
-    return solve_qp(tilted, tol=tol)
+    return solve_qp(replace(_boxed(qp), g=qp.g + rho * penalty_grad(x_hat)), tol=tol)
 
 
-def _merit(qp: QpProblem, x: np.ndarray, rho: float) -> float:
-    return qp.objective(x) + rho * penalty_phi(x)
-
-
-def _merit_grad(qp: QpProblem, x: np.ndarray, rho: float) -> np.ndarray:
-    return qp.Q @ x + qp.g + rho * penalty_grad(x)
-
-
-def armijo_step(qp: QpProblem, x_hat: np.ndarray, x_tilde: np.ndarray, rho: float, cfg: BqpConfig) -> float:
+def armijo_step(qp: QpProblem, x_hat: np.ndarray, x_tilde: np.ndarray, rho: float) -> float:
     """Largest halved step satisfying the Armijo decrease on the exact merit.
 
-    Falls back to cfg.min_step when the direction is non-descent or the
+    Falls back to MIN_STEP when the direction is non-descent or the
     backtracking exhausts.
     """
+    def merit(x):
+        return qp.objective(x) + rho * penalty_phi(x)
+
     d = x_tilde - x_hat
-    slope = float(_merit_grad(qp, x_hat, rho) @ d)
     # A zero slope still admits progress when the merit is concave along d
     # (penalty saddle); fall back to plain decrease instead of giving up.
-    slope = min(slope, 0.0)
-    base = _merit(qp, x_hat, rho)
+    slope = min(float((qp.Q @ x_hat + qp.g + rho * penalty_grad(x_hat)) @ d), 0.0)
+    base = merit(x_hat)
     alpha = 1.0
-    while alpha >= cfg.min_step:
-        if _merit(qp, x_hat + alpha * d, rho) <= base + cfg.armijo_c1 * alpha * slope:
+    while alpha >= MIN_STEP:
+        if merit(x_hat + alpha * d) <= base + ARMIJO_C1 * alpha * slope:
             return alpha
-        alpha *= cfg.backtrack_factor
-    return cfg.min_step
+        alpha *= BACKTRACK_FACTOR
+    return MIN_STEP
 
 
 def _snap_boolean(qp: QpProblem, x: np.ndarray, feas_tol: float = 1e-8) -> np.ndarray:
@@ -134,62 +122,64 @@ def _snap_boolean(qp: QpProblem, x: np.ndarray, feas_tol: float = 1e-8) -> np.nd
     return snapped
 
 
-def solve_bqp(qp: QpProblem, cfg: BqpConfig | None = None) -> BqpResult:
-    """Run the full penalty homotopy; the global search executes exactly once.
+def penalty_homotopy(step, x0: np.ndarray, eps_comp: float):
+    """The rho schedule shared by AD-SBQP and the smooth baselines.
 
-    Termination checks |phi| after the line-search update; a stalled line
-    search still escalates rho so the homotopy cannot deadlock.
+    step(rho, x_hat) runs one round from x_hat at penalty weight rho and
+    returns (x, objective, step_length, iterations), or a status string
+    when the round fails, which ends the homotopy at x_hat.  Returns
+    (x, status, trace) with status "success" once phi(x) <= eps_comp and
+    "complementarity_not_met" when the schedule runs out first.
     """
-    if cfg is None:
-        cfg = BqpConfig()
-    boxed = _boxed(qp)
-    sol = global_search(qp, tol=cfg.qp_tol)
-    if sol.status != "optimal":
-        return BqpResult(sol.x_star, [], sol.status, penalty_phi(sol.x_star), boxed.objective(sol.x_star))
-    x_hat = sol.x_star
-    rho = cfg.rho0
+    x_hat = x0
+    rho = RHO0
     trace: list[BqpIterate] = []
     status = "complementarity_not_met"
-
-    if penalty_phi(x_hat) <= cfg.eps_comp:
-        x_hat = _snap_boolean(boxed, x_hat)
-        return BqpResult(x_hat, trace, "success", penalty_phi(x_hat), boxed.objective(x_hat))
-
-    for _ in range(cfg.max_outer):
-        # The tilted linear term grows like rho, so the subproblem tolerance
-        # scales with it; the achieved x-space accuracy stays ~qp_tol.
-        sol = local_search(qp, x_hat, rho, tol=cfg.qp_tol * max(1.0, rho))
-        if sol.status != "optimal":
-            status = sol.status
+    for _ in range(MAX_OUTER):
+        result = step(rho, x_hat)
+        if isinstance(result, str):
+            status = result
             break
-        x_tilde = sol.x_star
-        # At the penalty saddle (coordinates exactly 1/2 with zero penalty
-        # gradient) apply a deterministic tie-break on the linear term.
-        stuck = (np.abs(x_tilde - 0.5) <= 1e-9) & (np.abs(x_hat - 0.5) <= 1e-9)
-        if np.any(stuck):
-            perturbed = replace(
-                boxed, g=qp.g + rho * penalty_grad(x_hat) + 1e-7 * stuck
-            )
-            sol = solve_qp(perturbed, tol=cfg.qp_tol)
-            if sol.status == "optimal":
-                x_tilde = sol.x_star
-        alpha = armijo_step(qp, x_hat, x_tilde, rho, cfg)
-        x_hat = x_hat + alpha * (x_tilde - x_hat)
+        x_hat, objective, step_length, iterations = result
         comp = penalty_phi(x_hat)
-        trace.append(
-            BqpIterate(rho, boxed.objective(x_hat), comp, alpha, sol.iterations)
-        )
-        if comp <= cfg.eps_comp:
+        trace.append(BqpIterate(rho, objective, comp, step_length, iterations))
+        if comp <= eps_comp:
             status = "success"
             break
-        if rho * cfg.beta > cfg.max_penalty:
-            status = "complementarity_not_met"
+        if rho * BETA > MAX_PENALTY:
             break
-        rho *= cfg.beta
+        rho *= BETA
+    return x_hat, status, trace
 
-    if status in ("success", "complementarity_not_met"):
+
+def solve_bqp(qp: QpProblem, eps_comp: float = EPS_COMP) -> BqpResult:
+    """Global search once, then the penalty homotopy from its minimizer
+    unless that is already Boolean to eps_comp.
+
+    Each round takes an Armijo step toward the tilted QP's minimizer; a
+    stalled line search still escalates rho, so the homotopy cannot
+    deadlock.  A QP that is not solved to optimality ends the solve with
+    the QP's status.
+    """
+    boxed = _boxed(qp)
+
+    def step(rho, x_hat):
+        # The tilted linear term grows like rho, so the subproblem tolerance
+        # scales with it; the achieved x-space accuracy stays ~QP_TOL.
+        sol = local_search(qp, x_hat, rho, tol=QP_TOL * max(1.0, rho))
+        if sol.status != "optimal":
+            return sol.status
+        alpha = armijo_step(qp, x_hat, sol.x_star, rho)
+        x_new = x_hat + alpha * (sol.x_star - x_hat)
+        return x_new, boxed.objective(x_new), alpha, sol.iterations
+
+    sol = global_search(qp)
+    x_hat, status, trace = sol.x_star, sol.status, []
+    if status == "optimal" and penalty_phi(x_hat) > eps_comp:
+        x_hat, status, trace = penalty_homotopy(step, x_hat, eps_comp)
+    # Still "optimal" here: the global minimizer is Boolean to eps_comp.
+    if status in ("optimal", "success", "complementarity_not_met"):
         snapped = _snap_boolean(boxed, x_hat)
-        if penalty_phi(snapped) <= cfg.eps_comp:
-            x_hat = snapped
-            status = "success"
+        if penalty_phi(snapped) <= eps_comp:
+            x_hat, status = snapped, "success"
     return BqpResult(x_hat, trace, status, penalty_phi(x_hat), boxed.objective(x_hat))

@@ -30,9 +30,8 @@ from .baselines import (
     solve_ad_nspen,
     solve_ad_spen,
 )
-from .bqp import BqpConfig
 from .channel import ScenarioConfig
-from .driver import AdConfig, AdTrace, Solution, full_activation_allocation, solve
+from .driver import AdConfig, AdTrace, Solution, solve
 from .rate import EsrProblem, build_esr_problem
 
 __all__ = [
@@ -61,9 +60,13 @@ class ScenarioParseError(ValueError):
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Parse a key-value scenario file, defaulting every missing key."""
+    """Parse a key-value scenario file, defaulting every missing key.
+
+    A value ScenarioConfig rejects is reported with the line of its key.
+    """
     fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
     values = {}
+    key_lines = {}
     text = Path(path).read_text()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -76,6 +79,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         value = value.strip()
         if key not in fields:
             raise ScenarioParseError(f"unknown key {key!r}", line_no)
+        key_lines[key] = line_no
         try:
             if key in _TUPLE_KEYS:
                 parts = [float(p) for p in value.replace("(", "").replace(")", "").split(",")]
@@ -93,7 +97,9 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     try:
         return ScenarioConfig(**values)
     except ValueError as exc:
-        raise ScenarioParseError(str(exc)) from exc
+        # ScenarioConfig's messages begin with the name of the rejected field.
+        field_name = str(exc).split(" ", 1)[0]
+        raise ScenarioParseError(str(exc), key_lines.get(field_name)) from exc
 
 
 def config_snapshot(cfg: ScenarioConfig) -> dict:
@@ -243,7 +249,7 @@ def run_compare(manifest: RunManifest):
     for method in manifest.methods:
         t0 = time.perf_counter()
         if method == "ENUM":
-            report, x_best, _ = enumerate_selections(prob, cfg=manifest.ad_config)
+            report, x_best, _ = enumerate_selections(prob)
             wall = time.perf_counter() - t0
             report.wall_time = wall
             reports.append(report)
@@ -317,8 +323,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", help="scenario config file (key = value lines)")
         p.add_argument("--seed", type=int, help="override the scenario seed")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--max-ad-iter", type=int, default=20)
-        p.add_argument("--eps-comp", type=float, default=1e-10)
+        p.add_argument("--max-ad-iter", type=int, default=AdConfig.max_ad_iter)
+        p.add_argument("--eps-comp", type=float, default=AdConfig.eps_comp)
 
     p_run = sub.add_parser("run", help="run a single method")
     common(p_run)
@@ -349,17 +355,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
+        ad_cfg = AdConfig(max_ad_iter=args.max_ad_iter, eps_comp=args.eps_comp)
     except (ScenarioParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    ad_cfg = AdConfig(
-        max_ad_iter=args.max_ad_iter,
-        bqp=BqpConfig(eps_comp=args.eps_comp),
-    )
     if args.command == "enumerate":
         prob = build_esr_problem(cfg)
         try:
-            report, x_best, _ = enumerate_selections(prob, n_limit=args.n_limit, cfg=ad_cfg)
+            report, x_best, _ = enumerate_selections(prob, n_limit=args.n_limit)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -6,8 +6,11 @@ log-barrier central point in closed form, each total the root of a
 quadratic once two nested scalar root finds have fixed the rate and budget
 multipliers.  AD2 minimizes a convex quadratic model of the Lagrangian in x
 over the linearized rate constraint via the penalty-homotopy Boolean QP.
-The loop stops when ||[dP | dx]|| drops below the configured tolerance, or
-as infeasible_selection at switches AD1 cannot serve.
+The loop stops when ||[dP | dx]|| drops to EPS_TERM, after
+AdConfig.max_ad_iter iterations, or as infeasible_selection at switches AD1
+cannot serve.  AdConfig holds the two values a caller sets: the iteration
+cap and the complementarity tolerance of AD2; every other tolerance is a
+module constant.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from . import rate as rate_mod
-from .bqp import BqpConfig, penalty_phi, solve_bqp
+from .bqp import EPS_COMP, penalty_phi, solve_bqp
 # solve_barrier is unused here but stays importable as driver.solve_barrier,
 # a call site that perfbench's tracer tests wrap.
 from .nlp import InfeasibleProblemError, solve_barrier  # noqa: F401
@@ -40,20 +43,26 @@ __all__ = [
 ]
 
 
+# The AD loop converges once ||[dP | dx]|| <= EPS_TERM.
+EPS_TERM = 1e-6
+# Barrier tolerance: ad1 returns the central point at mu = NLP_TOL / 10,
+# where a barrier solve at NLP_TOL ends, and the smooth baselines solve
+# their switch NLPs at NLP_TOL.
+NLP_TOL = 1e-8
+# Least eigenvalue of the AD2 curvature matrix after the shift.
+HESSIAN_SHIFT_FLOOR = 1e-8
+
+
 @dataclass(frozen=True)
 class AdConfig:
-    eps_term: float = 1e-6
     max_ad_iter: int = 20
-    hessian_shift_floor: float = 1e-8
-    bqp: BqpConfig = field(default_factory=BqpConfig)
-    nlp_tol: float = 1e-8
-    boolean_tol: float = 1e-9
+    eps_comp: float = EPS_COMP
 
     def __post_init__(self) -> None:
-        if not self.eps_term > 0:
-            raise ValueError("eps_term must be > 0")
         if self.max_ad_iter < 1:
-            raise ValueError("max_ad_iter must be >= 1")
+            raise ValueError(f"max_ad_iter must be >= 1, got {self.max_ad_iter}")
+        if not self.eps_comp > 0:
+            raise ValueError(f"eps_comp must be > 0, got {self.eps_comp}")
 
 
 @dataclass
@@ -142,7 +151,7 @@ def _increasing_root(f, z):
     return z if hi < np.inf else None
 
 
-def ad1(prob: EsrProblem, x_bar: np.ndarray, cfg: AdConfig | None = None):
+def ad1(prob: EsrProblem, x_bar: np.ndarray):
     """Optimal power allocation at fixed switches.
 
     Minimizes sum_ij x_i p_ij subject to the rate threshold, per-antenna row
@@ -150,7 +159,7 @@ def ad1(prob: EsrProblem, x_bar: np.ndarray, cfg: AdConfig | None = None):
     received totals a_j = sum_i x_i p_ij, and the row caps only through the
     budget sum_j a_j <= p_th * sum_i x_i, so the problem lives on the K
     totals.  The returned totals are the central point of the log barrier
-    over them at mu = nlp_tol / 10, where a barrier solve at nlp_tol ends;
+    over them at mu = NLP_TOL / 10, where a barrier solve at NLP_TOL ends;
     it keeps the rate slack mu / lambda that the smooth baselines' stall
     depends on.  With g_j the SNR per unit total, c = B / ln2 and eta the
     budget multiplier, stationarity makes each a_j the positive root of
@@ -161,24 +170,22 @@ def ad1(prob: EsrProblem, x_bar: np.ndarray, cfg: AdConfig | None = None):
     eta * (budget - sum_j a_j) = mu.  Written as rate - r_th - mu / lambda
     = 0 and budget - sum_j a_j - mu / eta = 0, both are increasing in their
     multiplier, and safeguarded Newton solves them: lambda for each eta,
-    inside a solve over eta.  Each active row (x_i above boolean_tol) then
-    holds a / sum x_i and the others are zero.  The central point exists
+    inside a solve over eta.  Each active row (x_i above rate.BOOLEAN_TOL)
+    then holds a / sum x_i and the others are zero.  The central point exists
     exactly when rate.rate_reachable holds; otherwise, or when a multiplier
     has no root, Ad1InfeasibleError carries the rate at the even split of
     the budget over the users.  Returns (P_star, lambda_bar, evaluations):
     the rate multiplier and the number of evaluations of the totals.
     """
-    if cfg is None:
-        cfg = AdConfig()
     x_bar = np.asarray(x_bar, dtype=float)
-    active = np.flatnonzero(x_bar > cfg.boolean_tol)
+    active = np.flatnonzero(x_bar > rate_mod.BOOLEAN_TOL)
     if active.size == 0:
         raise Ad1InfeasibleError("all antennas are switched off", achievable_rate=0.0)
     x_sum = float(x_bar[active].sum())
     budget = prob.cfg.p_th * x_sum
     g = ((x_bar ** 2) @ prob.gains) / prob.sigma  # SNR per unit received total
     c_rate = prob.bandwidth / rate_mod.LN2
-    mu = 0.1 * cfg.nlp_tol
+    mu = 0.1 * NLP_TOL
     evaluations = 0
 
     def rate_of(a):
@@ -235,10 +242,10 @@ def ad1(prob: EsrProblem, x_bar: np.ndarray, cfg: AdConfig | None = None):
     return P_star, lam, evaluations
 
 
-def full_activation_allocation(prob: EsrProblem, cfg: AdConfig | None = None):
+def full_activation_allocation(prob: EsrProblem):
     """Reference allocation with every antenna on; returns (P, objective)."""
     ones = np.ones(prob.n_tx)
-    P, _, _ = ad1(prob, ones, cfg)
+    P, _, _ = ad1(prob, ones)
     return P, rate_mod.economic_objective(P, ones, prob)
 
 
@@ -247,14 +254,13 @@ def build_ad2_subproblem(
     P_star: np.ndarray,
     x_bar: np.ndarray,
     lambda_bar: float,
-    shift_floor: float = 1e-8,
 ):
     """Convex QP model of the switch subproblem around (x_bar, lambda_bar).
 
     Cost is linear in x (per-antenna transmit total plus standby draw); the
     rate constraint is linearized at x_bar; the curvature matrix is the
     constraint Hessian weighted by the rate multiplier, eigenvalue-shifted to
-    the configured floor.  Returns (qp, offset) with the QP objective equal
+    HESSIAN_SHIFT_FLOOR.  Returns (qp, offset) with the QP objective equal
     to the quadratic Lagrangian model minus offset.  At an ad1 point the
     rate exceeds r_th by the slack mu / lambda > 0, so x_bar itself meets
     the linearized constraint and the QP is feasible over the box.
@@ -267,7 +273,7 @@ def build_ad2_subproblem(
     Q0 = -lambda_bar * h_rate
     Q0 = 0.5 * (Q0 + Q0.T)
     min_eig = float(scipy.linalg.eigvalsh(Q0, subset_by_index=(0, 0))[0])
-    tau = max(0.0, shift_floor - min_eig)
+    tau = max(0.0, HESSIAN_SHIFT_FLOOR - min_eig)
     Q = Q0 + tau * np.eye(prob.n_tx)
 
     g = f_lin - Q @ x_bar
@@ -285,7 +291,7 @@ def build_ad2_subproblem(
     return qp, offset
 
 
-def _complete_boolean(prob: EsrProblem, x: np.ndarray, cfg: AdConfig):
+def _complete_boolean(prob: EsrProblem, x: np.ndarray):
     """Cheapest Boolean completion of the fractional coordinates of x.
 
     The linearized rate constraint can pin a few coordinates at fractional
@@ -294,7 +300,7 @@ def _complete_boolean(prob: EsrProblem, x: np.ndarray, cfg: AdConfig):
     re-optimization and the cheapest feasible one is returned (None when all
     completions are infeasible or too many coordinates are fractional).
     """
-    frac = np.flatnonzero(np.minimum(x, 1.0 - x) > cfg.boolean_tol)
+    frac = np.flatnonzero(np.minimum(x, 1.0 - x) > rate_mod.BOOLEAN_TOL)
     if frac.size == 0 or frac.size > 8:
         return None
     base = np.round(x)
@@ -303,7 +309,7 @@ def _complete_boolean(prob: EsrProblem, x: np.ndarray, cfg: AdConfig):
         cand = base.copy()
         cand[frac] = [(bits >> i) & 1 for i in range(frac.size)]
         try:
-            P, _, _ = ad1(prob, cand, cfg)
+            P, _, _ = ad1(prob, cand)
         except Ad1InfeasibleError:
             continue
         obj = rate_mod.economic_objective(P, cand, prob)
@@ -313,17 +319,17 @@ def _complete_boolean(prob: EsrProblem, x: np.ndarray, cfg: AdConfig):
 
 
 def _sbqp_ad2(prob, P_star, x_bar, lambda_bar, cfg: AdConfig) -> Ad2Result:
-    qp, _ = build_ad2_subproblem(prob, P_star, x_bar, lambda_bar, cfg.hessian_shift_floor)
-    res = solve_bqp(qp, cfg.bqp)
+    qp, _ = build_ad2_subproblem(prob, P_star, x_bar, lambda_bar)
+    res = solve_bqp(qp, eps_comp=cfg.eps_comp)
     x_star, status = res.x_star, res.status
     if status == "complementarity_not_met":
-        completed = _complete_boolean(prob, x_star, cfg)
+        completed = _complete_boolean(prob, x_star)
         if completed is not None:
             x_star, status = completed, "success"
     return Ad2Result(x_star, status, res.trace)
 
 
-def _initial_switch(prob: EsrProblem, cfg: AdConfig) -> np.ndarray:
+def _initial_switch(prob: EsrProblem) -> np.ndarray:
     """Uniform fractional start 0.5*1, scaled up just enough to keep the
     power subproblem feasible at the initial switches."""
     n = prob.n_tx
@@ -367,7 +373,7 @@ def _ad_loop(
         )
         return sol, trace
 
-    x_bar = _initial_switch(prob, cfg)
+    x_bar = _initial_switch(prob)
     P_bar = np.zeros((n, k))
     status = "max_iter"
     it = 0
@@ -376,7 +382,7 @@ def _ad_loop(
         it += 1
         t0 = time.perf_counter()
         try:
-            P_star, lambda_bar, _ = ad1(prob, x_bar, cfg)
+            P_star, lambda_bar, _ = ad1(prob, x_bar)
         except Ad1InfeasibleError:
             status = "infeasible_selection"
             break
@@ -404,7 +410,7 @@ def _ad_loop(
         )
         residual = float(np.hypot(dp, dx))
         P_bar, x_bar = P_star, x_star
-        if residual <= cfg.eps_term:
+        if residual <= EPS_TERM:
             status = "converged"
             break
 
@@ -413,20 +419,20 @@ def _ad_loop(
     P_final = P_bar
     if status in ("converged", "max_iter"):
         try:
-            P_final, _, _ = ad1(prob, x_bar, cfg)
+            P_final, _, _ = ad1(prob, x_bar)
         except Ad1InfeasibleError:
             status = "infeasible_selection"
 
     if status == "converged":
         last_ad2 = trace.rows[-1].ad2_status if trace.rows else "success"
-        if rate_mod.is_boolean_feasible(x_bar, cfg.boolean_tol) and last_ad2 == "success":
+        if rate_mod.is_boolean_feasible(x_bar) and last_ad2 == "success":
             status = "success"
         else:
             status = "complementarity_not_met"
 
     if full_fallback and status in ("success", "complementarity_not_met", "max_iter"):
         try:
-            P_ones, obj_ones = full_activation_allocation(prob, cfg)
+            P_ones, obj_ones = full_activation_allocation(prob)
         except Ad1InfeasibleError:
             obj_ones = np.inf
         if obj_ones < rate_mod.economic_objective(P_final, x_bar, prob):

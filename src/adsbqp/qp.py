@@ -8,7 +8,7 @@ taken on the condensed normal equations with a dense Cholesky.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 

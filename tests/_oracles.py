@@ -9,7 +9,7 @@ subproblem solved over all N*K powers instead of the K per-user totals.
 import numpy as np
 
 from adsbqp import rate as rate_mod
-from adsbqp.driver import Ad1InfeasibleError, AdConfig
+from adsbqp.driver import NLP_TOL, Ad1InfeasibleError
 from adsbqp.nlp import InfeasibleProblemError, NlpProblem, solve_barrier
 
 
@@ -94,7 +94,7 @@ def enumerate_boolean_qp(Q, g, C, d):
     return best_obj, best_x
 
 
-def barrier_ad1(prob, x_bar, cfg=None):
+def barrier_ad1(prob, x_bar):
     """Power subproblem as a barrier NLP over every power p_ij of the active rows.
 
     Minimizes sum_ij x_i p_ij subject to the rate threshold, one cap per
@@ -105,10 +105,9 @@ def barrier_ad1(prob, x_bar, cfg=None):
     raises ``Ad1InfeasibleError``, as ``driver.ad1`` does.  Returns
     (P_star, lambda_bar) with lambda_bar the rate-constraint multiplier.
     """
-    cfg = cfg or AdConfig()
     x_bar = np.asarray(x_bar, dtype=float)
     n, k = prob.n_tx, prob.n_users
-    active = np.flatnonzero(x_bar > cfg.boolean_tol)
+    active = np.flatnonzero(x_bar > rate_mod.BOOLEAN_TOL)
     x_act = x_bar[active]
     na = active.size
     nz = na * k
@@ -161,7 +160,7 @@ def barrier_ad1(prob, x_bar, cfg=None):
         constraints_hess=constraints_hess,
     )
     try:
-        sol = solve_barrier(nlp, tol=cfg.nlp_tol, z0=P0[active].flatten(order="F"))
+        sol = solve_barrier(nlp, tol=NLP_TOL, z0=P0[active].flatten(order="F"))
     except InfeasibleProblemError as exc:
         raise Ad1InfeasibleError(str(exc), achievable_rate=np.nan) from exc
     return to_full(sol.z_star), float(sol.duals[0])

@@ -9,7 +9,6 @@ explicit runtime budget.
 import time
 
 import numpy as np
-import pytest
 
 from adsbqp.baselines import enumerate_selections, solve_ad_nspen, solve_ad_spen
 from adsbqp.channel import ScenarioConfig

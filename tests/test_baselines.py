@@ -9,7 +9,8 @@ from adsbqp.baselines import (
     solve_ad_spen,
 )
 from adsbqp.channel import ChannelMatrix, ScenarioConfig, generate_channel
-from adsbqp.driver import full_activation_allocation, solve
+from adsbqp.bqp import BETA, RHO0
+from adsbqp.driver import solve
 from adsbqp.rate import build_esr_problem, economic_objective, sum_rate
 
 
@@ -122,3 +123,16 @@ def test_baseline_solutions_respect_problem_constraints():
     assert sol.objective == pytest.approx(
         economic_objective(sol.P_star, sol.x_star, prob), rel=1e-12
     )
+
+
+def test_baselines_follow_the_shared_rho_schedule():
+    # Both smooth baselines run the Boolean-QP method's penalty homotopy, so
+    # every AD2 trace starts at RHO0 and multiplies rho by BETA per round.
+    prob = scaled_problem(seed=0, n=2, k=2)
+    for solver in (solve_ad_spen, solve_ad_nspen):
+        _, trace = solver(prob)
+        assert trace.rows
+        for row in trace.rows:
+            rhos = [it.rho for it in row.ad2_trace]
+            assert rhos == [RHO0 * BETA ** i for i in range(len(rhos))]
+            assert len(rhos) >= 2

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from adsbqp.bqp import (
-    BqpConfig,
+    BETA,
+    MIN_STEP,
+    RHO0,
     armijo_step,
     global_search,
     local_search,
@@ -10,6 +12,7 @@ from adsbqp.bqp import (
     penalty_phi,
     solve_bqp,
 )
+from adsbqp.driver import AdConfig
 from adsbqp.qp import QpProblem
 from _oracles import enumerate_boolean_qp
 
@@ -74,19 +77,17 @@ def test_local_search_tilts_only_the_linear_term():
 
 def test_armijo_accepts_full_step_on_clean_descent():
     qp = box_qp(np.eye(2), np.array([-0.6, 0.4]))
-    cfg = BqpConfig()
     x_hat = np.array([0.5, 0.5])
     x_tilde = np.array([1.0, 0.0])
-    alpha = armijo_step(qp, x_hat, x_tilde, rho=1.0, cfg=cfg)
+    alpha = armijo_step(qp, x_hat, x_tilde, rho=1.0)
     assert alpha == 1.0
 
 
 def test_armijo_falls_back_on_non_descent():
     qp = box_qp(np.eye(2), np.zeros(2))
-    cfg = BqpConfig()
     x_hat = np.array([0.0, 0.0])  # already the minimizer at rho = 0
-    alpha = armijo_step(qp, x_hat, np.array([1.0, 1.0]), rho=0.0, cfg=cfg)
-    assert alpha == cfg.min_step
+    alpha = armijo_step(qp, x_hat, np.array([1.0, 1.0]), rho=0.0)
+    assert alpha == MIN_STEP
 
 
 def test_random_instances_reach_exact_boolean_points():
@@ -123,22 +124,23 @@ def test_objective_gap_to_enumeration_is_logged_not_asserted():
     assert all(np.isfinite(gaps))
 
 
-def test_saddle_tie_break_escapes_one_half():
+def test_exact_saddle_reports_complementarity_not_met():
     # Symmetric instance whose relaxed optimum is exactly 1/2 on every
-    # coordinate; the deterministic tie-break must still reach a corner.
+    # coordinate, where the linearized penalty vanishes: no round can move
+    # the iterate, and the homotopy must say so instead of claiming success.
     qp = box_qp(np.eye(2), np.array([-0.5, -0.5]))
     res = solve_bqp(qp)
-    assert res.status == "success"
-    assert penalty_phi(res.x_star) <= 1e-10
+    assert res.status == "complementarity_not_met"
+    assert res.complementarity > 1e-10
+    assert res.trace
 
 
 def test_config_validation():
+    # The schedule is fixed; eps_comp is the one settable value.
+    assert BETA > 1.0
+    assert RHO0 > 0.0
     with pytest.raises(ValueError):
-        BqpConfig(beta=1.0)
-    with pytest.raises(ValueError):
-        BqpConfig(rho0=0.0)
-    with pytest.raises(ValueError):
-        BqpConfig(eps_comp=0.0)
+        AdConfig(eps_comp=0.0)
 
 
 def test_trace_records_monotone_merit_progress():

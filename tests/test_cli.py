@@ -1,6 +1,4 @@
-import dataclasses
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,10 +189,29 @@ def test_enumerate_subcommand_refuses_oversized_instances(tmp_path, capsys):
 
 
 def test_non_finite_scenario_values_exit_with_usage_error(tmp_path, capsys):
+    # The message names the line of the rejected key, the 8th of the file.
     for line in ("pathloss_exponent_eta = nan", "noise_n0b = inf", "p_rf = nan"):
         scen = write_scenario(tmp_path, SCENARIO + line + "\n")
+        with pytest.raises(ScenarioParseError) as err:
+            load_scenario(scen)
+        assert err.value.line_no == 8
         assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
-        assert "must be finite" in capsys.readouterr().err
+        key, value = line.split(" = ")
+        assert capsys.readouterr().err == f"error: line 8: {key} must be finite, got {value}\n"
+
+
+def test_bad_numeric_flags_exit_with_usage_error(tmp_path, capsys):
+    scen = write_scenario(tmp_path)
+    out = str(tmp_path / "out")
+    for argv, message in (
+        (["run", "--max-ad-iter", "0"], "max_ad_iter must be >= 1"),
+        (["enumerate", "--max-ad-iter", "0"], "max_ad_iter must be >= 1"),
+        (["run", "--eps-comp", "0"], "eps_comp must be > 0"),
+    ):
+        assert main(argv + ["--scenario", str(scen), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_scenario_path_exits_with_usage_error(tmp_path, capsys):

@@ -5,6 +5,8 @@ import pytest
 
 from adsbqp.channel import ChannelMatrix, ScenarioConfig
 from adsbqp.driver import (
+    HESSIAN_SHIFT_FLOOR,
+    NLP_TOL,
     Ad1InfeasibleError,
     AdConfig,
     ad1,
@@ -13,11 +15,11 @@ from adsbqp.driver import (
     solve,
 )
 from adsbqp.rate import (
+    BOOLEAN_TOL,
     build_esr_problem,
     economic_objective,
     grad_rate_wrt_switch,
     sum_rate,
-    uniform_power,
 )
 from _oracles import barrier_ad1
 
@@ -141,7 +143,7 @@ def test_ad1_feasibility_is_exact_at_low_snr():
     # powers does, and agree with it on power within the barrier's
     # duality gap, one mu per inequality constraint.
     prob = scaled_problem(seed=8, n=8, k=4, noise=1e-10)
-    mu = 0.1 * AdConfig().nlp_tol
+    mu = 0.1 * NLP_TOL
     feasible = set()
     for mask in (236, 240, 242, 244, 248):
         x = np.array([(mask >> i) & 1 for i in range(prob.n_tx)], dtype=float)
@@ -176,11 +178,10 @@ def fewest_feasible_antennas(prob):
 
 def test_ad1_is_barrier_central_point():
     # ad1 returns the central point of the log barrier over the totals at
-    # mu = nlp_tol / 10.  Each condition is checked to 1e-9 relative to its
+    # mu = NLP_TOL / 10.  Each condition is checked to 1e-9 relative to its
     # largest term: the rate slack mu / lambda is ~1e-8 of r_th, so the
     # rate itself is known to ~1e-8 of the slack, not to 1e-9 of mu.
-    cfg = AdConfig()
-    mu = 0.1 * cfg.nlp_tol
+    mu = 0.1 * NLP_TOL
     n = 8
     prob = scaled_problem(seed=11, n=n, k=n)
     g = prob.gains / prob.sigma
@@ -194,8 +195,8 @@ def test_ad1_is_barrier_central_point():
         return abs(sum(terms)) <= 1e-9 * max(abs(t) for t in terms)
 
     for x in cases:
-        P, lam, _ = ad1(prob, x, cfg)
-        active = x > cfg.boolean_tol
+        P, lam, _ = ad1(prob, x)
+        active = x > BOOLEAN_TOL
         a = x @ P
         g_x = (x ** 2) @ g
         budget_slack = prob.cfg.p_th * x[active].sum() - a.sum()
@@ -247,17 +248,17 @@ def test_build_ad2_subproblem_zero_multiplier_gives_floor_curvature():
     prob = scaled_problem(seed=7)
     x_bar = np.full(prob.n_tx, 0.7)
     P, _, _ = ad1(prob, x_bar)
-    qp, _ = build_ad2_subproblem(prob, P, x_bar, 0.0, shift_floor=1e-8)
-    np.testing.assert_allclose(qp.Q, 1e-8 * np.eye(prob.n_tx), atol=1e-20)
+    qp, _ = build_ad2_subproblem(prob, P, x_bar, 0.0)
+    np.testing.assert_allclose(qp.Q, HESSIAN_SHIFT_FLOOR * np.eye(prob.n_tx), atol=1e-20)
 
 
 def test_build_ad2_subproblem_curvature_floor_holds():
     prob = scaled_problem(seed=8)
     x_bar = np.full(prob.n_tx, 0.6)
     P, lam, _ = ad1(prob, x_bar)
-    qp, _ = build_ad2_subproblem(prob, P, x_bar, lam, shift_floor=1e-8)
+    qp, _ = build_ad2_subproblem(prob, P, x_bar, lam)
     min_eig = float(np.linalg.eigvalsh(qp.Q)[0])
-    assert min_eig >= 1e-8 - 1e-12
+    assert min_eig >= HESSIAN_SHIFT_FLOOR - 1e-12
 
 
 def test_single_antenna_scenario_keeps_it_on():
@@ -310,7 +311,7 @@ def test_termination_norm_decreases_at_convergence():
 
 def test_ad_config_validation():
     with pytest.raises(ValueError):
-        AdConfig(eps_term=0.0)
+        AdConfig(eps_comp=0.0)
     with pytest.raises(ValueError):
         AdConfig(max_ad_iter=0)
 

@@ -11,7 +11,6 @@ from adsbqp.rate import (
     hess_rate_wrt_switch,
     is_boolean_feasible,
     rate_reachable,
-    snr_all,
     snr_user,
     sum_rate,
     uniform_power,
