@@ -4,12 +4,13 @@ The Boolean requirement x in {0,1}^n is handled through the complementarity
 penalty phi(x) = x'(1 - x), which is zero exactly at Boolean points.
 penalty_homotopy owns the rho schedule: it starts at RHO0, runs one round
 per penalty weight and multiplies rho by BETA until the complementarity
-tolerance is met, the weight would pass MAX_PENALTY or MAX_OUTER rounds
-have run.  solve_bqp's round minimizes the convex QP with the penalty
-replaced by its first-order model rho * (1 - 2*x_hat)' x (the quadratic part
-of the penalty is dropped so the subproblem stays convex) and takes an
-Armijo step toward that minimizer; the smooth baselines run their penalized
-barrier solves on the same schedule.
+tolerance is met, a round moves x by at most STALL_TOL in the max norm or
+the weight would pass MAX_PENALTY.  solve_bqp's round minimizes the convex
+QP with the penalty replaced by its first-order model rho * (1 - 2*x_hat)' x
+(the quadratic part of the penalty is dropped so the subproblem stays
+convex), takes an Armijo step toward that minimizer and snaps the result
+onto {0,1} when it is within reach; the smooth baselines run their
+penalized barrier solves on the same schedule.
 """
 
 from __future__ import annotations
@@ -31,12 +32,12 @@ __all__ = [
     "solve_bqp",
 ]
 
-# Round i runs at rho = RHO0 * BETA**i <= MAX_PENALTY, i < MAX_OUTER, until
-# phi(x) <= EPS_COMP (the default tolerance).
+# Round i runs at rho = RHO0 * BETA**i <= MAX_PENALTY until phi(x) <=
+# EPS_COMP (the default tolerance) or the round moves x by <= STALL_TOL.
 RHO0 = 1.0
 BETA = 2.0
 MAX_PENALTY = 2.0 ** 32
-MAX_OUTER = 64
+STALL_TOL = 1e-9
 EPS_COMP = 1e-10
 # Armijo backtracking: decrease constant, step factor, last step tried.
 ARMIJO_C1 = 1e-4
@@ -129,37 +130,38 @@ def penalty_homotopy(step, x0: np.ndarray, eps_comp: float):
     returns (x, objective, step_length, iterations), or a status string
     when the round fails, which ends the homotopy at x_hat.  Returns
     (x, status, trace) with status "success" once phi(x) <= eps_comp and
-    "complementarity_not_met" when the schedule runs out first.
+    "complementarity_not_met" when a round moves x by at most STALL_TOL or
+    the schedule runs out first; the stalled round is recorded.
     """
     x_hat = x0
     rho = RHO0
     trace: list[BqpIterate] = []
-    status = "complementarity_not_met"
-    for _ in range(MAX_OUTER):
+    while True:
         result = step(rho, x_hat)
         if isinstance(result, str):
-            status = result
-            break
-        x_hat, objective, step_length, iterations = result
-        comp = penalty_phi(x_hat)
+            return x_hat, result, trace
+        x_new, objective, step_length, iterations = result
+        comp = penalty_phi(x_new)
         trace.append(BqpIterate(rho, objective, comp, step_length, iterations))
+        moved = np.max(np.abs(x_new - x_hat), initial=0.0)
+        x_hat = x_new
         if comp <= eps_comp:
-            status = "success"
-            break
-        if rho * BETA > MAX_PENALTY:
-            break
+            return x_hat, "success", trace
+        if moved <= STALL_TOL or rho * BETA > MAX_PENALTY:
+            return x_hat, "complementarity_not_met", trace
         rho *= BETA
-    return x_hat, status, trace
 
 
 def solve_bqp(qp: QpProblem, eps_comp: float = EPS_COMP) -> BqpResult:
     """Global search once, then the penalty homotopy from its minimizer
     unless that is already Boolean to eps_comp.
 
-    Each round takes an Armijo step toward the tilted QP's minimizer; a
-    stalled line search still escalates rho, so the homotopy cannot
-    deadlock.  A QP that is not solved to optimality ends the solve with
-    the QP's status.
+    Each round takes an Armijo step toward the tilted QP's minimizer.  The
+    global minimizer and every round's iterate are snapped onto {0,1} when
+    they lie within reach of it, so the homotopy ends at the first iterate
+    that identifies the Boolean point; a round that moves x by at most
+    STALL_TOL ends it as "complementarity_not_met".  A QP that is not
+    solved to optimality ends the solve with the QP's status.
     """
     boxed = _boxed(qp)
 
@@ -170,16 +172,13 @@ def solve_bqp(qp: QpProblem, eps_comp: float = EPS_COMP) -> BqpResult:
         if sol.status != "optimal":
             return sol.status
         alpha = armijo_step(qp, x_hat, sol.x_star, rho)
-        x_new = x_hat + alpha * (sol.x_star - x_hat)
+        x_new = _snap_boolean(boxed, x_hat + alpha * (sol.x_star - x_hat))
         return x_new, boxed.objective(x_new), alpha, sol.iterations
 
     sol = global_search(qp)
     x_hat, status, trace = sol.x_star, sol.status, []
-    if status == "optimal" and penalty_phi(x_hat) > eps_comp:
-        x_hat, status, trace = penalty_homotopy(step, x_hat, eps_comp)
-    # Still "optimal" here: the global minimizer is Boolean to eps_comp.
-    if status in ("optimal", "success", "complementarity_not_met"):
-        snapped = _snap_boolean(boxed, x_hat)
-        if penalty_phi(snapped) <= eps_comp:
-            x_hat, status = snapped, "success"
+    if status == "optimal":
+        x_hat, status = _snap_boolean(boxed, x_hat), "success"
+        if penalty_phi(x_hat) > eps_comp:
+            x_hat, status, trace = penalty_homotopy(step, x_hat, eps_comp)
     return BqpResult(x_hat, trace, status, penalty_phi(x_hat), boxed.objective(x_hat))

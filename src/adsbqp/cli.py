@@ -43,7 +43,7 @@ __all__ = [
     "main",
 ]
 
-TRACE_SCHEMA = "adsbqp-trace-v1"
+TRACE_SCHEMA = "adsbqp-trace-v2"
 COMPARISON_SCHEMA = "adsbqp-comparison-v1"
 
 _TUPLE_KEYS = {"cell_center", "bs_position"}
@@ -151,6 +151,7 @@ def _write_trace(out_dir: Path, method: str, trace: AdTrace) -> None:
         "dp_norm",
         "dx_norm",
         "lambda",
+        "ad2_rounds",
     ]
     rows = [
         [
@@ -161,6 +162,7 @@ def _write_trace(out_dir: Path, method: str, trace: AdTrace) -> None:
             _fmt(row.dp_norm),
             _fmt(row.dx_norm),
             _fmt(row.lambda_bar),
+            len(row.ad2_trace),
         ]
         for row in trace.rows
     ]
@@ -323,15 +325,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", help="scenario config file (key = value lines)")
         p.add_argument("--seed", type=int, help="override the scenario seed")
         p.add_argument("--out", default="out", help="output directory")
+
+    def ad_options(p):
+        common(p)
         p.add_argument("--max-ad-iter", type=int, default=AdConfig.max_ad_iter)
         p.add_argument("--eps-comp", type=float, default=AdConfig.eps_comp)
 
     p_run = sub.add_parser("run", help="run a single method")
-    common(p_run)
+    ad_options(p_run)
     p_run.add_argument("--method", default="AD-SBQP", choices=list(METHOD_NAMES))
 
     p_cmp = sub.add_parser("compare", help="run several methods on one channel draw")
-    common(p_cmp)
+    ad_options(p_cmp)
     p_cmp.add_argument(
         "--methods",
         default="AD-SBQP,AD-SPen,AD-NSPen",
@@ -355,7 +360,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        ad_cfg = AdConfig(max_ad_iter=args.max_ad_iter, eps_comp=args.eps_comp)
     except (ScenarioParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -386,7 +390,7 @@ def main(argv=None) -> int:
             seed=cfg.seed,
             out_dir=Path(args.out),
             config=cfg,
-            ad_config=ad_cfg,
+            ad_config=AdConfig(max_ad_iter=args.max_ad_iter, eps_comp=args.eps_comp),
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

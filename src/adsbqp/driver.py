@@ -6,11 +6,13 @@ log-barrier central point in closed form, each total the root of a
 quadratic once two nested scalar root finds have fixed the rate and budget
 multipliers.  AD2 minimizes a convex quadratic model of the Lagrangian in x
 over the linearized rate constraint via the penalty-homotopy Boolean QP.
-The loop stops when ||[dP | dx]|| drops to EPS_TERM, after
-AdConfig.max_ad_iter iterations, or as infeasible_selection at switches AD1
-cannot serve.  AdConfig holds the two values a caller sets: the iteration
-cap and the complementarity tolerance of AD2; every other tolerance is a
-module constant.
+The loop stops as converged when AD2 returns its start x_bar bit for bit
+(AD1 and AD2 are deterministic, so the next iteration could only repeat
+this one) or ||[dP | dx]|| drops to EPS_TERM, after AdConfig.max_ad_iter
+iterations, or as infeasible_selection at switches AD1 cannot serve.
+AdConfig holds the two values a caller sets: the iteration cap and the
+complementarity tolerance of AD2; every other tolerance is a module
+constant.
 """
 
 from __future__ import annotations
@@ -408,9 +410,9 @@ def _ad_loop(
                 ad2_trace=ad2_res.trace,
             )
         )
-        residual = float(np.hypot(dp, dx))
+        repeat = np.array_equal(x_star, x_bar)  # the next iteration is a copy
         P_bar, x_bar = P_star, x_star
-        if residual <= EPS_TERM:
+        if repeat or float(np.hypot(dp, dx)) <= EPS_TERM:
             status = "converged"
             break
 

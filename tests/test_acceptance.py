@@ -184,3 +184,16 @@ def test_criterion_9_never_beats_enumeration_over_seeds():
         assert report.status == "success"
         assert sol.objective >= report.objective - 1e-9 * abs(report.objective)
     assert time.perf_counter() - t0 < 60.0
+
+
+def test_criterion_10_homotopy_takes_few_steps():
+    # The paper's "only a few steps": the homotopy ends at the first iterate
+    # that identifies the Boolean point, and the AD loop ends once AD2
+    # returns its start, so a whole solve makes a handful of rho rounds.
+    t0 = time.perf_counter()
+    for seed, n in [(s, 16) for s in range(5)] + [(0, 64)]:
+        sol, trace = solve(selection_problem(seed=seed, n=n, k=n))
+        assert sol.status == "success"
+        assert sum(len(row.ad2_trace) for row in trace.rows) <= 8
+        assert trace.rows[-1].dx_norm == 0.0
+    assert time.perf_counter() - t0 < 10.0

@@ -9,7 +9,7 @@ from adsbqp.baselines import (
     solve_ad_spen,
 )
 from adsbqp.channel import ChannelMatrix, ScenarioConfig, generate_channel
-from adsbqp.bqp import BETA, RHO0
+from adsbqp.bqp import BETA, RHO0, STALL_TOL
 from adsbqp.driver import solve
 from adsbqp.rate import build_esr_problem, economic_objective, sum_rate
 
@@ -128,11 +128,15 @@ def test_baseline_solutions_respect_problem_constraints():
 def test_baselines_follow_the_shared_rho_schedule():
     # Both smooth baselines run the Boolean-QP method's penalty homotopy, so
     # every AD2 trace starts at RHO0 and multiplies rho by BETA per round.
+    # The first AD2 starts from 0.5*1 and has to move; a later one may stop
+    # after one round, and then only by the stall rule.
     prob = scaled_problem(seed=0, n=2, k=2)
     for solver in (solve_ad_spen, solve_ad_nspen):
         _, trace = solver(prob)
         assert trace.rows
+        assert len(trace.rows[0].ad2_trace) >= 2
         for row in trace.rows:
             rhos = [it.rho for it in row.ad2_trace]
             assert rhos == [RHO0 * BETA ** i for i in range(len(rhos))]
-            assert len(rhos) >= 2
+            if len(rhos) == 1:
+                assert row.dx_norm <= np.sqrt(prob.n_tx) * STALL_TOL

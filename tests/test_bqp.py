@@ -133,6 +133,7 @@ def test_exact_saddle_reports_complementarity_not_met():
     assert res.status == "complementarity_not_met"
     assert res.complementarity > 1e-10
     assert res.trace
+    assert len(res.trace) == 1  # the first round leaves x where it is
 
 
 def test_config_validation():

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adsbqp
 from adsbqp.channel import ScenarioConfig
 from adsbqp.cli import (
     RunManifest,
@@ -12,7 +17,7 @@ from adsbqp.cli import (
     run_compare,
     scenario_hash,
 )
-from adsbqp.driver import AdConfig
+from adsbqp.driver import AdConfig, solve
 from adsbqp.rate import build_esr_problem
 
 SCENARIO = """\
@@ -126,6 +131,20 @@ def test_selection_report_recomputes_consistently(tmp_path):
     )
 
 
+def test_trace_files_count_the_rounds_of_each_ad2(tmp_path):
+    scen = write_scenario(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 0
+    _, trace = solve(build_esr_problem(load_scenario(scen)))
+    rounds = [len(row.ad2_trace) for row in trace.rows]
+    payload = json.loads((out / "trace_AD-SBQP.json").read_text())
+    assert payload["schema"] == "adsbqp-trace-v2"
+    assert [row["ad2_rounds"] for row in payload["rows"]] == rounds
+    lines = (out / "trace_AD-SBQP.csv").read_text().splitlines()
+    assert lines[1].split(",")[-1] == "ad2_rounds"
+    assert [int(line.split(",")[-1]) for line in lines[2:]] == rounds
+
+
 def test_trace_files_are_byte_identical_across_reruns(tmp_path):
     scen = write_scenario(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -205,13 +224,27 @@ def test_bad_numeric_flags_exit_with_usage_error(tmp_path, capsys):
     out = str(tmp_path / "out")
     for argv, message in (
         (["run", "--max-ad-iter", "0"], "max_ad_iter must be >= 1"),
-        (["enumerate", "--max-ad-iter", "0"], "max_ad_iter must be >= 1"),
+        (["compare", "--max-ad-iter", "0"], "max_ad_iter must be >= 1"),
         (["run", "--eps-comp", "0"], "eps_comp must be > 0"),
     ):
         assert main(argv + ["--scenario", str(scen), "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
     assert not (tmp_path / "out").exists()
+
+
+def test_enumerate_rejects_the_ad_options(tmp_path):
+    # ENUM runs no AD loop, so the AD options are usage errors there.
+    scen = write_scenario(tmp_path, "n_tx = 4\nn_users = 2\nr_th_mode = fraction\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(adsbqp.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "adsbqp.cli", "enumerate", "--scenario", str(scen),
+         "--eps-comp", "1e-3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --eps-comp" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_bad_scenario_path_exits_with_usage_error(tmp_path, capsys):
