@@ -20,10 +20,10 @@ from .driver import (
     NLP_TOL,
     Ad2Result,
     AdConfig,
-    Ad1InfeasibleError,
     _ad_loop,
     ad1,
     build_ad2_subproblem,
+    search_by_bound,
 )
 from .nlp import InfeasibleProblemError, NlpProblem, find_strictly_feasible, solve_barrier
 from .rate import EsrProblem
@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 METHOD_NAMES = ("AD-SBQP", "AD-SPen", "AD-NSPen", "ENUM")
+# Selections bounded per batch in enumerate_selections.
+_BLOCK = 4096
 
 
 @dataclass
@@ -115,42 +117,48 @@ def solve_ad_nspen(prob: EsrProblem, cfg: AdConfig | None = None):
     return _ad_loop(prob, cfg or AdConfig(), _nspen_ad2, "AD-NSPen")
 
 
+def _selections(masks: np.ndarray, n: int) -> np.ndarray:
+    """One 0/1 row per bitmask: x_i = bit i of the mask."""
+    return ((masks[:, None] >> np.arange(n)) & 1).astype(float)
+
+
 def enumerate_selections(
     prob: EsrProblem,
     n_limit: int = 16,
     order=None,
 ):
-    """Ground truth by exhausting every Boolean switch vector.
+    """Ground truth: the cheapest of every Boolean switch vector, by branch and bound.
 
-    Runs the power subproblem for each feasible selection and reports the
-    cheapest one.  The result is invariant to enumeration order: objectives
-    are deterministic per selection and ties break on the smaller bitmask.
-    Returns (report, x_best, P_best).
+    Pass 1 decides every selection (bitmask) at once with the exact
+    water-filling test and bounds its objective below by the least total
+    power plus the standby draw (rate.selection_bounds), in blocks of
+    _BLOCK masks so the work arrays do not grow with 2^N.  Pass 2 solves
+    the power subproblem of the feasible selections in ascending bound and
+    stops at the first bound above the cheapest objective found
+    (driver.search_by_bound), so the result is the exhaustive one.  It is
+    invariant to enumeration order: objectives are deterministic per
+    selection and ties break on the smaller bitmask.  The report's
+    iterations count the feasible selections.  Returns (report, x_best,
+    P_best).
     """
     n = prob.n_tx
     if n > n_limit:
         raise ValueError(
             f"enumeration refused: {n} antennas exceeds the limit of {n_limit}"
         )
-    masks = range(1, 2 ** n) if order is None else order
-    best = None  # (objective, mask, x, P)
-    evaluated = 0
     t0 = time.perf_counter()
-    for mask in masks:
-        x = np.array([(mask >> i) & 1 for i in range(n)], dtype=float)
-        try:
-            P, _, _ = ad1(prob, x)
-        except Ad1InfeasibleError:
-            continue
-        evaluated += 1
-        obj = rate_mod.economic_objective(P, x, prob)
-        key = (obj, mask)
-        if best is None or key < (best[0], best[1]):
-            best = (obj, mask, x, P)
+    masks = np.arange(1, 2 ** n) if order is None else np.fromiter(order, dtype=np.int64)
+    feasible = np.empty(masks.size, dtype=bool)
+    bounds = np.empty(masks.size)
+    for start in range(0, masks.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        feasible[block], bounds[block] = rate_mod.selection_bounds(_selections(masks[block], n), prob)
+    masks = masks[feasible]
+    best = search_by_bound(prob, bounds[feasible], masks, lambda m: _selections(np.array([m]), n)[0], ad1)
     wall = time.perf_counter() - t0
     if best is None:
-        report = MethodReport("ENUM", float("nan"), float("nan"), evaluated, wall, "infeasible")
+        report = MethodReport("ENUM", float("nan"), float("nan"), masks.size, wall, "infeasible")
         return report, None, None
     obj, _, x_best, P_best = best
-    report = MethodReport("ENUM", obj, penalty_phi(x_best), evaluated, wall, "success")
+    report = MethodReport("ENUM", obj, penalty_phi(x_best), masks.size, wall, "success")
     return report, x_best, P_best

@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -220,12 +221,32 @@ _RUNNERS = {
 }
 
 
+def _run_method(method: str, prob: EsrProblem, ad_config: AdConfig):
+    """One method on prob; returns (report, solution, trace), the last two
+    None for ENUM, which has neither."""
+    if method == "ENUM":
+        report, _, _ = enumerate_selections(prob)
+        return report, None, None
+    solution, trace = _RUNNERS[method](prob, ad_config)
+    report = MethodReport(
+        method=method,
+        objective=solution.objective,
+        complementarity=solution.complementarity,
+        iterations=solution.iterations,
+        wall_time=0.0,
+        status=solution.status,
+    )
+    return report, solution, trace
+
+
 def run_compare(manifest: RunManifest):
     """Run every requested method on one shared channel draw.
 
     Writes manifest.json, comparison.csv (+json), per-method trace files,
     selection reports for successful methods and a timings.json sidecar.
-    Returns (reports, all_success).
+    A method that raises gets a status "error" row with NaN values and its
+    traceback in error_<method>.txt; the other methods still run and write
+    their files.  Returns (reports, all_success).
     """
     out = manifest.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -250,38 +271,27 @@ def run_compare(manifest: RunManifest):
     all_success = True
     for method in manifest.methods:
         t0 = time.perf_counter()
-        if method == "ENUM":
-            report, x_best, _ = enumerate_selections(prob)
-            wall = time.perf_counter() - t0
-            report.wall_time = wall
-            reports.append(report)
-            timings[method] = {"total": wall}
-            all_success &= report.status == "success"
-            continue
-        solution, trace = _RUNNERS[method](prob, manifest.ad_config)
+        try:
+            report, solution, trace = _run_method(method, prob, manifest.ad_config)
+        except Exception:  # one failing method must not lose the others' outputs
+            error_path = out / f"error_{method}.txt"
+            error_path.write_text(traceback.format_exc())
+            print(f"error: {method} failed; traceback in {error_path}", file=sys.stderr)
+            report = MethodReport(method, float("nan"), float("nan"), 0, 0.0, "error")
+            solution = trace = None
         wall = time.perf_counter() - t0
-        reports.append(
-            MethodReport(
-                method=method,
-                objective=solution.objective,
-                complementarity=solution.complementarity,
-                iterations=solution.iterations,
-                wall_time=wall,
-                status=solution.status,
-            )
-        )
-        timings[method] = {
-            "total": wall,
-            "ad1": [r.ad1_time for r in trace.rows],
-            "ad2": [r.ad2_time for r in trace.rows],
-        }
-        _write_trace(out, method, trace)
-        if solution.status == "success":
+        report.wall_time = wall
+        reports.append(report)
+        timings[method] = {"total": wall}
+        all_success &= report.status == "success"
+        if trace is not None:
+            timings[method]["ad1"] = [r.ad1_time for r in trace.rows]
+            timings[method]["ad2"] = [r.ad2_time for r in trace.rows]
+            _write_trace(out, method, trace)
+        if solution is not None and solution.status == "success":
             text, payload = emit_selection_report(solution, prob)
             (out / f"selection_{method}.txt").write_text(text)
             _write_json(out / f"selection_{method}.json", payload)
-        else:
-            all_success = False
 
     with (out / "comparison.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)

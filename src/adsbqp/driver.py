@@ -40,6 +40,7 @@ __all__ = [
     "Ad2Result",
     "ad1",
     "build_ad2_subproblem",
+    "search_by_bound",
     "solve",
     "full_activation_allocation",
 ]
@@ -293,31 +294,52 @@ def build_ad2_subproblem(
     return qp, offset
 
 
+def search_by_bound(prob: EsrProblem, bounds, keys, selection, power):
+    """Cheapest feasible selection, visited in ascending water-filling bound.
+
+    bounds[i] is rate.selection_bounds' lower bound on the objective of the
+    selection x = selection(keys[i]).  Candidates are visited in ascending
+    (bound, key) order and power(prob, x), the power subproblem (ad1), is
+    solved for each until a bound exceeds the cheapest objective found: no
+    later candidate can beat it.  Ties go to the smaller key, so the result
+    is the one an exhaustive search over every candidate would return.
+    Returns (objective, key, x, P), or None when every power subproblem is
+    infeasible.
+    """
+    best = None
+    for i in np.lexsort((keys, bounds)):
+        if best is not None and bounds[i] > best[0]:
+            break
+        x = selection(keys[i])
+        try:
+            P, _, _ = power(prob, x)
+        except Ad1InfeasibleError:
+            continue
+        objective = rate_mod.economic_objective(P, x, prob)
+        if best is None or (objective, keys[i]) < best[:2]:
+            best = (objective, keys[i], x, P)
+    return best
+
+
 def _complete_boolean(prob: EsrProblem, x: np.ndarray):
     """Cheapest Boolean completion of the fractional coordinates of x.
 
     The linearized rate constraint can pin a few coordinates at fractional
     values no penalty weight can move.  The true constraint decides instead:
-    every completion of the pinned coordinates is checked with a full power
-    re-optimization and the cheapest feasible one is returned (None when all
-    completions are infeasible or too many coordinates are fractional).
+    the completions of the pinned coordinates are searched by the
+    water-filling bound, with a full power re-optimization of each one
+    that can still win, and the cheapest feasible one is returned (None when
+    all completions are infeasible or too many coordinates are fractional).
     """
     frac = np.flatnonzero(np.minimum(x, 1.0 - x) > rate_mod.BOOLEAN_TOL)
     if frac.size == 0 or frac.size > 8:
         return None
-    base = np.round(x)
-    best = None
-    for bits in range(2 ** frac.size):
-        cand = base.copy()
-        cand[frac] = [(bits >> i) & 1 for i in range(frac.size)]
-        try:
-            P, _, _ = ad1(prob, cand)
-        except Ad1InfeasibleError:
-            continue
-        obj = rate_mod.economic_objective(P, cand, prob)
-        if best is None or obj < best[0]:
-            best = (obj, cand)
-    return None if best is None else best[1]
+    bits = np.arange(2 ** frac.size)
+    cands = np.tile(np.round(x), (bits.size, 1))
+    cands[:, frac] = (bits[:, None] >> np.arange(frac.size)) & 1
+    feasible, bounds = rate_mod.selection_bounds(cands, prob)
+    best = search_by_bound(prob, bounds[feasible], bits[feasible], lambda i: cands[i], ad1)
+    return None if best is None else best[2]
 
 
 def _sbqp_ad2(prob, P_star, x_bar, lambda_bar, cfg: AdConfig) -> Ad2Result:
@@ -379,6 +401,7 @@ def _ad_loop(
     P_bar = np.zeros((n, k))
     status = "max_iter"
     it = 0
+    repeat = False
 
     while it < cfg.max_ad_iter:
         it += 1
@@ -417,9 +440,10 @@ def _ad_loop(
             break
 
     # Final consistency pass: powers re-optimized at the final switches so
-    # the reported pair satisfies its own constraints.
+    # the reported pair satisfies its own constraints.  After a repeat,
+    # P_bar already is ad1(x_bar).
     P_final = P_bar
-    if status in ("converged", "max_iter"):
+    if not repeat and status in ("converged", "max_iter"):
         try:
             P_final, _, _ = ad1(prob, x_bar)
         except Ad1InfeasibleError:

@@ -8,6 +8,8 @@ relaxed on/off switch vector x is
 The squared-norm factor uses x_i^2 (literal Hadamard product of the channel
 column with x); on Boolean points this coincides with the x_i reading since
 x_i^2 = x_i.  This is the single authoritative definition used everywhere.
+The power subproblem's exact feasibility test and the least power a
+selection needs both come from one batched water-filling kernel.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from .channel import ChannelMatrix, ScenarioConfig, generate_channel
 __all__ = [
     "EsrProblem",
     "build_esr_problem",
+    "water_filling",
     "rate_reachable",
+    "selection_bounds",
     "uniform_power",
     "is_boolean_feasible",
     "snr_user",
@@ -80,25 +84,63 @@ def uniform_power(prob: EsrProblem, scale: float = 1.0) -> np.ndarray:
     )
 
 
+def water_filling(snr_gain: np.ndarray, budget, r_th: float, bandwidth: float):
+    """Least total power that reaches r_th, and whether it fits the budget, per row.
+
+    Row r of snr_gain holds the SNR per unit power g_j of every user (users
+    with g_j = 0 take no power); budget is a scalar or one value per row.
+    Water-filling (Boyd & Vandenberghe, Convex Optimization, 5.5.3) serves
+    the m strongest users at the level nu with
+    log nu = (r_th ln2 / B - sum log g_j) / m, for the first m whose level
+    stays below 1/g_(m+1), and needs the least total m nu - sum 1/g_j over
+    them.  Returns (feasible, least_total): feasible when some totals a >= 0
+    with sum(a) < budget reach B sum_j log2(1 + g_j a_j) >= r_th, decided in
+    log space so that no exp overflows; least_total is inf where infeasible
+    and where a row has no positive gain.
+    """
+    g = np.sort(np.atleast_2d(snr_gain), axis=1)[:, ::-1]
+    rows, k = g.shape
+    positive = g > 0.0
+    # 1.0 stands in for the gains past the last positive one; no result reads it.
+    g = np.where(positive, g, 1.0)
+    log_g = np.log(g)
+    log_nu = (r_th * LN2 / bandwidth - np.cumsum(log_g, axis=1)) / np.arange(1, k + 1)
+    # The level holds at the first m below the next floor, at the last
+    # positive gain, or at the last user.
+    held = np.ones((rows, k), dtype=bool)
+    held[:, :-1] = (log_nu[:, :-1] + log_g[:, 1:] <= 0.0) | ~positive[:, 1:]
+    m = held.argmax(axis=1)
+    at_m = (np.arange(rows), m)
+    floors = np.cumsum(1.0 / g, axis=1)[at_m]
+    log_level = log_nu[at_m]
+    feasible = positive[:, 0] & (np.log(m + 1) + log_level < np.log(budget + floors))
+    least_total = np.full(rows, np.inf)
+    least_total[feasible] = (m[feasible] + 1) * np.exp(log_level[feasible]) - floors[feasible]
+    return feasible, least_total
+
+
 def rate_reachable(snr_gain: np.ndarray, budget: float, r_th: float, bandwidth: float) -> bool:
     """Exact feasibility of the power subproblem: True when totals a >= 0
     with sum(a) < budget reach B sum_j log2(1 + g_j a_j) >= r_th.
 
-    Water-filling (Boyd & Vandenberghe, Convex Optimization, 5.5.3) gives
-    the least total m nu - sum 1/g_j over the m strongest users, with
-    log nu = (r_th ln2 / B - sum log g_j) / m for the first m whose level
-    stays below 1/g_(m+1).  It meets the budget in log space, so no exp
-    overflows.
+    The one-row case of water_filling.
     """
-    g = np.sort(snr_gain[snr_gain > 0.0])[::-1]
-    if g.size == 0:
-        return False
-    log_g = np.log(g)
-    log_nu = (r_th * LN2 / bandwidth - np.cumsum(log_g)) / np.arange(1, g.size + 1)
-    held = np.flatnonzero(log_nu[:-1] + log_g[1:] <= 0.0)
-    m = int(held[0]) if held.size else g.size - 1
-    floors = np.sum(1.0 / g[: m + 1])
-    return bool(np.log(m + 1) + log_nu[m] < np.log(budget + floors))
+    return bool(water_filling(snr_gain, budget, r_th, bandwidth)[0][0])
+
+
+def selection_bounds(X: np.ndarray, prob: EsrProblem):
+    """Exact feasibility and a lower bound on the objective of each 0/1 row of X.
+
+    A selection S needs at least the water-filling least total of its
+    per-user SNR gains (X @ gains / sigma) within the budget p_th * |S|, plus
+    the standby draw p_rf * |S|; the bound is inf where S is infeasible.
+    Returns (feasible, bound).
+    """
+    sizes = X.sum(axis=1)
+    feasible, least_total = water_filling(
+        X @ prob.gains / prob.sigma, prob.cfg.p_th * sizes, prob.r_th, prob.bandwidth
+    )
+    return feasible, least_total + prob.cfg.p_rf * sizes
 
 
 def build_esr_problem(cfg: ScenarioConfig, channel: ChannelMatrix | None = None) -> EsrProblem:

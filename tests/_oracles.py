@@ -2,14 +2,15 @@
 
 Everything here trades speed for being independently verifiable: projected
 gradient with Dykstra projections for QPs, central finite differences for
-derivatives, brute-force enumeration for Boolean problems, and the power
+derivatives, brute-force enumeration for Boolean problems and for antenna
+selections, water-filling by bisection on the level, and the power
 subproblem solved over all N*K powers instead of the K per-user totals.
 """
 
 import numpy as np
 
 from adsbqp import rate as rate_mod
-from adsbqp.driver import NLP_TOL, Ad1InfeasibleError
+from adsbqp.driver import NLP_TOL, Ad1InfeasibleError, ad1
 from adsbqp.nlp import InfeasibleProblemError, NlpProblem, solve_barrier
 
 
@@ -164,3 +165,46 @@ def barrier_ad1(prob, x_bar):
     except InfeasibleProblemError as exc:
         raise Ad1InfeasibleError(str(exc), achievable_rate=np.nan) from exc
     return to_full(sol.z_star), float(sol.duals[0])
+
+
+def cheapest_exhaustive(prob, candidates):
+    """ad1 on every candidate selection, in order; the first of equal
+    objectives wins.  Returns (objective, x, P, n_feasible); the first three
+    are None when no candidate is feasible."""
+    best, n_feasible = (None, None, None), 0
+    for x in candidates:
+        try:
+            P, _, _ = ad1(prob, x)
+        except Ad1InfeasibleError:
+            continue
+        n_feasible += 1
+        obj = rate_mod.economic_objective(P, x, prob)
+        if best[0] is None or obj < best[0]:
+            best = (obj, x, P)
+    return (*best, n_feasible)
+
+
+def enumerate_exhaustive(prob):
+    """ENUM without the bound: ad1 on every nonzero bitmask in ascending order."""
+    n = prob.n_tx
+    return cheapest_exhaustive(
+        prob,
+        (np.array([(mask >> i) & 1 for i in range(n)], dtype=float) for mask in range(1, 2 ** n)),
+    )
+
+
+def water_filling_by_bisection(snr_gain, r_th, bandwidth, steps=200):
+    """Least total power reaching r_th: the water level nu found by bisection
+    in log nu on rate(nu) = B sum_j log2(max(1, nu g_j)), then the total
+    sum_j max(0, nu - 1/g_j).  inf when no gain is positive."""
+    g = np.asarray(snr_gain, dtype=float)
+    g = g[g > 0.0]
+    if g.size == 0:
+        return np.inf
+    lo, hi = np.log(1.0 / g.max()), np.log(1.0 / g.min()) + r_th * np.log(2.0) / bandwidth
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        rate = bandwidth * np.sum(np.log2(np.maximum(1.0, np.exp(mid) * g)))
+        lo, hi = (mid, hi) if rate < r_th else (lo, mid)
+    nu = np.exp(hi)
+    return float(np.sum(np.maximum(0.0, nu - 1.0 / g)))

@@ -197,3 +197,18 @@ def test_criterion_10_homotopy_takes_few_steps():
         assert sum(len(row.ad2_trace) for row in trace.rows) <= 8
         assert trace.rows[-1].dx_norm == 0.0
     assert time.perf_counter() - t0 < 10.0
+
+
+def test_criterion_11_enumeration_at_12_and_16():
+    # ENUM is the ground truth of the AD-SBQP gap at 12 and 16 antennas: the
+    # water-filling bound leaves a few power subproblems of the 4095 and
+    # 65535 selections to solve.
+    t0 = time.perf_counter()
+    for seed, n in [(s, 12) for s in range(10)] + [(s, 16) for s in range(3)]:
+        prob = selection_problem(seed=seed, n=n, k=n)
+        sol, _ = solve(prob)
+        report, _, _ = enumerate_selections(prob)
+        assert sol.status == "success"
+        assert report.status == "success"
+        assert sol.objective >= report.objective - 1e-9 * abs(report.objective)
+    assert time.perf_counter() - t0 < 10.0

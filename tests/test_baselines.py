@@ -10,8 +10,9 @@ from adsbqp.baselines import (
 )
 from adsbqp.channel import ChannelMatrix, ScenarioConfig, generate_channel
 from adsbqp.bqp import BETA, RHO0, STALL_TOL
-from adsbqp.driver import solve
-from adsbqp.rate import build_esr_problem, economic_objective, sum_rate
+from adsbqp.driver import Ad1InfeasibleError, ad1, solve
+from adsbqp.rate import build_esr_problem, economic_objective, selection_bounds, sum_rate
+from _oracles import enumerate_exhaustive
 
 
 def scaled_problem(seed=1, n=8, k=8, noise=3e-14):
@@ -57,9 +58,8 @@ def test_enumeration_result_is_feasible_and_not_worse_than_any_solver():
     assert report.objective <= sol.objective + 1e-9
 
 
-def test_enumeration_skips_a_dead_antenna():
-    # One antenna with a vanishing channel can only add standby cost; the
-    # optimum must not select it.
+def dead_antenna_problem():
+    """3x2 instance whose antenna 1 has a vanishing channel."""
     cfg = ScenarioConfig(
         n_tx=3, n_users=2, seed=5, r_th_mode="fraction", r_th_value=0.5,
         noise_n0b=3e-14,
@@ -72,17 +72,63 @@ def test_enumeration_skips_a_dead_antenna():
         user_distances=channel.user_distances,
         user_positions=channel.user_positions,
     )
-    prob = build_esr_problem(cfg, channel=weak)
-    report, x_best, _ = enumerate_selections(prob)
+    return build_esr_problem(cfg, channel=weak)
+
+
+def infeasible_problem():
+    return build_esr_problem(
+        ScenarioConfig(n_tx=2, n_users=2, seed=0, r_th_mode="absolute", r_th_value=1e6)
+    )
+
+
+def test_enumeration_skips_a_dead_antenna():
+    # One antenna with a vanishing channel can only add standby cost; the
+    # optimum must not select it.
+    report, x_best, _ = enumerate_selections(dead_antenna_problem())
     assert report.status == "success"
     assert x_best[1] == 0.0
 
 
+def test_enumeration_matches_the_exhaustive_oracle():
+    # The bound only skips selections that cannot win, so the result is the
+    # exhaustive one bit for bit, at low SNR too, where feasibility is exact
+    # only by water-filling.
+    probs = [scaled_problem(seed=s) for s in range(5)]
+    probs += [scaled_problem(seed=s, n=8, k=4, noise=1e-10) for s in range(10)]
+    probs += [dead_antenna_problem(), infeasible_problem()]
+    for prob in probs:
+        report, x_best, P_best = enumerate_selections(prob)
+        obj, x_ref, P_ref, n_feasible = enumerate_exhaustive(prob)
+        assert report.iterations == n_feasible
+        if obj is None:
+            assert report.status == "infeasible" and x_best is None
+            continue
+        assert report.objective == obj
+        assert x_best.tobytes() == x_ref.tobytes()
+        assert P_best.tobytes() == P_ref.tobytes()
+
+
+def test_selection_bound_lies_just_below_every_feasible_objective():
+    # The water-filling least total plus the standby draw bounds the ad1
+    # objective from below, and ad1's barrier slack keeps it within 1e-6.
+    masks = np.arange(1, 2 ** 8)
+    X = ((masks[:, None] >> np.arange(8)) & 1).astype(float)
+    for seed in range(3):
+        prob = scaled_problem(seed=seed)
+        feasible, bound = selection_bounds(X, prob)
+        assert feasible.any()
+        for x, f, b in zip(X, feasible, bound):
+            if not f:
+                with pytest.raises(Ad1InfeasibleError):
+                    ad1(prob, x)
+                continue
+            P, _, _ = ad1(prob, x)
+            obj = economic_objective(P, x, prob)
+            assert b <= obj <= b * (1.0 + 1e-6)
+
+
 def test_enumeration_reports_infeasibility_with_nan_objective():
-    prob = build_esr_problem(
-        ScenarioConfig(n_tx=2, n_users=2, seed=0, r_th_mode="absolute", r_th_value=1e6)
-    )
-    report, x_best, P_best = enumerate_selections(prob)
+    report, x_best, P_best = enumerate_selections(infeasible_problem())
     assert report.status == "infeasible"
     assert np.isnan(report.objective)
     assert x_best is None and P_best is None

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import adsbqp
+from adsbqp import cli
 from adsbqp.channel import ScenarioConfig
 from adsbqp.cli import (
     RunManifest,
@@ -186,6 +187,28 @@ def test_compare_exit_code_reflects_partial_failures(tmp_path):
     comparison = (out / "comparison.csv").read_text().splitlines()
     assert comparison[1].startswith("method,")
     assert len(comparison) == 4  # schema line + header + two methods
+
+
+def test_compare_isolates_a_method_that_raises(tmp_path, monkeypatch, capsys):
+    # A method that raises becomes an error row; the methods after it still
+    # run and write their files, and the exit code is 1 without a traceback.
+    def boom(prob, ad_config):
+        raise RuntimeError("barrier iterate left the feasible interior")
+
+    monkeypatch.setitem(cli._RUNNERS, "AD-SPen", boom)
+    out = tmp_path / "out"
+    code = main(["compare", "--scenario", str(write_scenario(tmp_path)), "--out", str(out),
+                 "--methods", "AD-SPen,AD-SBQP"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "AD-SPen" in err
+    rows = {r["method"]: r for r in json.loads((out / "comparison.json").read_text())["rows"]}
+    assert rows["AD-SPen"]["status"] == "error" and rows["AD-SPen"]["objective"] == "nan"
+    assert rows["AD-SBQP"]["status"] == "success"
+    for name in ("trace_AD-SBQP.csv", "selection_AD-SBQP.json", "timings.json", "comparison.csv"):
+        assert (out / name).is_file(), name
+    assert not (out / "trace_AD-SPen.csv").exists()
+    assert "RuntimeError: barrier iterate" in (out / "error_AD-SPen.txt").read_text()
 
 
 def test_enumerate_subcommand_prints_the_optimum(tmp_path, capsys):

@@ -3,12 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
+from adsbqp import driver
 from adsbqp.channel import ChannelMatrix, ScenarioConfig
 from adsbqp.driver import (
     HESSIAN_SHIFT_FLOOR,
     NLP_TOL,
     Ad1InfeasibleError,
     AdConfig,
+    _complete_boolean,
     ad1,
     build_ad2_subproblem,
     full_activation_allocation,
@@ -21,7 +23,7 @@ from adsbqp.rate import (
     grad_rate_wrt_switch,
     sum_rate,
 )
-from _oracles import barrier_ad1
+from _oracles import barrier_ad1, cheapest_exhaustive
 
 
 def unit_channel_problem(r_th=1.0, p_th=2.0):
@@ -289,6 +291,49 @@ def test_solution_never_beats_enumeration_nor_loses_to_full_activation():
         sol, _ = solve(prob)
         _, obj_full = full_activation_allocation(prob)
         assert sol.objective <= obj_full + 1e-12
+
+
+def test_solve_reuses_the_last_power_solve_after_a_repeat(monkeypatch):
+    # The loop ends when AD2 returns its start bit for bit, so the last AD1
+    # already solved the power subproblem at the final switches.  On these
+    # seeds no Boolean completion runs, so besides one ad1 call per AD
+    # iteration only the full-activation incumbent costs a call.
+    calls = []
+
+    def recorded(prob, x):
+        calls.append(np.array(x))
+        return ad1(prob, x)
+
+    monkeypatch.setattr(driver, "ad1", recorded)
+    for seed in (1, 2, 4):
+        calls.clear()
+        sol, trace = solve(scaled_problem(seed=seed))
+        assert sol.status == "success" and trace.rows[-1].dx_norm == 0.0
+        assert len(calls) == len(trace.rows) + 1
+        np.testing.assert_array_equal(calls[-2], sol.x_star)
+        np.testing.assert_array_equal(calls[-1], np.ones(8))
+
+
+def test_boolean_completion_is_the_exhaustive_cheapest():
+    # The bound-ordered search returns the completion that solving the power
+    # subproblem of every completion, in bit order, would return.
+    x = np.array([1.0, 0.5, 0.0, 0.3, 1.0, 0.7, 0.0, 0.5])
+    frac = np.flatnonzero((x > 0.0) & (x < 1.0))
+    for prob in [scaled_problem(seed=s) for s in range(3)] + [
+        build_esr_problem(ScenarioConfig(n_tx=8, n_users=8, seed=0, r_th_mode="fraction",
+                                         r_th_value=0.9, noise_n0b=3e-14))
+    ]:
+        completions = []
+        for bits in range(2 ** frac.size):
+            cand = np.round(x)
+            cand[frac] = [(bits >> i) & 1 for i in range(frac.size)]
+            completions.append(cand)
+        _, want, _, _ = cheapest_exhaustive(prob, completions)
+        got = _complete_boolean(prob, x)
+        if want is None:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got, want)
 
 
 def test_infeasible_scenario_is_reported_without_iterating():
