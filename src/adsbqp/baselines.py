@@ -61,9 +61,13 @@ def _penalized_barrier_ad2(x_bar: np.ndarray, cfg: AdConfig, f, grad_f, hess_f, 
 
     The method supplies f with its gradient and Hessian and the constraint
     callbacks of NlpProblem.  A round that finds no strictly feasible start
-    near the last iterate ends the homotopy as "stalled".
+    near the last iterate ends the homotopy as "stalled"; a barrier solve
+    that ends "stalled" or "max_iter" ends it with that status, and one that
+    raises RuntimeError ends it as "barrier_failed", as solve_bqp ends on a
+    QP that is not solved to optimality.
     """
     n = x_bar.size
+    eye = np.eye(n)
 
     def step(rho, x_hat):
         # Gradient-based objective scaling keeps the barrier subproblem
@@ -73,7 +77,7 @@ def _penalized_barrier_ad2(x_bar: np.ndarray, cfg: AdConfig, f, grad_f, hess_f, 
             n=n,
             objective=lambda x: s * (f(x) + rho * penalty_phi(x)),
             gradient=lambda x: s * (grad_f(x) + rho * penalty_grad(x)),
-            hessian=lambda x: s * (hess_f(x) - 2.0 * rho * np.eye(n)),
+            hessian=lambda x: s * (hess_f(x) - 2.0 * rho * eye),
             lower=np.zeros(n), upper=np.ones(n), m=1,
             constraints=constraints,
             constraints_jac=constraints_jac,
@@ -83,7 +87,12 @@ def _penalized_barrier_ad2(x_bar: np.ndarray, cfg: AdConfig, f, grad_f, hess_f, 
             x0 = find_strictly_feasible(nlp, np.clip(x_hat, 1e-6, 1.0 - 1e-6))
         except InfeasibleProblemError:
             return "stalled"
-        sol = solve_barrier(nlp, tol=NLP_TOL, z0=x0)
+        try:
+            sol = solve_barrier(nlp, tol=NLP_TOL, z0=x0)
+        except RuntimeError:
+            return "barrier_failed"
+        if sol.status != "optimal":
+            return sol.status
         x = sol.z_star
         return x, f(x) + rho * penalty_phi(x), float("nan"), sol.iterations
 
@@ -159,6 +168,6 @@ def enumerate_selections(
     if best is None:
         report = MethodReport("ENUM", float("nan"), float("nan"), masks.size, wall, "infeasible")
         return report, None, None
-    obj, _, x_best, P_best = best
+    obj, _, x_best, P_best, _ = best
     report = MethodReport("ENUM", obj, penalty_phi(x_best), masks.size, wall, "success")
     return report, x_best, P_best

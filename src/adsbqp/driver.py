@@ -106,6 +106,8 @@ class Ad2Result:
     x_star: np.ndarray
     status: str
     trace: list
+    # (P, lambda) = ad1(prob, x_star)[:2] when AD2 already solved it.
+    power: tuple[np.ndarray, float] | None = None
 
 
 class Ad1InfeasibleError(InfeasibleProblemError):
@@ -303,8 +305,9 @@ def search_by_bound(prob: EsrProblem, bounds, keys, selection, power):
     solved for each until a bound exceeds the cheapest objective found: no
     later candidate can beat it.  Ties go to the smaller key, so the result
     is the one an exhaustive search over every candidate would return.
-    Returns (objective, key, x, P), or None when every power subproblem is
-    infeasible.
+    Returns (objective, key, x, P, lambda), P and lambda the power
+    subproblem's solution and rate multiplier at x, or None when every power
+    subproblem is infeasible.
     """
     best = None
     for i in np.lexsort((keys, bounds)):
@@ -312,12 +315,12 @@ def search_by_bound(prob: EsrProblem, bounds, keys, selection, power):
             break
         x = selection(keys[i])
         try:
-            P, _, _ = power(prob, x)
+            P, lam, _ = power(prob, x)
         except Ad1InfeasibleError:
             continue
         objective = rate_mod.economic_objective(P, x, prob)
         if best is None or (objective, keys[i]) < best[:2]:
-            best = (objective, keys[i], x, P)
+            best = (objective, keys[i], x, P, lam)
     return best
 
 
@@ -328,8 +331,9 @@ def _complete_boolean(prob: EsrProblem, x: np.ndarray):
     values no penalty weight can move.  The true constraint decides instead:
     the completions of the pinned coordinates are searched by the
     water-filling bound, with a full power re-optimization of each one
-    that can still win, and the cheapest feasible one is returned (None when
-    all completions are infeasible or too many coordinates are fractional).
+    that can still win, and the cheapest feasible one is returned with its
+    power solution as (x, P, lambda) (None when all completions are
+    infeasible or too many coordinates are fractional).
     """
     frac = np.flatnonzero(np.minimum(x, 1.0 - x) > rate_mod.BOOLEAN_TOL)
     if frac.size == 0 or frac.size > 8:
@@ -339,18 +343,18 @@ def _complete_boolean(prob: EsrProblem, x: np.ndarray):
     cands[:, frac] = (bits[:, None] >> np.arange(frac.size)) & 1
     feasible, bounds = rate_mod.selection_bounds(cands, prob)
     best = search_by_bound(prob, bounds[feasible], bits[feasible], lambda i: cands[i], ad1)
-    return None if best is None else best[2]
+    return None if best is None else best[2:]
 
 
 def _sbqp_ad2(prob, P_star, x_bar, lambda_bar, cfg: AdConfig) -> Ad2Result:
     qp, _ = build_ad2_subproblem(prob, P_star, x_bar, lambda_bar)
     res = solve_bqp(qp, eps_comp=cfg.eps_comp)
-    x_star, status = res.x_star, res.status
-    if status == "complementarity_not_met":
-        completed = _complete_boolean(prob, x_star)
+    if res.status == "complementarity_not_met":
+        completed = _complete_boolean(prob, res.x_star)
         if completed is not None:
-            x_star, status = completed, "success"
-    return Ad2Result(x_star, status, res.trace)
+            x_star, P, lam = completed
+            return Ad2Result(x_star, "success", res.trace, power=(P, lam))
+    return Ad2Result(res.x_star, res.status, res.trace)
 
 
 def _initial_switch(prob: EsrProblem) -> np.ndarray:
@@ -402,15 +406,19 @@ def _ad_loop(
     status = "max_iter"
     it = 0
     repeat = False
+    power = None  # ad1(prob, x_bar)[:2] when the last AD2 already solved it
 
     while it < cfg.max_ad_iter:
         it += 1
         t0 = time.perf_counter()
-        try:
-            P_star, lambda_bar, _ = ad1(prob, x_bar)
-        except Ad1InfeasibleError:
-            status = "infeasible_selection"
-            break
+        if power is not None:
+            P_star, lambda_bar = power
+        else:
+            try:
+                P_star, lambda_bar, _ = ad1(prob, x_bar)
+            except Ad1InfeasibleError:
+                status = "infeasible_selection"
+                break
         t1 = time.perf_counter()
         ad2_res = ad2_fn(prob, P_star, x_bar, lambda_bar, cfg)
         t2 = time.perf_counter()
@@ -434,7 +442,7 @@ def _ad_loop(
             )
         )
         repeat = np.array_equal(x_star, x_bar)  # the next iteration is a copy
-        P_bar, x_bar = P_star, x_star
+        P_bar, x_bar, power = P_star, x_star, ad2_res.power
         if repeat or float(np.hypot(dp, dx)) <= EPS_TERM:
             status = "converged"
             break
@@ -445,7 +453,7 @@ def _ad_loop(
     P_final = P_bar
     if not repeat and status in ("converged", "max_iter"):
         try:
-            P_final, _, _ = ad1(prob, x_bar)
+            P_final = power[0] if power is not None else ad1(prob, x_bar)[0]
         except Ad1InfeasibleError:
             status = "infeasible_selection"
 

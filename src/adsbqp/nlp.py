@@ -3,12 +3,18 @@
 Problem form: min f(z)  s.t.  c(z) <= 0 (m general constraints), lo <= z <= up.
 The barrier subproblems are minimized by Newton's method with Armijo
 backtracking; an eigenvalue shift keeps the Newton system positive definite
-so descent also holds for nonconvex penalized instances.
+so descent also holds for nonconvex penalized instances.  The barrier weight
+mu starts at MU0 and shrinks MU_FACTOR-fold per stage, each stage taking at
+most MAX_NEWTON_PER_MU Newton steps.  Each point is evaluated once: a
+line-search trial computes the objective, the log sums and the constraint
+slack, and the accepted trial carries them into the next step.  The Newton
+system goes to LAPACK's Cholesky routines (potrf/potrs) directly, behind
+the finiteness checks scipy.linalg.cho_factor/cho_solve would make.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 import numpy as np
 import scipy.linalg
@@ -24,6 +30,15 @@ __all__ = [
 HESSIAN_EIG_FLOOR = 1e-8
 MIN_STEP = 1e-14
 ARMIJO_C1 = 1e-4
+# Barrier schedule: mu = MU0, MU0 / MU_FACTOR, ... down to tol / 10, at most
+# MAX_NEWTON_PER_MU Newton steps per value.
+MU0 = 1.0
+MU_FACTOR = 10.0
+MAX_NEWTON_PER_MU = 200
+
+# The double-precision routines scipy.linalg.cho_factor/cho_solve call; on
+# 2-4 variable Newton systems the wrappers cost more than the factorization.
+_POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
 
 
 class InfeasibleProblemError(RuntimeError):
@@ -40,7 +55,9 @@ class NlpProblem:
     """Callback bundle for one NLP instance.
 
     constraints_hess(z, w) must return sum_i w_i * hess(c_i)(z); it may be
-    None when all constraints are affine.
+    None when all constraints are affine.  finite_lower and finite_upper
+    select the finite bounds, once per problem: a full slice when all are
+    finite, so the common all-finite box indexes without a copy.
     """
 
     n: int
@@ -53,10 +70,15 @@ class NlpProblem:
     constraints: Callable[[np.ndarray], np.ndarray] | None = None
     constraints_jac: Callable[[np.ndarray], np.ndarray] | None = None
     constraints_hess: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    finite_lower: np.ndarray | slice = field(init=False, repr=False, compare=False)
+    finite_upper: np.ndarray | slice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.lower = np.broadcast_to(np.asarray(self.lower, dtype=float), (self.n,)).copy()
         self.upper = np.broadcast_to(np.asarray(self.upper, dtype=float), (self.n,)).copy()
+        lo, up = np.isfinite(self.lower), np.isfinite(self.upper)
+        self.finite_lower = slice(None) if lo.all() else lo
+        self.finite_upper = slice(None) if up.all() else up
         if self.m > 0 and (self.constraints is None or self.constraints_jac is None):
             raise ValueError("m > 0 requires constraint value and Jacobian callbacks")
 
@@ -84,18 +106,6 @@ def _interior_midpoint(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return z
 
 
-def _strictly_inside(prob: NlpProblem, z: np.ndarray, margin: float = 0.0) -> bool:
-    lo_fin = np.isfinite(prob.lower)
-    up_fin = np.isfinite(prob.upper)
-    if np.any(z[lo_fin] <= prob.lower[lo_fin] + margin):
-        return False
-    if np.any(z[up_fin] >= prob.upper[up_fin] - margin):
-        return False
-    if prob.m and np.any(prob.cons(z) >= -margin):
-        return False
-    return True
-
-
 def find_strictly_feasible(prob: NlpProblem, z0: np.ndarray | None = None) -> np.ndarray:
     """Return a strictly feasible point, or raise InfeasibleProblemError.
 
@@ -106,12 +116,12 @@ def find_strictly_feasible(prob: NlpProblem, z0: np.ndarray | None = None) -> np
     """
     if z0 is not None:
         z0 = np.asarray(z0, dtype=float)
-        if _strictly_inside(prob, z0):
+        if _evaluate(prob, z0) is not None:
             return z0
     mid = _interior_midpoint(prob.lower, prob.upper)
     if prob.m == 0:
         return mid
-    if _strictly_inside(prob, mid):
+    if _evaluate(prob, mid) is not None:
         return mid
 
     n = prob.n
@@ -157,7 +167,7 @@ def find_strictly_feasible(prob: NlpProblem, z0: np.ndarray | None = None) -> np
     )
     sol = solve_barrier(aug, tol=1e-8, z0=np.concatenate((mid, [s0])))
     z, s = sol.z_star[:n], float(sol.z_star[prob.n])
-    if s < -1e-10 and _strictly_inside(prob, z):
+    if s < -1e-10 and _evaluate(prob, z) is not None:
         return z
     values = prob.cons(z)
     worst = int(np.argmax(values))
@@ -168,113 +178,159 @@ def find_strictly_feasible(prob: NlpProblem, z0: np.ndarray | None = None) -> np
     )
 
 
-def _barrier_terms(prob: NlpProblem, z: np.ndarray, mu: float):
-    """Value, gradient and Hessian contributions of all barrier terms, or None
-    when z is outside the open feasible region."""
+def _evaluate(prob: NlpProblem, z: np.ndarray):
+    """The barrier pieces at z that do not depend on mu, or None when z is
+    outside the open feasible region.
+
+    Returns (sums, lo_gap, up_gap, slack): sums holds sum(log(gap)) over the
+    finite lower gaps, over the finite upper gaps and, when m > 0, over the
+    constraint slacks, in the order _barrier_value weights them.  An empty
+    group sums to 0.0, which leaves the barrier value unchanged.
+    """
+    lo, up = prob.finite_lower, prob.finite_upper
     lo_gap = z - prob.lower
     up_gap = prob.upper - z
-    lo_fin = np.isfinite(prob.lower)
-    up_fin = np.isfinite(prob.upper)
-    if np.any(lo_gap[lo_fin] <= 0) or np.any(up_gap[up_fin] <= 0):
+    if (lo_gap[lo] <= 0).any() or (up_gap[up] <= 0).any():
         return None
-    value = 0.0
-    grad = np.zeros(prob.n)
-    hess_diag = np.zeros(prob.n)
-    if np.any(lo_fin):
-        value -= mu * float(np.sum(np.log(lo_gap[lo_fin])))
-        grad[lo_fin] -= mu / lo_gap[lo_fin]
-        hess_diag[lo_fin] += mu / lo_gap[lo_fin] ** 2
-    if np.any(up_fin):
-        value -= mu * float(np.sum(np.log(up_gap[up_fin])))
-        grad[up_fin] += mu / up_gap[up_fin]
-        hess_diag[up_fin] += mu / up_gap[up_fin] ** 2
+    sums = [float(np.log(lo_gap[lo]).sum()), float(np.log(up_gap[up]).sum())]
     slack = None
     if prob.m:
         slack = -prob.cons(z)
-        if np.any(slack <= 0):
+        if (slack <= 0).any():
             return None
-        value -= mu * float(np.sum(np.log(slack)))
-    return value, grad, hess_diag, slack
+        sums.append(float(np.log(slack).sum()))
+    return sums, lo_gap, up_gap, slack
 
 
-def _barrier_value(prob: NlpProblem, z: np.ndarray, mu: float) -> float:
-    terms = _barrier_terms(prob, z, mu)
-    if terms is None:
-        return np.inf
-    return prob.objective(z) + terms[0]
+def _barrier_value(f: float, sums: list, mu: float) -> float:
+    """Barrier objective f - mu * (each log sum), subtracted in _evaluate's order."""
+    value = 0.0
+    for s in sums:
+        value -= mu * s
+    return f + value
 
 
-def _shift_to_pd(H: np.ndarray, floor: float = HESSIAN_EIG_FLOOR):
-    """Factorization of H + tau*I with tau chosen so min eigenvalue >= floor."""
-    n = H.shape[0]
-    eye = np.eye(n)
-    try:
-        return scipy.linalg.cho_factor(H + floor * eye, lower=True)
-    except scipy.linalg.LinAlgError:
-        pass
+def _barrier_derivatives(prob: NlpProblem, lo_gap: np.ndarray, up_gap: np.ndarray, mu: float):
+    """Gradient and Hessian diagonal of the box barrier terms."""
+    lo, up = prob.finite_lower, prob.finite_upper
+    grad = np.zeros(prob.n)
+    hess_diag = np.zeros(prob.n)
+    grad[lo] -= mu / lo_gap[lo]
+    hess_diag[lo] += mu / lo_gap[lo] ** 2
+    grad[up] += mu / up_gap[up]
+    hess_diag[up] += mu / up_gap[up] ** 2
+    return grad, hess_diag
+
+
+def _check_finite(a: np.ndarray) -> None:
+    """The check scipy.linalg.cho_factor/cho_solve make before calling LAPACK."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _shift_to_pd(H: np.ndarray, floor: float = HESSIAN_EIG_FLOOR) -> np.ndarray:
+    """Lower Cholesky factor of H + tau*I with tau chosen so min eigenvalue >= floor."""
+    _check_finite(H)
+    eye = np.eye(H.shape[0])
+    c, info = _POTRF(H + floor * eye, lower=True, clean=False)
+    if info == 0:
+        return c
     min_eig = float(scipy.linalg.eigvalsh(H, subset_by_index=(0, 0))[0])
     # Start from the exact shift; grow geometrically when rounding at the
     # scale of ||H|| still leaves the factorization indefinite.
     tau = max(floor - min_eig, floor)
     for _ in range(60):
-        try:
-            return scipy.linalg.cho_factor(H + tau * eye, lower=True)
-        except scipy.linalg.LinAlgError:
-            tau = 10.0 * tau + floor
+        c, info = _POTRF(H + tau * eye, lower=True, clean=False)
+        if info == 0:
+            return c
+        tau = 10.0 * tau + floor
     raise scipy.linalg.LinAlgError("could not regularize the Newton system")
 
 
-def solve_barrier(
-    prob: NlpProblem,
-    tol: float = 1e-8,
-    mu0: float = 1.0,
-    mu_factor: float = 10.0,
-    z0: np.ndarray | None = None,
-    max_newton_per_mu: int = 200,
-) -> NlpSolution:
-    """Outer barrier loop shrinking mu down to tol/10, inner damped Newton.
+def _newton_step(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Solve (H + tau*I) step = -grad by _shift_to_pd's factor."""
+    c = _shift_to_pd(H)
+    _check_finite(grad)
+    _check_finite(c)
+    step, info = _POTRS(c, -grad, lower=True)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return step
 
-    Duals are recovered as mu/slack at the final iterate; the accepted inner
-    steps are monotone in the barrier objective by the Armijo rule.
+
+def solve_barrier(prob: NlpProblem, tol: float = 1e-8, z0: np.ndarray | None = None) -> NlpSolution:
+    """Outer barrier loop from mu = MU0 down to tol/10, inner damped Newton.
+
+    mu shrinks MU_FACTOR-fold per stage, and a stage that does not converge
+    within MAX_NEWTON_PER_MU Newton steps ends the solve as "max_iter".  A
+    point is evaluated once: a line-search trial computes only the barrier
+    value and the constraint slack, and the accepted trial's objective
+    value, log sums and slack carry over to the next Newton step (and, with
+    the gradient and constraint Jacobian there, to the next mu stage); the
+    barrier gradient and Hessian diagonal are built once per step, at the
+    accepted point.  The Newton system is factored and solved by LAPACK's
+    potrf/potrs directly.  Duals are recovered as mu/slack at the final
+    iterate; the accepted inner steps are monotone in the barrier objective
+    by the Armijo rule.  iterations counts the Newton steps.
     """
-    z = np.asarray(
-        find_strictly_feasible(prob, z0) if z0 is None or not _strictly_inside(prob, np.asarray(z0, float)) else z0,
-        dtype=float,
-    ).copy()
-    mu = float(mu0)
+    here = None  # _evaluate(prob, z)
+    if z0 is not None:
+        z = np.array(z0, dtype=float)
+        here = _evaluate(prob, z)
+    if here is None:
+        z = np.array(find_strictly_feasible(prob, z0), dtype=float)
+        here = _evaluate(prob, z)
+        if here is None:
+            raise RuntimeError("barrier iterate left the feasible interior")
+    f = prob.objective(z)
+    mu = MU0
     mu_min = tol * 0.1
     total_iters = 0
     status = "optimal"
+    derivatives = None  # objective gradient and constraint Jacobian at z
 
     while True:
         converged_inner = False
-        for _ in range(max_newton_per_mu):
-            terms = _barrier_terms(prob, z, mu)
-            if terms is None:
-                raise RuntimeError("barrier iterate left the feasible interior")
-            _, bgrad, bhess_diag, slack = terms
-            grad = prob.gradient(z) + bgrad
+        for _ in range(MAX_NEWTON_PER_MU):
+            if derivatives is None:
+                J = None
+                if prob.m:
+                    J = np.asarray(prob.constraints_jac(z), dtype=float).reshape(prob.m, prob.n)
+                derivatives = prob.gradient(z), J
+            fgrad, J = derivatives
+            sums, lo_gap, up_gap, slack = here
+            bgrad, bhess_diag = _barrier_derivatives(prob, lo_gap, up_gap, mu)
+            grad = fgrad + bgrad
             if prob.m:
-                J = np.asarray(prob.constraints_jac(z), dtype=float).reshape(prob.m, prob.n)
-                grad = grad + J.T @ (mu / slack)
-            if np.max(np.abs(grad)) <= max(mu, tol):
+                weights = mu / slack
+                grad = grad + J.T @ weights
+            if np.abs(grad).max() <= max(mu, tol):
                 converged_inner = True
                 break
             H = prob.hessian(z) + np.diag(bhess_diag)
             if prob.m:
                 H = H + (J.T * (mu / slack ** 2)) @ J
                 if prob.constraints_hess is not None:
-                    H = H + prob.constraints_hess(z, mu / slack)
-            cf = _shift_to_pd(0.5 * (H + H.T))
-            step = scipy.linalg.cho_solve(cf, -grad)
-            base = prob.objective(z) + terms[0]
+                    H = H + prob.constraints_hess(z, weights)
+            step = _newton_step(0.5 * (H + H.T), grad)
+            base = _barrier_value(f, sums, mu)
             slope = float(grad @ step)
             alpha = 1.0
             accepted = False
+            # The last point evaluated, starting at z.  Trials move
+            # monotonically with alpha, so one that equals an evaluated point
+            # (a step below the resolution of z) equals the last one.
+            tried, point, f_trial, value = z.tobytes(), here, f, base
             while alpha >= MIN_STEP:
                 trial = z + alpha * step
-                if _barrier_value(prob, trial, mu) <= base + ARMIJO_C1 * alpha * slope:
-                    z = trial
+                if trial.tobytes() != tried:
+                    tried, point = trial.tobytes(), _evaluate(prob, trial)
+                    if point is not None:
+                        f_trial = prob.objective(trial)
+                        value = _barrier_value(f_trial, point[0], mu)
+                if point is not None and value <= base + ARMIJO_C1 * alpha * slope:
+                    z, f, here = trial, f_trial, point
+                    derivatives = None
                     accepted = True
                     break
                 alpha *= 0.5
@@ -282,7 +338,7 @@ def solve_barrier(
             if not accepted:
                 status = "stalled"
                 break
-            if alpha * float(np.max(np.abs(step))) <= 1e-15 * (1.0 + float(np.max(np.abs(z)))):
+            if alpha * float(np.abs(step).max()) <= 1e-15 * (1.0 + float(np.abs(z).max())):
                 # The update is below representable resolution; further Newton
                 # iterations cannot move the iterate.
                 converged_inner = True
@@ -294,11 +350,10 @@ def solve_barrier(
             break
         if mu <= mu_min:
             break
-        mu = max(mu / mu_factor, mu_min)
+        mu = max(mu / MU_FACTOR, mu_min)
 
     if prob.m:
-        slack = -prob.cons(z)
-        duals = mu / np.maximum(slack, np.finfo(float).tiny)
+        duals = mu / np.maximum(here[3], np.finfo(float).tiny)
     else:
         duals = np.zeros(0)
     kkt = _kkt_residual(prob, z, duals, mu)

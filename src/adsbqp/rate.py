@@ -256,5 +256,5 @@ def hess_rate_wrt_switch(P: np.ndarray, x: np.ndarray, prob: EsrProblem) -> np.n
     curvature = -(ds * c2) @ ds.T
     cross = (P * c1) @ (2.0 * gains * x[:, None]).T
     hess = curvature + cross + cross.T
-    hess[np.diag_indices_from(hess)] += 2.0 * (gains @ (c1 * a))
+    hess.flat[:: hess.shape[0] + 1] += 2.0 * (gains @ (c1 * a))
     return hess

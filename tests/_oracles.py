@@ -3,15 +3,27 @@
 Everything here trades speed for being independently verifiable: projected
 gradient with Dykstra projections for QPs, central finite differences for
 derivatives, brute-force enumeration for Boolean problems and for antenna
-selections, water-filling by bisection on the level, and the power
-subproblem solved over all N*K powers instead of the K per-user totals.
+selections, water-filling by bisection on the level, the power subproblem
+solved over all N*K powers instead of the K per-user totals, and the
+log-barrier Newton loop that evaluates every point in full and factors
+through scipy's Cholesky wrappers.
 """
 
 import numpy as np
+import scipy.linalg
 
 from adsbqp import rate as rate_mod
 from adsbqp.driver import NLP_TOL, Ad1InfeasibleError, ad1
-from adsbqp.nlp import InfeasibleProblemError, NlpProblem, solve_barrier
+from adsbqp.nlp import (
+    ARMIJO_C1,
+    HESSIAN_EIG_FLOOR,
+    MIN_STEP,
+    InfeasibleProblemError,
+    NlpProblem,
+    NlpSolution,
+    find_strictly_feasible,
+    solve_barrier,
+)
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -208,3 +220,153 @@ def water_filling_by_bisection(snr_gain, r_th, bandwidth, steps=200):
         lo, hi = (mid, hi) if rate < r_th else (lo, mid)
     nu = np.exp(hi)
     return float(np.sum(np.maximum(0.0, nu - 1.0 / g)))
+
+
+def _strictly_inside(prob, z):
+    lo_fin = np.isfinite(prob.lower)
+    up_fin = np.isfinite(prob.upper)
+    if np.any(z[lo_fin] <= prob.lower[lo_fin]) or np.any(z[up_fin] >= prob.upper[up_fin]):
+        return False
+    return not (prob.m and np.any(prob.cons(z) >= 0.0))
+
+
+def _barrier_terms(prob, z, mu):
+    """Value, gradient and Hessian contributions of all barrier terms, or None
+    when z is outside the open feasible region."""
+    lo_gap = z - prob.lower
+    up_gap = prob.upper - z
+    lo_fin = np.isfinite(prob.lower)
+    up_fin = np.isfinite(prob.upper)
+    if np.any(lo_gap[lo_fin] <= 0) or np.any(up_gap[up_fin] <= 0):
+        return None
+    value = 0.0
+    grad = np.zeros(prob.n)
+    hess_diag = np.zeros(prob.n)
+    if np.any(lo_fin):
+        value -= mu * float(np.sum(np.log(lo_gap[lo_fin])))
+        grad[lo_fin] -= mu / lo_gap[lo_fin]
+        hess_diag[lo_fin] += mu / lo_gap[lo_fin] ** 2
+    if np.any(up_fin):
+        value -= mu * float(np.sum(np.log(up_gap[up_fin])))
+        grad[up_fin] += mu / up_gap[up_fin]
+        hess_diag[up_fin] += mu / up_gap[up_fin] ** 2
+    slack = None
+    if prob.m:
+        slack = -prob.cons(z)
+        if np.any(slack <= 0):
+            return None
+        value -= mu * float(np.sum(np.log(slack)))
+    return value, grad, hess_diag, slack
+
+
+def _barrier_value(prob, z, mu):
+    terms = _barrier_terms(prob, z, mu)
+    if terms is None:
+        return np.inf
+    return prob.objective(z) + terms[0]
+
+
+def _shift_to_pd(H, floor=HESSIAN_EIG_FLOOR):
+    """Factorization of H + tau*I with tau chosen so min eigenvalue >= floor."""
+    n = H.shape[0]
+    eye = np.eye(n)
+    try:
+        return scipy.linalg.cho_factor(H + floor * eye, lower=True)
+    except scipy.linalg.LinAlgError:
+        pass
+    min_eig = float(scipy.linalg.eigvalsh(H, subset_by_index=(0, 0))[0])
+    tau = max(floor - min_eig, floor)
+    for _ in range(60):
+        try:
+            return scipy.linalg.cho_factor(H + tau * eye, lower=True)
+        except scipy.linalg.LinAlgError:
+            tau = 10.0 * tau + floor
+    raise scipy.linalg.LinAlgError("could not regularize the Newton system")
+
+
+def _kkt_residual(prob, z, duals, mu):
+    grad = prob.gradient(z)
+    if prob.m:
+        J = np.asarray(prob.constraints_jac(z), dtype=float).reshape(prob.m, prob.n)
+        grad = grad + J.T @ duals
+    lo_fin = np.isfinite(prob.lower)
+    up_fin = np.isfinite(prob.upper)
+    nu_lo = np.where(lo_fin, mu / np.maximum(z - prob.lower, np.finfo(float).tiny), 0.0)
+    nu_up = np.where(up_fin, mu / np.maximum(prob.upper - z, np.finfo(float).tiny), 0.0)
+    res = float(np.max(np.abs(grad - nu_lo + nu_up), initial=0.0))
+    if prob.m:
+        res = max(res, float(np.max(prob.cons(z), initial=0.0)))
+    return res
+
+
+def solve_barrier_reference(prob, tol=1e-8, z0=None, mu0=1.0, mu_factor=10.0, max_newton_per_mu=200):
+    """The log-barrier loop as it stood before each point was evaluated once.
+
+    Every Newton step rebuilds the barrier value, gradient and Hessian
+    diagonal at its start and re-evaluates the objective there; every
+    line-search trial builds them all again to read the value; the Newton
+    system goes through scipy.linalg.cho_factor/cho_solve.  nlp.solve_barrier
+    must return the same bytes.
+    """
+    if z0 is None or not _strictly_inside(prob, np.asarray(z0, float)):
+        z0 = find_strictly_feasible(prob, z0)
+    z = np.asarray(z0, dtype=float).copy()
+    mu = float(mu0)
+    mu_min = tol * 0.1
+    total_iters = 0
+    status = "optimal"
+
+    while True:
+        converged_inner = False
+        for _ in range(max_newton_per_mu):
+            terms = _barrier_terms(prob, z, mu)
+            if terms is None:
+                raise RuntimeError("barrier iterate left the feasible interior")
+            _, bgrad, bhess_diag, slack = terms
+            grad = prob.gradient(z) + bgrad
+            if prob.m:
+                J = np.asarray(prob.constraints_jac(z), dtype=float).reshape(prob.m, prob.n)
+                grad = grad + J.T @ (mu / slack)
+            if np.max(np.abs(grad)) <= max(mu, tol):
+                converged_inner = True
+                break
+            H = prob.hessian(z) + np.diag(bhess_diag)
+            if prob.m:
+                H = H + (J.T * (mu / slack ** 2)) @ J
+                if prob.constraints_hess is not None:
+                    H = H + prob.constraints_hess(z, mu / slack)
+            cf = _shift_to_pd(0.5 * (H + H.T))
+            step = scipy.linalg.cho_solve(cf, -grad)
+            base = prob.objective(z) + terms[0]
+            slope = float(grad @ step)
+            alpha = 1.0
+            accepted = False
+            while alpha >= MIN_STEP:
+                trial = z + alpha * step
+                if _barrier_value(prob, trial, mu) <= base + ARMIJO_C1 * alpha * slope:
+                    z = trial
+                    accepted = True
+                    break
+                alpha *= 0.5
+            total_iters += 1
+            if not accepted:
+                status = "stalled"
+                break
+            if alpha * float(np.max(np.abs(step))) <= 1e-15 * (1.0 + float(np.max(np.abs(z)))):
+                converged_inner = True
+                break
+        if status == "stalled":
+            break
+        if not converged_inner:
+            status = "max_iter"
+            break
+        if mu <= mu_min:
+            break
+        mu = max(mu / mu_factor, mu_min)
+
+    if prob.m:
+        slack = -prob.cons(z)
+        duals = mu / np.maximum(slack, np.finfo(float).tiny)
+    else:
+        duals = np.zeros(0)
+    return NlpSolution(z, duals, status, total_iters, mu, _kkt_residual(prob, z, duals, mu))

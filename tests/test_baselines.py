@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from adsbqp import baselines, nlp
 from adsbqp.baselines import (
     METHOD_NAMES,
     MethodReport,
@@ -12,7 +15,9 @@ from adsbqp.channel import ChannelMatrix, ScenarioConfig, generate_channel
 from adsbqp.bqp import BETA, RHO0, STALL_TOL
 from adsbqp.driver import Ad1InfeasibleError, ad1, solve
 from adsbqp.rate import build_esr_problem, economic_objective, selection_bounds, sum_rate
-from _oracles import enumerate_exhaustive
+from adsbqp.nlp import NlpSolution
+from _oracles import enumerate_exhaustive, solve_barrier_reference
+from test_nlp import assert_same_solution
 
 
 def scaled_problem(seed=1, n=8, k=8, noise=3e-14):
@@ -186,3 +191,53 @@ def test_baselines_follow_the_shared_rho_schedule():
             assert rhos == [RHO0 * BETA ** i for i in range(len(rhos))]
             if len(rhos) == 1:
                 assert row.dx_norm <= np.sqrt(prob.n_tx) * STALL_TOL
+
+
+def test_switch_nlps_match_the_reference_barrier_loop(monkeypatch):
+    # Every barrier solve AD-SPen and AD-NSPen make at 2x2, the phase-1
+    # solves of find_strictly_feasible included, returns the reference
+    # loop's bytes and never passes the objective the point it was just
+    # passed.  (Near the bound the iterate can cycle between two points a
+    # rounding apart, so the same point may come back later.)
+    solves = []
+
+    def recorded(prob, tol=1e-8, z0=None):
+        seen = []
+
+        def objective(z):
+            seen.append(np.asarray(z, dtype=float).tobytes())
+            return prob.objective(z)
+
+        sol = solve_barrier(replace(prob, objective=objective), tol=tol, z0=z0)
+        assert all(a != b for a, b in zip(seen, seen[1:]))
+        solves.append((prob, tol, z0, sol))
+        return sol
+
+    solve_barrier = nlp.solve_barrier
+    monkeypatch.setattr(nlp, "solve_barrier", recorded)
+    monkeypatch.setattr(baselines, "solve_barrier", recorded)
+    for seed in range(4):
+        prob = scaled_problem(seed=seed, n=2, k=2)
+        solve_ad_spen(prob)
+        solve_ad_nspen(prob)
+    monkeypatch.undo()
+    assert any(prob.n == 3 for prob, *_ in solves)  # phase 1 ran
+    for prob, tol, z0, sol in solves:
+        assert_same_solution(sol, solve_barrier_reference(prob, tol=tol, z0=z0))
+
+
+@pytest.mark.parametrize("outcome, status", [("stalled", "stalled"), ("max_iter", "max_iter"),
+                                             (RuntimeError("left the interior"), "barrier_failed")])
+def test_a_failed_switch_nlp_ends_the_homotopy_with_its_status(monkeypatch, outcome, status):
+    def failing(prob, tol=1e-8, z0=None):
+        if isinstance(outcome, Exception):
+            raise outcome
+        return NlpSolution(np.asarray(z0, dtype=float), np.zeros(prob.m), outcome, 1, 1.0, 1.0)
+
+    monkeypatch.setattr(baselines, "solve_barrier", failing)
+    prob = scaled_problem(seed=0, n=2, k=2)
+    for solver in (solve_ad_spen, solve_ad_nspen):
+        sol, trace = solver(prob)
+        row = trace.rows[0]
+        assert row.ad2_status == status and row.ad2_trace == []
+        assert sol.status == "complementarity_not_met"

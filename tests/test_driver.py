@@ -333,7 +333,42 @@ def test_boolean_completion_is_the_exhaustive_cheapest():
         if want is None:
             assert got is None
         else:
-            np.testing.assert_array_equal(got, want)
+            x_got, P_got, lam_got = got
+            np.testing.assert_array_equal(x_got, want)
+            P_want, lam_want, _ = ad1(prob, want)
+            assert P_got.tobytes() == P_want.tobytes() and lam_got == lam_want
+
+
+def test_the_next_ad_iteration_reuses_the_completion_power_solve(monkeypatch):
+    # The Boolean completion solves the power subproblem at the selection it
+    # returns; the AD iteration that starts there takes that solution
+    # instead of calling ad1 again.  The completion fires on these seeds.
+    events = []
+
+    def recorded_ad1(prob, x):
+        events.append(("ad1", np.asarray(x).tobytes()))
+        return ad1(prob, x)
+
+    def recorded_completion(prob, x):
+        got = _complete_boolean(prob, x)
+        if got is not None:
+            events.append(("completion", got[0].tobytes()))
+        return got
+
+    monkeypatch.setattr(driver, "ad1", recorded_ad1)
+    monkeypatch.setattr(driver, "_complete_boolean", recorded_completion)
+    ones = np.ones(8).tobytes()
+    completions = 0
+    for seed in (0, 3, 6):
+        events.clear()
+        solve(scaled_problem(seed=seed))
+        for i, (kind, x) in enumerate(events):
+            if kind == "completion":
+                completions += 1
+                later = [e for e in events[i + 1:] if e == ("ad1", x)]
+                # Only the full-activation incumbent may ask for all-on again.
+                assert later == [] or (x == ones and later == [("ad1", ones)])
+    assert completions > 0
 
 
 def test_infeasible_scenario_is_reported_without_iterating():
