@@ -76,6 +76,10 @@ def penalty_grad(x: np.ndarray) -> np.ndarray:
 
 
 def _boxed(qp: QpProblem) -> QpProblem:
+    """qp over the box [0, 1]^n: qp itself when its bounds already are the
+    box (as build_ad2_subproblem builds it), else a copy with them."""
+    if (qp.lower == 0.0).all() and (qp.upper == 1.0).all():
+        return qp
     return replace(qp, lower=np.zeros(qp.n), upper=np.ones(qp.n))
 
 

@@ -375,6 +375,8 @@ def solve(prob: EsrProblem, cfg: AdConfig | None = None):
     The full-activation allocation is kept as an incumbent: when the
     alternation ends on a costlier selection, the all-on solution is
     returned instead, so the reported objective never exceeds that baseline.
+    Its power subproblem is solved only when the all-on water-filling bound
+    (rate.selection_bounds) does not exceed the alternation's objective.
     """
     return _ad_loop(prob, cfg or AdConfig(), _sbqp_ad2, "AD-SBQP", full_fallback=True)
 
@@ -465,12 +467,17 @@ def _ad_loop(
             status = "complementarity_not_met"
 
     if full_fallback and status in ("success", "complementarity_not_met", "max_iter"):
-        try:
-            P_ones, obj_ones = full_activation_allocation(prob)
-        except Ad1InfeasibleError:
-            obj_ones = np.inf
-        if obj_ones < rate_mod.economic_objective(P_final, x_bar, prob):
-            P_final, x_bar, status = P_ones, np.ones(n), "success"
+        objective = rate_mod.economic_objective(P_final, x_bar, prob)
+        # The all-on objective is at least its water-filling bound, so above
+        # the bound the incumbent cannot win and its power solve is skipped.
+        _, bound = rate_mod.selection_bounds(np.ones((1, n)), prob)
+        if bound[0] <= objective:
+            try:
+                P_ones, obj_ones = full_activation_allocation(prob)
+            except Ad1InfeasibleError:
+                obj_ones = np.inf
+            if obj_ones < objective:
+                P_final, x_bar, status = P_ones, np.ones(n), "success"
 
     comp = penalty_phi(x_bar)
     rate_res = rate_mod.sum_rate(P_final, x_bar, prob) - prob.r_th

@@ -9,7 +9,8 @@ most MAX_NEWTON_PER_MU Newton steps.  Each point is evaluated once: a
 line-search trial computes the objective, the log sums and the constraint
 slack, and the accepted trial carries them into the next step.  The Newton
 system goes to LAPACK's Cholesky routines (potrf/potrs) directly, behind
-the finiteness checks scipy.linalg.cho_factor/cho_solve would make.
+the finiteness checks scipy.linalg.cho_factor/cho_solve would make; qp
+holds the routines for both solvers.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 import numpy as np
 import scipy.linalg
+
+from .qp import _cho_factor, _cho_solve
 
 __all__ = [
     "NlpProblem",
@@ -35,10 +38,6 @@ ARMIJO_C1 = 1e-4
 MU0 = 1.0
 MU_FACTOR = 10.0
 MAX_NEWTON_PER_MU = 200
-
-# The double-precision routines scipy.linalg.cho_factor/cho_solve call; on
-# 2-4 variable Newton systems the wrappers cost more than the factorization.
-_POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
 
 
 class InfeasibleProblemError(RuntimeError):
@@ -99,10 +98,13 @@ class NlpSolution:
 
 
 def _interior_midpoint(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    both = np.isfinite(lower) & np.isfinite(upper)
-    z = np.where(both, 0.5 * (lower + upper), 0.0)
-    z = np.where(~both & np.isfinite(lower), lower + 1.0, z)
-    z = np.where(~both & np.isfinite(upper), upper - 1.0, z)
+    """The box midpoint where both bounds are finite, 1 inside the one finite
+    bound elsewhere, and 0 where neither is finite."""
+    lo, up = np.isfinite(lower), np.isfinite(upper)
+    z = np.where(lo, lower + 1.0, 0.0)
+    z = np.where(up, upper - 1.0, z)
+    both = lo & up
+    z[both] = 0.5 * (lower[both] + upper[both])
     return z
 
 
@@ -222,26 +224,19 @@ def _barrier_derivatives(prob: NlpProblem, lo_gap: np.ndarray, up_gap: np.ndarra
     return grad, hess_diag
 
 
-def _check_finite(a: np.ndarray) -> None:
-    """The check scipy.linalg.cho_factor/cho_solve make before calling LAPACK."""
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
-
-
 def _shift_to_pd(H: np.ndarray, floor: float = HESSIAN_EIG_FLOOR) -> np.ndarray:
     """Lower Cholesky factor of H + tau*I with tau chosen so min eigenvalue >= floor."""
-    _check_finite(H)
     eye = np.eye(H.shape[0])
-    c, info = _POTRF(H + floor * eye, lower=True, clean=False)
-    if info == 0:
+    c = _cho_factor(H + floor * eye)
+    if c is not None:
         return c
     min_eig = float(scipy.linalg.eigvalsh(H, subset_by_index=(0, 0))[0])
     # Start from the exact shift; grow geometrically when rounding at the
     # scale of ||H|| still leaves the factorization indefinite.
     tau = max(floor - min_eig, floor)
     for _ in range(60):
-        c, info = _POTRF(H + tau * eye, lower=True, clean=False)
-        if info == 0:
+        c = _cho_factor(H + tau * eye)
+        if c is not None:
             return c
         tau = 10.0 * tau + floor
     raise scipy.linalg.LinAlgError("could not regularize the Newton system")
@@ -249,13 +244,7 @@ def _shift_to_pd(H: np.ndarray, floor: float = HESSIAN_EIG_FLOOR) -> np.ndarray:
 
 def _newton_step(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Solve (H + tau*I) step = -grad by _shift_to_pd's factor."""
-    c = _shift_to_pd(H)
-    _check_finite(grad)
-    _check_finite(c)
-    step, info = _POTRS(c, -grad, lower=True)
-    if info != 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
-    return step
+    return _cho_solve(_shift_to_pd(H), -grad)
 
 
 def solve_barrier(prob: NlpProblem, tol: float = 1e-8, z0: np.ndarray | None = None) -> NlpSolution:
@@ -270,7 +259,8 @@ def solve_barrier(prob: NlpProblem, tol: float = 1e-8, z0: np.ndarray | None = N
     barrier gradient and Hessian diagonal are built once per step, at the
     accepted point.  The Newton system is factored and solved by LAPACK's
     potrf/potrs directly.  Duals are recovered as mu/slack at the final
-    iterate; the accepted inner steps are monotone in the barrier objective
+    iterate, and the KKT residual there reuses the slack and derivatives the
+    loop holds; the accepted inner steps are monotone in the barrier objective
     by the Armijo rule.  iterations counts the Newton steps.
     """
     here = None  # _evaluate(prob, z)
@@ -293,10 +283,7 @@ def solve_barrier(prob: NlpProblem, tol: float = 1e-8, z0: np.ndarray | None = N
         converged_inner = False
         for _ in range(MAX_NEWTON_PER_MU):
             if derivatives is None:
-                J = None
-                if prob.m:
-                    J = np.asarray(prob.constraints_jac(z), dtype=float).reshape(prob.m, prob.n)
-                derivatives = prob.gradient(z), J
+                derivatives = _derivatives(prob, z)
             fgrad, J = derivatives
             sums, lo_gap, up_gap, slack = here
             bgrad, bhess_diag = _barrier_derivatives(prob, lo_gap, up_gap, mu)
@@ -329,8 +316,9 @@ def solve_barrier(prob: NlpProblem, tol: float = 1e-8, z0: np.ndarray | None = N
                         f_trial = prob.objective(trial)
                         value = _barrier_value(f_trial, point[0], mu)
                 if point is not None and value <= base + ARMIJO_C1 * alpha * slope:
+                    if point is not here:  # else the trial rounded to z
+                        derivatives = None
                     z, f, here = trial, f_trial, point
-                    derivatives = None
                     accepted = True
                     break
                 alpha *= 0.5
@@ -356,15 +344,29 @@ def solve_barrier(prob: NlpProblem, tol: float = 1e-8, z0: np.ndarray | None = N
         duals = mu / np.maximum(here[3], np.finfo(float).tiny)
     else:
         duals = np.zeros(0)
-    kkt = _kkt_residual(prob, z, duals, mu)
+    if derivatives is None:
+        derivatives = _derivatives(prob, z)
+    kkt = _kkt_residual(prob, z, here[3], derivatives, duals, mu)
     return NlpSolution(z, duals, status, total_iters, mu, kkt)
 
 
-def _kkt_residual(prob: NlpProblem, z: np.ndarray, duals: np.ndarray, mu: float) -> float:
-    """Stationarity of the original problem with barrier-recovered bound duals."""
-    grad = prob.gradient(z)
+def _derivatives(prob: NlpProblem, z: np.ndarray):
+    """Objective gradient and constraint Jacobian (None when m = 0) at z."""
+    J = None
     if prob.m:
         J = np.asarray(prob.constraints_jac(z), dtype=float).reshape(prob.m, prob.n)
+    return prob.gradient(z), J
+
+
+def _kkt_residual(prob: NlpProblem, z: np.ndarray, slack: np.ndarray | None, derivatives: tuple,
+                  duals: np.ndarray, mu: float) -> float:
+    """Stationarity of the original problem with barrier-recovered bound duals.
+
+    slack is -c(z) and derivatives is _derivatives(prob, z), both as the
+    solve already holds them at z.
+    """
+    grad, J = derivatives
+    if prob.m:
         grad = grad + J.T @ duals
     lo_fin = np.isfinite(prob.lower)
     up_fin = np.isfinite(prob.upper)
@@ -372,5 +374,5 @@ def _kkt_residual(prob: NlpProblem, z: np.ndarray, duals: np.ndarray, mu: float)
     nu_up = np.where(up_fin, mu / np.maximum(prob.upper - z, np.finfo(float).tiny), 0.0)
     res = float(np.max(np.abs(grad - nu_lo + nu_up), initial=0.0))
     if prob.m:
-        res = max(res, float(np.max(prob.cons(z), initial=0.0)))
+        res = max(res, float(np.max(-slack, initial=0.0)))
     return res

@@ -3,7 +3,11 @@
 Primal-dual path-following interior point with fixed centering (sigma = 0.1)
 and a 0.995 fraction-to-boundary rule.  All inequalities (general rows plus
 finite bounds) are stacked into a single slack system; the Newton step is
-taken on the condensed normal equations with a dense Cholesky.
+taken on the condensed normal equations with a dense Cholesky.  A QpProblem
+is validated once, when it is built.  The Cholesky factor and solve go to
+LAPACK's potrf/potrs directly, behind the finiteness checks
+scipy.linalg.cho_factor/cho_solve would make; nlp's Newton system uses the
+same routines.
 """
 
 from __future__ import annotations
@@ -17,10 +21,43 @@ __all__ = ["QpProblem", "QpSolution", "solve_qp", "kkt_residual"]
 FRACTION_TO_BOUNDARY = 0.995
 CENTERING_SIGMA = 0.1
 
+# The double-precision routines scipy.linalg.cho_factor/cho_solve call; on
+# the 16x16 systems of AD-SBQP and the 2-4 variable ones of the barrier NLP
+# the wrappers cost more than the factorization.
+_POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
+
+
+def _check_finite(a: np.ndarray) -> None:
+    """The check scipy.linalg.cho_factor/cho_solve make before calling LAPACK."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _cho_factor(a: np.ndarray) -> np.ndarray | None:
+    """The lower factor cho_factor(a, lower=True) returns, or None where it
+    raises LinAlgError (a is not positive definite)."""
+    _check_finite(a)
+    c, info = _POTRF(a, lower=True, clean=False)
+    return c if info == 0 else None
+
+
+def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """cho_solve((c, True), b): solve with the lower factor c of _cho_factor."""
+    _check_finite(b)
+    _check_finite(c)
+    x, info = _POTRS(c, b, lower=True)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
+
 
 @dataclass(frozen=True)
 class QpProblem:
-    """Dense convex QP data.  Q must be symmetric PSD (up to noise)."""
+    """Dense convex QP data.  Q must be finite and symmetric PSD (up to noise).
+
+    Construction validates the data and stores Q symmetrized; solve_qp
+    checks only convexity, which needs the factorization it makes anyway.
+    """
 
     Q: np.ndarray
     g: np.ndarray
@@ -39,11 +76,13 @@ class QpProblem:
         upper = np.broadcast_to(np.asarray(self.upper, dtype=float), (n,)).copy()
         if Q.shape != (n, n):
             raise ValueError("Q must be n x n")
-        if not np.allclose(Q, Q.T, atol=1e-12, rtol=0.0):
+        if not np.isfinite(Q).all():
+            raise ValueError("Q must be finite")
+        if np.abs(Q - Q.T).max(initial=0.0) > 1e-12:
             raise ValueError("Q must be symmetric within 1e-12")
         if A.shape[0] != u.size:
             raise ValueError("A and u row counts differ")
-        if np.any(lower > upper):
+        if (lower > upper).any():
             raise ValueError("lower bound exceeds upper bound")
         object.__setattr__(self, "Q", 0.5 * (Q + Q.T))
         object.__setattr__(self, "g", g)
@@ -75,16 +114,14 @@ class QpSolution:
     kkt_residual: float
 
 
-def _psd_cholesky(Q: np.ndarray):
-    """Cholesky with a single 1e-12 jitter retry; loud failure otherwise."""
-    try:
-        return scipy.linalg.cho_factor(Q, lower=True)
-    except scipy.linalg.LinAlgError:
-        pass
-    try:
-        return scipy.linalg.cho_factor(Q + 1e-12 * np.eye(Q.shape[0]), lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise ValueError("Q is not positive semidefinite") from exc
+def _psd_cholesky(Q: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor with a single 1e-12 jitter retry; loud failure otherwise."""
+    c = _cho_factor(Q)
+    if c is None:
+        c = _cho_factor(Q + 1e-12 * np.eye(Q.shape[0]))
+        if c is None:
+            raise ValueError("Q is not positive semidefinite")
+    return c
 
 
 def _stack_constraints(qp: QpProblem):
@@ -107,19 +144,25 @@ def _stack_constraints(qp: QpProblem):
 def solve_qp(qp: QpProblem, tol: float = 1e-10, max_iter: int = 100) -> QpSolution:
     """Solve the QP by an infeasible-start primal-dual interior-point method.
 
-    On status "optimal" the returned point satisfies stationarity, primal
-    feasibility and complementarity within tol; bounds are enforced exactly
+    Status "optimal" means stationarity and primal feasibility within tol
+    and a mean complementarity s'z / mt within tol, so one complementarity
+    pair, and kkt_residual, can reach mt * tol; bounds are enforced exactly
     by a final clip.  A run that cannot drive primal infeasibility down is
-    reported as "infeasible" with the residual as certificate.
+    reported as "infeasible" with the residual as certificate.  The data
+    were validated when qp was built.  Q is factored once here, to check
+    convexity and, without inequalities, to solve; each iteration factors
+    its normal matrix by LAPACK's potrf, with one jitter retry, and solves
+    by potrs.  A non-finite Q, normal matrix or right-hand side raises
+    ValueError, as scipy's Cholesky wrappers would.  iterations counts the
+    interior-point iterations.
     """
     n = qp.n
     # Checks convexity up front (caller contract).
-    _psd_cholesky(qp.Q)
+    cf = _psd_cholesky(qp.Q)
     C, d, up_idx, lo_idx = _stack_constraints(qp)
     mt = d.size
     if mt == 0:
-        cf = _psd_cholesky(qp.Q)
-        x = scipy.linalg.cho_solve(cf, -qp.g)
+        x = _cho_solve(cf, -qp.g)
         sol = QpSolution(x, np.zeros(0), np.zeros(n), np.zeros(n), "optimal", 0, 0.0)
         sol.kkt_residual = kkt_residual(qp, sol)
         return sol
@@ -138,34 +181,31 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, max_iter: int = 100) -> QpSoluti
         r_d = qp.Q @ x + qp.g + C.T @ z
         r_p = C @ x + s - d
         mu = float(s @ z) / mt
-        if (
-            np.max(np.abs(r_d)) <= tol
-            and np.max(np.abs(r_p)) <= tol
-            and mu <= tol
-        ):
+        if np.abs(r_d).max() <= tol and np.abs(r_p).max() <= tol and mu <= tol:
             status = "optimal"
             iterations = it
             break
         w = (CENTERING_SIGMA * mu - s * z + z * r_p) / s
-        M = qp.Q + (C.T * (z / s)) @ C
+        z_over_s = z / s
+        M = qp.Q + (C.T * z_over_s) @ C
         rhs = -(r_d + C.T @ w)
-        try:
-            cf = scipy.linalg.cho_factor(M, lower=True)
-        except scipy.linalg.LinAlgError:
-            cf = scipy.linalg.cho_factor(
-                M + 1e-10 * max(1.0, np.abs(M).max()) * np.eye(n), lower=True
-            )
-        dx = scipy.linalg.cho_solve(cf, rhs)
-        ds = -r_p - C @ dx
-        dz = w + (z / s) * (C @ dx)
+        cf = _cho_factor(M)
+        if cf is None:
+            cf = _cho_factor(M + 1e-10 * max(1.0, np.abs(M).max()) * np.eye(n))
+            if cf is None:
+                raise scipy.linalg.LinAlgError("the normal matrix is not positive definite")
+        dx = _cho_solve(cf, rhs)
+        C_dx = C @ dx
+        ds = -r_p - C_dx
+        dz = w + z_over_s * C_dx
 
         alpha = 1.0
         neg_s = ds < 0
-        if np.any(neg_s):
-            alpha = min(alpha, FRACTION_TO_BOUNDARY * np.min(-s[neg_s] / ds[neg_s]))
+        if neg_s.any():
+            alpha = min(alpha, FRACTION_TO_BOUNDARY * (-s[neg_s] / ds[neg_s]).min())
         neg_z = dz < 0
-        if np.any(neg_z):
-            alpha = min(alpha, FRACTION_TO_BOUNDARY * np.min(-z[neg_z] / dz[neg_z]))
+        if neg_z.any():
+            alpha = min(alpha, FRACTION_TO_BOUNDARY * (-z[neg_z] / dz[neg_z]).min())
         x = x + alpha * dx
         s = s + alpha * ds
         z = z + alpha * dz

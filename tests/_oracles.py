@@ -24,6 +24,13 @@ from adsbqp.nlp import (
     find_strictly_feasible,
     solve_barrier,
 )
+from adsbqp.qp import (
+    CENTERING_SIGMA,
+    FRACTION_TO_BOUNDARY,
+    QpSolution,
+    _stack_constraints,
+    kkt_residual,
+)
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -370,3 +377,96 @@ def solve_barrier_reference(prob, tol=1e-8, z0=None, mu0=1.0, mu_factor=10.0, ma
     else:
         duals = np.zeros(0)
     return NlpSolution(z, duals, status, total_iters, mu, _kkt_residual(prob, z, duals, mu))
+
+
+def _psd_cholesky_reference(Q):
+    try:
+        return scipy.linalg.cho_factor(Q, lower=True)
+    except scipy.linalg.LinAlgError:
+        pass
+    try:
+        return scipy.linalg.cho_factor(Q + 1e-12 * np.eye(Q.shape[0]), lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise ValueError("Q is not positive semidefinite") from exc
+
+
+def solve_qp_reference(qp, tol=1e-10, max_iter=100):
+    """The QP interior-point loop as it stood before it called LAPACK directly.
+
+    The Newton system goes through scipy.linalg.cho_factor/cho_solve, C @ dx
+    and z / s are computed twice per iteration, and the mt == 0 path factors
+    Q a second time.  qp.solve_qp must return the same bytes.
+    """
+    n = qp.n
+    _psd_cholesky_reference(qp.Q)
+    C, d, up_idx, lo_idx = _stack_constraints(qp)
+    mt = d.size
+    if mt == 0:
+        cf = _psd_cholesky_reference(qp.Q)
+        x = scipy.linalg.cho_solve(cf, -qp.g)
+        sol = QpSolution(x, np.zeros(0), np.zeros(n), np.zeros(n), "optimal", 0, 0.0)
+        sol.kkt_residual = kkt_residual(qp, sol)
+        return sol
+
+    x = np.where(
+        np.isfinite(qp.lower) & np.isfinite(qp.upper),
+        0.5 * (qp.lower + qp.upper),
+        np.clip(0.0, qp.lower, qp.upper),
+    )
+    s = np.maximum(d - C @ x, 1.0)
+    z = np.ones(mt)
+
+    status = "max_iter"
+    iterations = max_iter
+    for it in range(max_iter):
+        r_d = qp.Q @ x + qp.g + C.T @ z
+        r_p = C @ x + s - d
+        mu = float(s @ z) / mt
+        if (
+            np.max(np.abs(r_d)) <= tol
+            and np.max(np.abs(r_p)) <= tol
+            and mu <= tol
+        ):
+            status = "optimal"
+            iterations = it
+            break
+        w = (CENTERING_SIGMA * mu - s * z + z * r_p) / s
+        M = qp.Q + (C.T * (z / s)) @ C
+        rhs = -(r_d + C.T @ w)
+        try:
+            cf = scipy.linalg.cho_factor(M, lower=True)
+        except scipy.linalg.LinAlgError:
+            cf = scipy.linalg.cho_factor(
+                M + 1e-10 * max(1.0, np.abs(M).max()) * np.eye(n), lower=True
+            )
+        dx = scipy.linalg.cho_solve(cf, rhs)
+        ds = -r_p - C @ dx
+        dz = w + (z / s) * (C @ dx)
+
+        alpha = 1.0
+        neg_s = ds < 0
+        if np.any(neg_s):
+            alpha = min(alpha, FRACTION_TO_BOUNDARY * np.min(-s[neg_s] / ds[neg_s]))
+        neg_z = dz < 0
+        if np.any(neg_z):
+            alpha = min(alpha, FRACTION_TO_BOUNDARY * np.min(-z[neg_z] / dz[neg_z]))
+        x = x + alpha * dx
+        s = s + alpha * ds
+        z = z + alpha * dz
+
+    x = np.clip(x, qp.lower, qp.upper)
+    m = qp.m
+    duals_ineq = z[:m].copy()
+    duals_upper = np.zeros(n)
+    duals_lower = np.zeros(n)
+    duals_upper[up_idx] = z[m : m + up_idx.size]
+    duals_lower[lo_idx] = z[m + up_idx.size :]
+    sol = QpSolution(x, duals_ineq, duals_lower, duals_upper, status, iterations, 0.0)
+    sol.kkt_residual = kkt_residual(qp, sol)
+    if status != "optimal":
+        violation = 0.0
+        if m:
+            violation = max(violation, float(np.max(qp.A @ x - qp.u, initial=0.0)))
+        if violation > max(1e-6, 1e3 * tol):
+            sol.status = "infeasible"
+    return sol

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from adsbqp.bqp import (
     BETA,
     MIN_STEP,
     RHO0,
+    _boxed,
     armijo_step,
     global_search,
     local_search,
@@ -151,3 +154,14 @@ def test_trace_records_monotone_merit_progress():
     assert len(res.trace) >= 1
     comps = [it.complementarity for it in res.trace]
     assert comps[-1] <= comps[0] + 1e-12
+
+
+def test_boxed_reuses_a_box_qp_and_copies_any_other():
+    qp = box_qp(np.eye(2), np.array([-2.0, 0.5]))
+    assert _boxed(qp) is qp
+    wide = replace(qp, lower=-np.ones(2), upper=np.full(2, 2.0))
+    boxed = _boxed(wide)
+    assert boxed is not wide
+    np.testing.assert_array_equal(boxed.lower, np.zeros(2))
+    np.testing.assert_array_equal(boxed.upper, np.ones(2))
+    np.testing.assert_allclose(global_search(wide).x_star, [1.0, 0.0], atol=1e-7)

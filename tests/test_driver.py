@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adsbqp import driver
+from adsbqp import rate as rate_mod
 from adsbqp.channel import ChannelMatrix, ScenarioConfig
 from adsbqp.driver import (
     HESSIAN_SHIFT_FLOOR,
@@ -21,6 +22,7 @@ from adsbqp.rate import (
     build_esr_problem,
     economic_objective,
     grad_rate_wrt_switch,
+    selection_bounds,
     sum_rate,
 )
 from _oracles import barrier_ad1, cheapest_exhaustive
@@ -296,8 +298,9 @@ def test_solution_never_beats_enumeration_nor_loses_to_full_activation():
 def test_solve_reuses_the_last_power_solve_after_a_repeat(monkeypatch):
     # The loop ends when AD2 returns its start bit for bit, so the last AD1
     # already solved the power subproblem at the final switches.  On these
-    # seeds no Boolean completion runs, so besides one ad1 call per AD
-    # iteration only the full-activation incumbent costs a call.
+    # seeds no Boolean completion runs, and the all-on water-filling bound
+    # exceeds the final objective, so the full-activation incumbent is not
+    # solved either: one ad1 call per AD iteration and none after.
     calls = []
 
     def recorded(prob, x):
@@ -307,11 +310,67 @@ def test_solve_reuses_the_last_power_solve_after_a_repeat(monkeypatch):
     monkeypatch.setattr(driver, "ad1", recorded)
     for seed in (1, 2, 4):
         calls.clear()
-        sol, trace = solve(scaled_problem(seed=seed))
+        prob = scaled_problem(seed=seed)
+        sol, trace = solve(prob)
         assert sol.status == "success" and trace.rows[-1].dx_norm == 0.0
-        assert len(calls) == len(trace.rows) + 1
-        np.testing.assert_array_equal(calls[-2], sol.x_star)
+        assert selection_bounds(np.ones((1, 8)), prob)[1][0] > sol.objective
+        assert len(calls) == len(trace.rows)
+        np.testing.assert_array_equal(calls[-1], sol.x_star)
+
+
+def r_th_problem(seed, r_th_value):
+    return build_esr_problem(ScenarioConfig(n_tx=8, n_users=8, seed=seed, r_th_mode="fraction",
+                                            r_th_value=r_th_value, noise_n0b=3e-14))
+
+
+def test_incumbent_still_wins_where_its_bound_allows(monkeypatch):
+    # At r_th_value 0.9 the alternation ends on a costlier selection on
+    # these seeds; the all-on bound does not exceed its objective, so the
+    # incumbent's ad1 runs and all-on is returned.
+    calls = []
+
+    def recorded(prob, x):
+        calls.append(np.array(x))
+        return ad1(prob, x)
+
+    monkeypatch.setattr(driver, "ad1", recorded)
+    for seed in (0, 6):
+        prob = r_th_problem(seed, 0.9)
+        loop_only, _ = driver._ad_loop(prob, AdConfig(), driver._sbqp_ad2, "AD-SBQP")
+        calls.clear()
+        sol, _ = solve(prob)
         np.testing.assert_array_equal(calls[-1], np.ones(8))
+        np.testing.assert_array_equal(sol.x_star, np.ones(8))
+        assert sol.status == "success"
+        assert sol.objective == full_activation_allocation(prob)[1] < loop_only.objective
+
+
+def test_solve_matches_an_unpruned_incumbent(monkeypatch):
+    # Answering the incumbent's bound query with -inf solves the incumbent
+    # every time, as solve did before it consulted the bound; the outcome
+    # must not change.
+    bounds = selection_bounds
+
+    def unpruned(X, prob):
+        feasible, bound = bounds(X, prob)
+        if X.shape[0] == 1 and (X == 1.0).all():
+            bound = np.full(1, -np.inf)
+        return feasible, bound
+
+    for r_th_value in (0.5, 0.9):
+        for seed in range(10):
+            prob = r_th_problem(seed, r_th_value)
+            got, got_trace = solve(prob)
+            with monkeypatch.context() as patch:
+                patch.setattr(rate_mod, "selection_bounds", unpruned)
+                want, want_trace = solve(prob)
+            assert (got.status, got.iterations) == (want.status, want.iterations)
+            for name in ("P_star", "x_star", "objective", "complementarity", "rate_residual",
+                         "row_cap_residual"):
+                assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(want, name)).tobytes()
+            assert [(r.objective, r.dx_norm, r.lambda_bar, r.ad2_status) for r in got_trace.rows] == [
+                (r.objective, r.dx_norm, r.lambda_bar, r.ad2_status) for r in want_trace.rows
+            ]
 
 
 def test_boolean_completion_is_the_exhaustive_cheapest():

@@ -192,6 +192,7 @@ def test_one_sided_bounds():
 SOLVES = {
     "linear": (linear_objective_problem, None),
     "one_sided": (one_sided_problem, np.zeros(2)),
+    "one_sided_midpoint": (one_sided_problem, None),
     "box_only": (box_only_problem, None),
     "convex_qp": (convex_qp_problem, None),
     "concave": (concave_problem, np.array([0.7, 0.2])),
@@ -215,17 +216,34 @@ def test_solve_matches_the_reference_loop_bit_for_bit(name):
 
 @pytest.mark.parametrize("name", sorted(SOLVES))
 def test_no_point_is_evaluated_twice(name):
+    # Neither the objective nor its gradient, the KKT residual at the final
+    # iterate included.
     make, z0 = SOLVES[name]
     prob = make()
-    seen = []
+    seen = {"objective": [], "gradient": []}
 
-    def objective(z):
-        seen.append(np.asarray(z, dtype=float).tobytes())
-        return prob.objective(z)
+    def recording(key):
+        callback = getattr(prob, key)
 
-    sol = solve_barrier(replace(prob, objective=objective), z0=z0)
-    assert sol.status == "optimal" and len(seen) > 1
-    assert len(set(seen)) == len(seen)
+        def recorded(z):
+            seen[key].append(np.asarray(z, dtype=float).tobytes())
+            return callback(z)
+
+        return recorded
+
+    sol = solve_barrier(replace(prob, **{key: recording(key) for key in seen}), z0=z0)
+    assert sol.status == "optimal" and len(seen["objective"]) > 1
+    for points in seen.values():
+        assert len(set(points)) == len(points)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_midpoint_start_with_an_unbounded_coordinate_warns_nothing():
+    # One coordinate has no finite bound at all, so the box midpoint must not
+    # add -inf to inf.
+    sol = solve_barrier(one_sided_problem())
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.z_star, [1.0, 1.0], atol=1e-6)
 
 
 @pytest.mark.parametrize("bad", ["hessian", "gradient"])

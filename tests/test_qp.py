@@ -1,8 +1,17 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from adsbqp import bqp
+from adsbqp.channel import ScenarioConfig
+from adsbqp.driver import solve
 from adsbqp.qp import QpProblem, QpSolution, kkt_residual, solve_qp
-from _oracles import projected_gradient_qp
+from adsbqp.rate import build_esr_problem
+from _oracles import projected_gradient_qp, solve_qp_reference
 
 
 def box_qp(Q, g, A=None, u=None, lower=0.0, upper=1.0):
@@ -25,8 +34,8 @@ def random_convex_qp(rng, n_max=10, m_max=6):
     return box_qp(Q, g, A, u)
 
 
-def test_unconstrained_quadratic_hits_the_analytic_minimum():
-    qp = QpProblem(
+def unconstrained_qp():
+    return QpProblem(
         Q=np.diag([2.0, 4.0]),
         g=np.array([-2.0, -4.0]),
         A=np.zeros((0, 2)),
@@ -34,30 +43,62 @@ def test_unconstrained_quadratic_hits_the_analytic_minimum():
         lower=-np.inf,
         upper=np.inf,
     )
-    sol = solve_qp(qp)
+
+
+def clipped_qp():
+    return box_qp(np.eye(2), np.array([-2.0, 0.5]))
+
+
+def active_row_qp():
+    # min 0.5||x||^2 - e'x  s.t. x1 + x2 <= 1: optimum splits the budget.
+    return box_qp(np.eye(2), -np.ones(2), A=np.array([[1.0, 1.0]]), u=np.array([1.0]))
+
+
+def interior_qp():
+    return box_qp(np.eye(2), np.array([-0.3, 0.7]))
+
+
+def infeasible_qp():
+    return box_qp(np.eye(1), np.zeros(1), A=np.array([[-1.0]]), u=np.array([-2.0]))
+
+
+def singular_qp():
+    # A rank-deficient PSD matrix goes through the single-jitter retry.
+    return box_qp(np.ones((2, 2)), np.array([0.1, -0.2]))
+
+
+def random_qps():
+    rng = np.random.default_rng(42)
+    return [random_convex_qp(rng) for _ in range(25)]
+
+
+def oracle_qps():
+    rng = np.random.default_rng(7)
+    return [random_convex_qp(rng, n_max=5, m_max=3) for _ in range(5)]
+
+
+def test_unconstrained_quadratic_hits_the_analytic_minimum():
+    sol = solve_qp(unconstrained_qp())
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.x_star, [1.0, 1.0], atol=1e-9)
 
 
 def test_box_clipping_is_exact_at_termination():
-    qp = box_qp(np.eye(2), np.array([-2.0, 0.5]))
-    sol = solve_qp(qp)
+    sol = solve_qp(clipped_qp())
     assert sol.status == "optimal"
     assert np.all(sol.x_star >= 0.0) and np.all(sol.x_star <= 1.0)
     np.testing.assert_allclose(sol.x_star, [1.0, 0.0], atol=1e-7)
 
 
 def test_active_inequality_row():
-    # min 0.5||x||^2 - e'x  s.t. x1 + x2 <= 1: optimum splits the budget.
-    qp = box_qp(np.eye(2), -np.ones(2), A=np.array([[1.0, 1.0]]), u=np.array([1.0]))
-    sol = solve_qp(qp)
+    sol = solve_qp(active_row_qp())
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.x_star, [0.5, 0.5], atol=1e-8)
     assert sol.duals_ineq[0] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_kkt_residual_is_a_pure_function_of_the_candidate():
-    qp = box_qp(np.eye(2), np.array([-0.3, 0.7]))
+    qp = interior_qp()
     sol = solve_qp(qp)
     assert sol.status == "optimal"
     assert sol.kkt_residual <= 1e-10
@@ -75,18 +116,14 @@ def test_kkt_residual_is_a_pure_function_of_the_candidate():
 
 
 def test_random_qps_reach_tight_kkt_residuals():
-    rng = np.random.default_rng(42)
-    for _ in range(25):
-        qp = random_convex_qp(rng)
+    for qp in random_qps():
         sol = solve_qp(qp)
         assert sol.status == "optimal"
         assert sol.kkt_residual <= 1e-10
 
 
 def test_agreement_with_projected_gradient_oracle():
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        qp = random_convex_qp(rng, n_max=5, m_max=3)
+    for qp in oracle_qps():
         sol = solve_qp(qp)
         assert sol.status == "optimal"
         x_ref = projected_gradient_qp(
@@ -96,8 +133,7 @@ def test_agreement_with_projected_gradient_oracle():
 
 
 def test_infeasible_problem_is_reported():
-    qp = box_qp(np.eye(1), np.zeros(1), A=np.array([[-1.0]]), u=np.array([-2.0]))
-    sol = solve_qp(qp)
+    sol = solve_qp(infeasible_qp())
     assert sol.status == "infeasible"
 
 
@@ -124,6 +160,12 @@ def test_validation_rejects_bad_data():
         )
 
 
+def test_symmetry_is_checked_to_1e_12():
+    box_qp(np.array([[1.0, 1e-12], [0.0, 1.0]]), np.zeros(2))
+    with pytest.raises(ValueError, match="symmetric"):
+        box_qp(np.array([[1.0, 2e-12], [0.0, 1.0]]), np.zeros(2))
+
+
 def test_indefinite_matrix_is_rejected_loudly():
     qp = box_qp(np.diag([1.0, -1.0]), np.zeros(2))
     with pytest.raises(ValueError):
@@ -131,9 +173,118 @@ def test_indefinite_matrix_is_rejected_loudly():
 
 
 def test_equalities_of_scale_one_preserved_with_jitter():
-    # A rank-deficient PSD matrix goes through the single-jitter retry.
-    Q = np.ones((2, 2))
-    qp = box_qp(Q, np.array([0.1, -0.2]))
-    sol = solve_qp(qp)
+    sol = solve_qp(singular_qp())
     assert sol.status == "optimal"
     assert sol.kkt_residual <= 1e-8
+
+
+# Every problem above, by the name the reference test reports.
+PROBLEMS = {
+    "unconstrained": unconstrained_qp,
+    "clipped": clipped_qp,
+    "active_row": active_row_qp,
+    "interior": interior_qp,
+    "infeasible": infeasible_qp,
+    "singular": singular_qp,
+    **{f"random_{i}": (lambda i=i: random_qps()[i]) for i in range(25)},
+    **{f"oracle_{i}": (lambda i=i: oracle_qps()[i]) for i in range(5)},
+}
+
+
+def assert_same_solution(got, want):
+    for name in ("x_star", "duals_ineq", "duals_lower", "duals_upper"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    assert got.kkt_residual == want.kkt_residual
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_solve_matches_the_reference_loop_bit_for_bit(name):
+    qp = PROBLEMS[name]()
+    assert_same_solution(solve_qp(qp), solve_qp_reference(qp))
+
+
+def test_ad2_qps_match_the_reference_loop_bit_for_bit(monkeypatch):
+    # Every box QP of AD-SBQP at 16x16, the global search and each tilted
+    # round, at the tolerance the homotopy gives it.
+    calls = []
+
+    def recorded(qp, tol=1e-10, max_iter=100):
+        calls.append((qp, tol))
+        return solve_qp(qp, tol=tol, max_iter=max_iter)
+
+    monkeypatch.setattr(bqp, "solve_qp", recorded)
+    for seed in range(4):
+        cfg = ScenarioConfig(n_tx=16, n_users=16, seed=seed, r_th_mode="fraction",
+                             r_th_value=0.5, noise_n0b=3e-14)
+        solve(build_esr_problem(cfg))
+    assert {tol > 1e-10 for _, tol in calls} == {False, True}
+    for qp, tol in calls:
+        assert_same_solution(solve_qp(qp, tol=tol), solve_qp_reference(qp, tol=tol))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_q_is_rejected_when_built(bad):
+    with pytest.raises(ValueError, match="finite"):
+        box_qp(np.array([[1.0, bad], [bad, 1.0]]), np.zeros(2))
+    with pytest.raises(ValueError, match="finite"):
+        box_qp(np.diag([bad, 1.0]), np.zeros(2))
+
+
+def non_finite_q():
+    qp = interior_qp()
+    qp.Q[0, 0] = np.nan  # changed after validation
+    return qp
+
+
+def overflowing_normal_matrix():
+    # C' diag(z/s) C overflows in the first iteration.
+    return box_qp(np.eye(2), np.zeros(2), A=np.array([[1e200, 1e200]]), u=np.array([1e200]))
+
+
+def non_finite_rhs():
+    return box_qp(np.eye(2), np.array([np.nan, 0.0]), A=np.ones((1, 2)), u=np.ones(1))
+
+
+@pytest.mark.parametrize("make", [non_finite_q, overflowing_normal_matrix, non_finite_rhs])
+def test_non_finite_newton_system_raises_value_error(make):
+    for solve_fn in (solve_qp, solve_qp_reference):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+            solve_fn(make())
+
+
+def _unit_floats(shape):
+    return arrays(np.float64, shape, elements=st.floats(-1.0, 1.0, allow_nan=False))
+
+
+@st.composite
+def convex_box_qps(draw):
+    """Random convex QPs over [0, 1]^n with 0-6 rows that all hold with a
+    margin at the box center, so every draw is feasible with an interior."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(0, 6))
+    B = draw(_unit_floats((n, n)))
+    g = 10.0 * draw(_unit_floats(n))
+    A = draw(_unit_floats((m, n)))
+    margin = draw(arrays(np.float64, m, elements=st.floats(0.1, 2.0)))
+    return box_qp(B @ B.T + np.eye(n), g, A, A @ np.full(n, 0.5) + margin)
+
+
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(convex_box_qps())
+def check_random_convex_box_qp(qp):
+    sol = solve_qp(qp)
+    assert sol.status == "optimal"
+    # The loop stops once the mean of the mt complementarity products s_i z_i
+    # is <= tol, so one product, and with it the KKT residual, can reach
+    # mt * tol: 1.03e-10 on min 0.5 x^2 over [0, 1] (mt = 2), where x and
+    # its bound dual both tend to 0.
+    mt = qp.m + 2 * qp.n
+    assert sol.kkt_residual <= mt * 1e-10
+
+
+def test_random_convex_box_qps_are_solved():
+    t0 = time.perf_counter()
+    check_random_convex_box_qp()
+    assert time.perf_counter() - t0 < 20.0
