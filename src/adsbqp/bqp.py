@@ -89,8 +89,10 @@ def global_search(qp: QpProblem, tol: float = QP_TOL) -> QpSolution:
 
 
 def local_search(qp: QpProblem, x_hat: np.ndarray, rho: float, tol: float = QP_TOL) -> QpSolution:
-    """Minimize the QP with the linearized penalty folded into the linear term."""
-    return solve_qp(replace(_boxed(qp), g=qp.g + rho * penalty_grad(x_hat)), tol=tol)
+    """Minimize the QP with the linearized penalty folded into the linear term.
+
+    The tilted QP shares everything but its linear term with qp's box QP."""
+    return solve_qp(_boxed(qp).with_g(qp.g + rho * penalty_grad(x_hat)), tol=tol)
 
 
 def armijo_step(qp: QpProblem, x_hat: np.ndarray, x_tilde: np.ndarray, rho: float) -> float:

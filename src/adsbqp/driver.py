@@ -22,14 +22,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 import numpy as np
-import scipy.linalg
 
 from . import rate as rate_mod
 from .bqp import EPS_COMP, penalty_phi, solve_bqp
 # solve_barrier is unused here but stays importable as driver.solve_barrier,
 # a call site that perfbench's tracer tests wrap.
 from .nlp import InfeasibleProblemError, solve_barrier  # noqa: F401
-from .qp import QpProblem
+from .qp import QpProblem, _least_eigenvalue
 from .rate import EsrProblem
 
 __all__ = [
@@ -277,7 +276,7 @@ def build_ad2_subproblem(
     h_rate = rate_mod.hess_rate_wrt_switch(P_star, x_bar, prob)
     Q0 = -lambda_bar * h_rate
     Q0 = 0.5 * (Q0 + Q0.T)
-    min_eig = float(scipy.linalg.eigvalsh(Q0, subset_by_index=(0, 0))[0])
+    min_eig = _least_eigenvalue(Q0)
     tau = max(0.0, HESSIAN_SHIFT_FLOOR - min_eig)
     Q = Q0 + tau * np.eye(prob.n_tx)
 
@@ -375,7 +374,8 @@ def solve(prob: EsrProblem, cfg: AdConfig | None = None):
     The full-activation allocation is kept as an incumbent: when the
     alternation ends on a costlier selection, the all-on solution is
     returned instead, so the reported objective never exceeds that baseline.
-    Its power subproblem is solved only when the all-on water-filling bound
+    Its power subproblem is solved only when the alternation ended on
+    another selection and the all-on water-filling bound
     (rate.selection_bounds) does not exceed the alternation's objective.
     """
     return _ad_loop(prob, cfg or AdConfig(), _sbqp_ad2, "AD-SBQP", full_fallback=True)
@@ -466,7 +466,9 @@ def _ad_loop(
         else:
             status = "complementarity_not_met"
 
-    if full_fallback and status in ("success", "complementarity_not_met", "max_iter"):
+    # The incumbent is the alternation's own result when that ended at all-on.
+    if (full_fallback and status in ("success", "complementarity_not_met", "max_iter")
+            and not (x_bar == 1.0).all()):
         objective = rate_mod.economic_objective(P_final, x_bar, prob)
         # The all-on objective is at least its water-filling bound, so above
         # the bound the incumbent cannot win and its power solve is skipped.

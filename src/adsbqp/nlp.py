@@ -9,8 +9,9 @@ most MAX_NEWTON_PER_MU Newton steps.  Each point is evaluated once: a
 line-search trial computes the objective, the log sums and the constraint
 slack, and the accepted trial carries them into the next step.  The Newton
 system goes to LAPACK's Cholesky routines (potrf/potrs) directly, behind
-the finiteness checks scipy.linalg.cho_factor/cho_solve would make; qp
-holds the routines for both solvers.
+the finiteness checks scipy.linalg.cho_factor/cho_solve would make, and
+the least eigenvalue of a shift to syevr as scipy.linalg.eigvalsh calls it;
+qp holds the routines for both solvers.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .qp import _cho_factor, _cho_solve
+from .qp import _cho_factor, _cho_solve, _least_eigenvalue
 
 __all__ = [
     "NlpProblem",
@@ -230,7 +231,7 @@ def _shift_to_pd(H: np.ndarray, floor: float = HESSIAN_EIG_FLOOR) -> np.ndarray:
     c = _cho_factor(H + floor * eye)
     if c is not None:
         return c
-    min_eig = float(scipy.linalg.eigvalsh(H, subset_by_index=(0, 0))[0])
+    min_eig = _least_eigenvalue(H)
     # Start from the exact shift; grow geometrically when rounding at the
     # scale of ||H|| still leaves the factorization indefinite.
     tau = max(floor - min_eig, floor)

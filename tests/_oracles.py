@@ -25,7 +25,6 @@ from adsbqp.nlp import (
     solve_barrier,
 )
 from adsbqp.qp import (
-    CENTERING_SIGMA,
     FRACTION_TO_BOUNDARY,
     QpSolution,
     _stack_constraints,
@@ -390,12 +389,16 @@ def _psd_cholesky_reference(Q):
         raise ValueError("Q is not positive semidefinite") from exc
 
 
-def solve_qp_reference(qp, tol=1e-10, max_iter=100):
-    """The QP interior-point loop as it stood before it called LAPACK directly.
+# The fixed centering parameter of the reference QP loop.
+CENTERING_SIGMA = 0.1
 
-    The Newton system goes through scipy.linalg.cho_factor/cho_solve, C @ dx
-    and z / s are computed twice per iteration, and the mt == 0 path factors
-    Q a second time.  qp.solve_qp must return the same bytes.
+
+def solve_qp_reference(qp, tol=1e-10, max_iter=100):
+    """A plain primal-dual path-following QP loop: fixed centering
+    (CENTERING_SIGMA), one Newton solve per iteration through
+    scipy.linalg.cho_factor/cho_solve, and a stop on the mean
+    complementarity s'z / mt.  qp.solve_qp, a predictor-corrector, must
+    agree with it on status and solution, not on bytes.
     """
     n = qp.n
     _psd_cholesky_reference(qp.Q)

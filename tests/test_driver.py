@@ -1,9 +1,14 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from adsbqp import driver
+from adsbqp.baselines import enumerate_selections
 from adsbqp import rate as rate_mod
 from adsbqp.channel import ChannelMatrix, ScenarioConfig
 from adsbqp.driver import (
@@ -265,6 +270,26 @@ def test_build_ad2_subproblem_curvature_floor_holds():
     assert min_eig >= HESSIAN_SHIFT_FLOOR - 1e-12
 
 
+def test_ad2_least_eigenvalue_equals_eigvalsh(monkeypatch):
+    # build_ad2_subproblem calls LAPACK's syevr directly; on every AD2
+    # curvature matrix of 16x16 seeds 0-3 it returns eigvalsh's bytes.
+    matrices = []
+
+    def recorded(a):
+        matrices.append(a.copy())
+        return least_eigenvalue(a)
+
+    least_eigenvalue = driver._least_eigenvalue
+    monkeypatch.setattr(driver, "_least_eigenvalue", recorded)
+    for seed in range(4):
+        solve(build_esr_problem(ScenarioConfig(n_tx=16, n_users=16, seed=seed, r_th_mode="fraction",
+                                               r_th_value=0.5, noise_n0b=3e-14)))
+    assert len(matrices) >= 8
+    for a in matrices:
+        want = scipy.linalg.eigvalsh(a, subset_by_index=(0, 0))[0]
+        assert np.float64(least_eigenvalue(a)).tobytes() == want.tobytes()
+
+
 def test_single_antenna_scenario_keeps_it_on():
     prob = unit_channel_problem(r_th=1.0)
     sol, trace = solve(prob)
@@ -345,6 +370,37 @@ def test_incumbent_still_wins_where_its_bound_allows(monkeypatch):
         assert sol.objective == full_activation_allocation(prob)[1] < loop_only.objective
 
 
+def test_incumbent_is_not_solved_again_when_the_loop_ends_at_all_on(monkeypatch):
+    # At r_th_value 0.9 the alternation itself ends at all-on on 8 of seeds
+    # 0-9.  The incumbent would repeat the loop's ad1 call at x = 1 and tie
+    # its objective, so solve returns the loop's solution with one ad1 call
+    # there.
+    calls = []
+
+    def recorded(prob, x):
+        calls.append(np.array(x))
+        return ad1(prob, x)
+
+    monkeypatch.setattr(driver, "ad1", recorded)
+    ones = np.ones(8)
+    ended_all_on = 0
+    for seed in range(10):
+        prob = r_th_problem(seed, 0.9)
+        loop_only, _ = driver._ad_loop(prob, AdConfig(), driver._sbqp_ad2, "AD-SBQP")
+        if not np.array_equal(loop_only.x_star, ones):
+            continue
+        ended_all_on += 1
+        calls.clear()
+        sol, _ = solve(prob)
+        assert sum(np.array_equal(x, ones) for x in calls) == 1
+        assert (sol.status, sol.iterations) == (loop_only.status, loop_only.iterations)
+        for name in ("P_star", "x_star", "objective", "complementarity", "rate_residual",
+                     "row_cap_residual"):
+            assert np.asarray(getattr(sol, name)).tobytes() == np.asarray(getattr(loop_only, name)).tobytes()
+        assert sol.objective == full_activation_allocation(prob)[1]
+    assert ended_all_on == 8
+
+
 def test_solve_matches_an_unpruned_incumbent(monkeypatch):
     # Answering the incumbent's bound query with -inf solves the incumbent
     # every time, as solve did before it consulted the bound; the outcome
@@ -371,6 +427,33 @@ def test_solve_matches_an_unpruned_incumbent(monkeypatch):
             assert [(r.objective, r.dx_norm, r.lambda_bar, r.ad2_status) for r in got_trace.rows] == [
                 (r.objective, r.dx_norm, r.lambda_bar, r.ad2_status) for r in want_trace.rows
             ]
+
+
+@st.composite
+def fraction_scenarios(draw):
+    """6x6 to 8x8 fraction-mode scenarios at any seed and rate fraction."""
+    return build_esr_problem(ScenarioConfig(
+        n_tx=draw(st.integers(6, 8)), n_users=draw(st.integers(6, 8)), seed=draw(st.integers(0, 2 ** 16)),
+        r_th_mode="fraction", r_th_value=draw(st.floats(0.05, 0.95)), noise_n0b=3e-14))
+
+
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fraction_scenarios())
+def check_sbqp_between_enumeration_and_full_activation(prob):
+    sol, _ = solve(prob)
+    report, _, _ = enumerate_selections(prob)
+    assert sol.status == report.status == "success"
+    assert sol.objective <= full_activation_allocation(prob)[1]
+    assert sol.objective >= report.objective - 1e-9 * abs(report.objective)
+
+
+def test_sbqp_is_never_worse_than_full_activation_nor_better_than_enumeration():
+    # Guards the QP and the homotopy against selection drift on scenarios
+    # no fixed seed list covers.
+    t0 = time.perf_counter()
+    check_sbqp_between_enumeration_and_full_activation()
+    assert time.perf_counter() - t0 < 30.0
 
 
 def test_boolean_completion_is_the_exhaustive_cheapest():

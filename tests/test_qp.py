@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,89 @@ def test_infeasible_problem_is_reported():
     assert sol.status == "infeasible"
 
 
+def test_infeasible_problem_ends_at_the_step_floor_without_overflow():
+    # The iterates of an infeasible QP run to the boundary of s, z >= 0 with
+    # ever shorter steps; the loop ends once a step falls below MIN_STEP,
+    # long before z overflows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = solve_qp(infeasible_qp())
+    assert sol.status == "infeasible" and sol.iterations < 30
+    assert np.isfinite(sol.duals_ineq).all()
+
+
+def degenerate_qp():
+    # A hypothesis draw; the second row is active at x = (11/24) * 1 and
+    # the first is not.
+    return box_qp(np.full((3, 3), 3.0) + np.eye(3), np.full(3, 10.0),
+                  A=np.array([[0.0, -1.0, -1.0], [-1.0, -1.0, -1.0]]), u=np.array([-0.875, -1.375]))
+
+
+def degenerate_vertex_qp():
+    # The row x2 <= x1 and both lower bounds are active at x = 0, the bounds
+    # with zero multipliers.  Without the centering floor the complementarity
+    # outruns the dual residual, z/s of the row passes 1e16 and the dual
+    # residual stalls above 1e-10 until max_iter; the fixed-centering
+    # reference loop ends at max_iter too.
+    return box_qp(np.array([[5.0, 2.0], [2.0, 6.0]]), np.array([7.0, -7.0]),
+                  A=np.array([[-1.0, 1.0], [1.0, 1.0]]), u=np.array([0.0, 2.0]))
+
+
+def single_point_qp():
+    # The row x2 >= x1 + 1 leaves only x = (0, 1) in the box.  An iterate
+    # passes the loop's own test (each residual and s_i z_i within tol)
+    # while the residual of its clipped point is 1.16e-10: there z_i times
+    # the primal residual adds to z_i * slack_i.  The loop goes on.
+    return box_qp(np.diag([4.0, 6.0]), np.array([-1.0, -4.0]), A=np.array([[1.0, -1.0]]), u=np.array([-1.0]))
+
+
+def repeated_rows_qp():
+    # A hypothesis draw, rounded: three copies of the active row sum(x) >= 1.75
+    # and a looser one.  Without the neighborhood the products drift far
+    # apart and Mehrotra's steps cycle with mu near 0.1-0.3 until max_iter.
+    Q = np.array([[1.7, -0.1, -0.1, -0.1], [-0.1, 1.0, 0.0, 0.0], [-0.1, 0.0, 1.0, 0.0],
+                  [-0.1, 0.0, 0.0, 1.0]])
+    return box_qp(Q, np.full(4, 10.0), A=np.full((4, 4), -0.4), u=np.array([-0.2, -0.7, -0.7, -0.7]))
+
+
+# At the vertex the bounds' zero multipliers leave x within ~sqrt(tol) of it.
+@pytest.mark.parametrize("make, x, atol", [(degenerate_qp, np.full(3, 1.375 / 3), 1e-9),
+                                           (degenerate_vertex_qp, np.zeros(2), 1e-6),
+                                           (single_point_qp, np.array([0.0, 1.0]), 1e-9),
+                                           (repeated_rows_qp, np.array([22.75, 31.5, 31.5, 31.5]) / 67, 1e-9)])
+def test_degenerate_qp_is_solved(make, x, atol):
+    qp = make()
+    sol = solve_qp(qp)
+    assert sol.status == "optimal"
+    assert kkt_residual(qp, sol) <= 1e-10
+    np.testing.assert_allclose(sol.x_star, x, atol=atol)
+
+
+def test_start_point_with_an_unbounded_coordinate_does_not_warn():
+    # One row and a coordinate with no finite bound: the start point takes
+    # the box midpoint only where both bounds are finite.
+    qp = QpProblem(Q=np.eye(2), g=np.array([-3.0, 0.0]), A=np.array([[1.0, 1.0]]), u=np.array([0.0]),
+                   lower=np.array([0.0, -np.inf]), upper=np.array([1.0, np.inf]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = solve_qp(qp)
+    assert sol.status == "optimal" and sol.kkt_residual <= 1e-10
+    np.testing.assert_allclose(sol.x_star, [1.0, -1.0], atol=1e-9)
+
+
+def test_with_g_shares_all_but_the_linear_term():
+    qp = active_row_qp()
+    tilted = qp.with_g(np.array([-2.0, 0.0]))
+    for name in ("Q", "A", "u", "lower", "upper"):
+        assert getattr(tilted, name) is getattr(qp, name)
+    np.testing.assert_array_equal(qp.g, -np.ones(2))
+    want = solve_qp(box_qp(np.eye(2), np.array([-2.0, 0.0]), A=qp.A, u=qp.u))
+    got = solve_qp(tilted)
+    assert got.x_star.tobytes() == want.x_star.tobytes()
+    with pytest.raises(ValueError, match="n entries"):
+        qp.with_g(np.zeros(3))
+
+
 def test_validation_rejects_bad_data():
     with pytest.raises(ValueError):
         QpProblem(
@@ -191,22 +275,32 @@ PROBLEMS = {
 }
 
 
-def assert_same_solution(got, want):
-    for name in ("x_star", "duals_ineq", "duals_lower", "duals_upper"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    assert (got.status, got.iterations) == (want.status, want.iterations)
-    assert got.kkt_residual == want.kkt_residual
+def assert_agrees(qp, got, want, tol=1e-10):
+    """The predictor-corrector and the fixed-centering reference loop reach
+    the same status and, when optimal, objectives within 2 * mt * tol
+    (relative above 1): each stops with a duality gap s'z of at most mt * tol."""
+    assert got.status == want.status
+    if want.status == "optimal":
+        mt = want.duals_ineq.size + np.isfinite(qp.lower).sum() + np.isfinite(qp.upper).sum()
+        f_want = qp.objective(want.x_star)
+        assert abs(qp.objective(got.x_star) - f_want) <= 2 * mt * tol * max(1.0, abs(f_want))
 
 
+# The names say "bit for bit" from when solve_qp was the reference loop
+# itself; the predictor-corrector takes other iterates, so they assert
+# agreement.
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_solve_matches_the_reference_loop_bit_for_bit(name):
     qp = PROBLEMS[name]()
-    assert_same_solution(solve_qp(qp), solve_qp_reference(qp))
+    assert_agrees(qp, solve_qp(qp), solve_qp_reference(qp))
 
 
 def test_ad2_qps_match_the_reference_loop_bit_for_bit(monkeypatch):
     # Every box QP of AD-SBQP at 16x16, the global search and each tilted
-    # round, at the tolerance the homotopy gives it.
+    # round, at the tolerance the homotopy gives it: the same status and
+    # objective, and the same point once bqp._snap_boolean has rounded it
+    # (bit for bit where it snaps to {0,1}, within its 1e-6 reach where it
+    # leaves a fractional point alone).
     calls = []
 
     def recorded(qp, tol=1e-10, max_iter=100):
@@ -219,8 +313,19 @@ def test_ad2_qps_match_the_reference_loop_bit_for_bit(monkeypatch):
                              r_th_value=0.5, noise_n0b=3e-14)
         solve(build_esr_problem(cfg))
     assert {tol > 1e-10 for _, tol in calls} == {False, True}
+    snapped = 0
     for qp, tol in calls:
-        assert_same_solution(solve_qp(qp, tol=tol), solve_qp_reference(qp, tol=tol))
+        got, want = solve_qp(qp, tol=tol), solve_qp_reference(qp, tol=tol)
+        assert_agrees(qp, got, want, tol)
+        x_got, x_want = bqp._snap_boolean(qp, got.x_star), bqp._snap_boolean(qp, want.x_star)
+        boolean = np.array_equal(x_got, np.round(x_got))
+        assert boolean == np.array_equal(x_want, np.round(x_want))
+        if boolean:
+            snapped += 1
+            assert x_got.tobytes() == x_want.tobytes()
+        else:
+            np.testing.assert_allclose(x_got, x_want, rtol=0, atol=1e-6)
+    assert 0 < snapped < len(calls)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -275,13 +380,11 @@ def convex_box_qps(draw):
 @given(convex_box_qps())
 def check_random_convex_box_qp(qp):
     sol = solve_qp(qp)
+    # What solve_qp's docstring guarantees for a QP with inequalities:
+    # "optimal" means kkt_residual <= tol at the returned point, and the
+    # reported residual is kkt_residual's.
     assert sol.status == "optimal"
-    # The loop stops once the mean of the mt complementarity products s_i z_i
-    # is <= tol, so one product, and with it the KKT residual, can reach
-    # mt * tol: 1.03e-10 on min 0.5 x^2 over [0, 1] (mt = 2), where x and
-    # its bound dual both tend to 0.
-    mt = qp.m + 2 * qp.n
-    assert sol.kkt_residual <= mt * 1e-10
+    assert sol.kkt_residual == kkt_residual(qp, sol) <= 1e-10
 
 
 def test_random_convex_box_qps_are_solved():
