@@ -1,10 +1,11 @@
 """Joint transmit-antenna selection and power allocation toolkit.
 
 Alternating-direction optimization of a mixed-Boolean power-minimization
-problem: the power allocation is solved in closed form after an exact
-water-filling feasibility test, and a penalty-homotopy sequential Boolean
-QP handles the antenna switches.  AdConfig holds the only two settable
-values, the AD iteration cap and the complementarity tolerance.
+problem: the power allocation is the water-filling solution over the
+per-user received totals, the same kernel that decides its feasibility,
+and a penalty-homotopy sequential Boolean QP handles the antenna switches.
+AdConfig holds the only two settable values, the AD iteration cap and the
+complementarity tolerance.
 """
 
 __version__ = "0.1.0"
@@ -17,9 +18,7 @@ from .rate import (
     grad_rate_wrt_power,
     grad_rate_wrt_switch,
     hess_rate_wrt_switch,
-    snr_user,
     sum_rate,
-    uniform_power,
 )
 from .qp import QpProblem, QpSolution, kkt_residual, solve_qp
 from .nlp import InfeasibleProblemError, NlpProblem, NlpSolution, find_strictly_feasible, solve_barrier
@@ -40,9 +39,7 @@ __all__ = [
     "grad_rate_wrt_power",
     "grad_rate_wrt_switch",
     "hess_rate_wrt_switch",
-    "snr_user",
     "sum_rate",
-    "uniform_power",
     "QpProblem",
     "QpSolution",
     "kkt_residual",

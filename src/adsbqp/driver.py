@@ -1,10 +1,9 @@
 """Alternating-direction loop: power allocation (AD1) and switch selection (AD2).
 
 AD1 minimizes transmit power at fixed switches over the K per-user received
-totals: behind rate.rate_reachable's exact feasibility test it returns the
-log-barrier central point in closed form, each total the root of a
-quadratic once two nested scalar root finds have fixed the rate and budget
-multipliers.  AD2 minimizes a convex quadratic model of the Lagrangian in x
+totals: it water-fills them with the kernel of rate.water_filling, which
+also decides its feasibility exactly, at a level raised to keep the rate
+slack a barrier solve ends with.  AD2 minimizes a convex quadratic model of the Lagrangian in x
 over the linearized rate constraint via the penalty-homotopy Boolean QP.
 The loop stops as converged when AD2 returns its start x_bar bit for bit
 (AD1 and AD2 are deterministic, so the next iteration could only repeat
@@ -47,9 +46,9 @@ __all__ = [
 
 # The AD loop converges once ||[dP | dx]|| <= EPS_TERM.
 EPS_TERM = 1e-6
-# Barrier tolerance: ad1 returns the central point at mu = NLP_TOL / 10,
-# where a barrier solve at NLP_TOL ends, and the smooth baselines solve
-# their switch NLPs at NLP_TOL.
+# Barrier tolerance: the smooth baselines solve their switch NLPs at
+# NLP_TOL, and ad1 keeps the rate slack mu / lambda with mu = NLP_TOL / 10,
+# where such a solve ends.
 NLP_TOL = 1e-8
 # Least eigenvalue of the AD2 curvature matrix after the shift.
 HESSIAN_SHIFT_FLOOR = 1e-8
@@ -105,81 +104,39 @@ class Ad2Result:
     x_star: np.ndarray
     status: str
     trace: list
-    # (P, lambda) = ad1(prob, x_star)[:2] when AD2 already solved it.
+    # (P, lambda) = ad1(prob, x_star) when AD2 already solved it.
     power: tuple[np.ndarray, float] | None = None
 
 
 class Ad1InfeasibleError(InfeasibleProblemError):
-    """The rate threshold is unreachable at the given switch vector."""
+    """The rate threshold is out of reach within the power budget at the given
+    switch vector, by rate.water_filling's exact test, or every switch is off."""
 
     def __init__(self, message: str, achievable_rate: float):
         super().__init__(message)
         self.achievable_rate = achievable_rate
 
 
-# Root finding in ad1 (_increasing_root): a step grows the guess at most
-# _GROW-fold; a solve stops when a Newton step moves the guess by at most
-# _ROOT_RTOL relative, well above the rounding noise of the rate, or after
-# _MAX_ROOT_STEPS evaluations.
-_GROW = 4.0
-_LOG_GROW = math.log(_GROW)
-_MAX_ROOT_STEPS = 100
-_ROOT_RTOL = 1e-13
-
-
-def _increasing_root(f, z):
-    """Root of an increasing f on (0, inf) by safeguarded Newton steps in log z.
-
-    f(z) returns (value, df/dz).  A step multiplies z by at most _GROW.
-    Where the Newton step is undefined or leaves the bracket known so far,
-    z grows _GROW-fold while no f(z) > 0 has bracketed the root, and the
-    bracket is bisected after that.  Returns the first Newton step that
-    moves z by at most _ROOT_RTOL relative; after _MAX_ROOT_STEPS
-    evaluations, the last z if the root is bracketed and None if it is not.
-    """
-    lo, hi = 0.0, np.inf
-    for _ in range(_MAX_ROOT_STEPS):
-        value, slope = f(z)
-        if value > 0.0:
-            hi = z
-        else:
-            lo = z
-        step = np.nan
-        if slope > 0.0:
-            step = z * math.exp(min(-value / (z * slope), _LOG_GROW))
-            if abs(step - z) <= _ROOT_RTOL * z:
-                return step
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi) if hi < np.inf else _GROW * z
-        z = step
-    return z if hi < np.inf else None
-
-
 def ad1(prob: EsrProblem, x_bar: np.ndarray):
-    """Optimal power allocation at fixed switches.
+    """Optimal power allocation at fixed switches, by water-filling.
 
     Minimizes sum_ij x_i p_ij subject to the rate threshold, per-antenna row
     caps and P >= 0.  Cost and rate depend on P only through the per-user
     received totals a_j = sum_i x_i p_ij, and the row caps only through the
     budget sum_j a_j <= p_th * sum_i x_i, so the problem lives on the K
-    totals.  The returned totals are the central point of the log barrier
-    over them at mu = NLP_TOL / 10, where a barrier solve at NLP_TOL ends;
-    it keeps the rate slack mu / lambda that the smooth baselines' stall
-    depends on.  With g_j the SNR per unit total, c = B / ln2 and eta the
-    budget multiplier, stationarity makes each a_j the positive root of
-
-        (1 + eta) g_j a^2 + (1 + eta - mu g_j - lambda c g_j) a - mu = 0,
-
-    and the multipliers solve lambda * (rate - r_th) = mu and
-    eta * (budget - sum_j a_j) = mu.  Written as rate - r_th - mu / lambda
-    = 0 and budget - sum_j a_j - mu / eta = 0, both are increasing in their
-    multiplier, and safeguarded Newton solves them: lambda for each eta,
-    inside a solve over eta.  Each active row (x_i above rate.BOOLEAN_TOL)
-    then holds a / sum x_i and the others are zero.  The central point exists
-    exactly when rate.rate_reachable holds; otherwise, or when a multiplier
-    has no root, Ad1InfeasibleError carries the rate at the even split of
-    the budget over the users.  Returns (P_star, lambda_bar, evaluations):
-    the rate multiplier and the number of evaluations of the totals.
+    totals, with g_j the SNR per unit total.  rate._water_level, the kernel
+    of rate.water_filling, decides feasibility and gives the level nu at
+    which the m served users reach r_th.  The level is then raised to
+    nu' = nu exp(mu / (m nu)) with mu = NLP_TOL / 10, so that the rate
+    clears r_th by mu / lambda, the slack a barrier solve at NLP_TOL ends
+    with and the smooth baselines' stall depends on; nu' is capped at the
+    level that spends the budget.  Each a_j = max(0, nu' - 1/g_j), computed
+    as expm1(log(nu' g_j)) / g_j so that no digit is lost at low SNR, and
+    each active row (x_i above rate.BOOLEAN_TOL) holds a / sum x_i while
+    the others are zero.  When the threshold is out of reach,
+    Ad1InfeasibleError carries the rate at the even split of the budget
+    over the users.  Returns (P_star, lambda_bar), lambda_bar = nu' ln2 / B
+    the rate multiplier.
     """
     x_bar = np.asarray(x_bar, dtype=float)
     active = np.flatnonzero(x_bar > rate_mod.BOOLEAN_TOL)
@@ -188,68 +145,29 @@ def ad1(prob: EsrProblem, x_bar: np.ndarray):
     x_sum = float(x_bar[active].sum())
     budget = prob.cfg.p_th * x_sum
     g = ((x_bar ** 2) @ prob.gains) / prob.sigma  # SNR per unit received total
-    c_rate = prob.bandwidth / rate_mod.LN2
-    mu = 0.1 * NLP_TOL
-    evaluations = 0
-
-    def rate_of(a):
-        return float(c_rate * np.log1p(a * g).sum())
-
-    def central(lam, eta):
-        """Totals a at (lam, eta) with da/dlam and da/deta, then the rate gap
-        rate - r_th - mu / lam with its partials in lam and eta."""
-        nonlocal evaluations
-        evaluations += 1
-        quad = (1.0 + eta) * g
-        lin = 1.0 + eta - (mu + lam * c_rate) * g
-        root = np.sqrt(lin * lin + 4.0 * quad * mu)  # = 2 quad a + lin
-        # Positive root of quad*a^2 + lin*a - mu, in the form that adds the
-        # two positive terms |lin| and root (quad = 0 only where lin > 0).
-        s = np.abs(lin) + root
-        a = np.divide(s, 2.0 * quad, out=2.0 * mu / s, where=lin <= 0.0)
-        da_dlam = c_rate * g * a / root
-        da_deta = -a * (1.0 + g * a) / root
-        rate_da = c_rate * g / (1.0 + g * a)
-        gap = rate_of(a) - prob.r_th - mu / lam
-        return a, da_dlam, da_deta, gap, rate_da @ da_dlam + mu / lam ** 2, rate_da @ da_deta
-
-    # lambda / (1 + eta) barely moves with eta, so each solve starts from
-    # the last root.  The totals water-fill to lambda c / (1 + eta) - 1 / g_j
-    # as mu -> 0, so the first start is a water level above any that fits
-    # the budget (users with g_j = 0 take no power).
-    lam_scaled = (budget + 1.0 / float(np.min(g, where=g > 0.0, initial=np.inf))) / c_rate
-
-    def lambda_at(eta):
-        return _increasing_root(lambda lam: central(lam, eta)[3:5], (1.0 + eta) * lam_scaled)
-
-    def budget_gap(eta):
-        nonlocal lam_scaled
-        lam = lambda_at(eta)
-        if lam is None:
-            return np.nan, np.nan
-        lam_scaled = lam / (1.0 + eta)
-        a, da_dlam, da_deta, _, gap_dlam, gap_deta = central(lam, eta)
-        dlam_deta = -gap_deta / gap_dlam
-        slope = mu / eta ** 2 - float(np.sum(da_deta + da_dlam * dlam_deta))
-        return budget - float(a.sum()) - mu / eta, slope
-
-    reachable = rate_mod.rate_reachable(g, budget, prob.r_th, prob.bandwidth)
-    eta = _increasing_root(budget_gap, 2.0 * mu / budget) if reachable else None
-    lam = None if eta is None else lambda_at(eta)
-    if lam is None:
+    feasible, least_total, log_top, served = (
+        v[0] for v in rate_mod._water_level(g, budget, prob.r_th, prob.bandwidth))
+    if not feasible:
+        even = np.full(prob.n_users, budget / prob.n_users)
         raise Ad1InfeasibleError(
             f"rate threshold {prob.r_th:.6g} not met within the power budget {budget:.6g}",
-            achievable_rate=rate_of(np.full(prob.n_users, budget / prob.n_users)),
+            achievable_rate=float(prob.bandwidth / rate_mod.LN2 * np.log1p(even * g).sum()),
         )
+    top = float(g.max())
+    spread = served * math.exp(log_top) / top  # m nu: d(sum a) / d(log nu)
+    log_top += min(0.1 * NLP_TOL / spread, math.log1p((budget - least_total) / spread))
+    on = g > 0.0
+    a = np.zeros(prob.n_users)
+    a[on] = np.maximum(0.0, np.expm1(log_top - np.log1p((top - g[on]) / g[on]))) / g[on]
     P_star = np.zeros((prob.n_tx, prob.n_users))
-    P_star[active] = central(lam, eta)[0] / x_sum
-    return P_star, lam, evaluations
+    P_star[active] = a / x_sum
+    return P_star, math.exp(log_top) / top * math.log(2.0) / prob.bandwidth
 
 
 def full_activation_allocation(prob: EsrProblem):
     """Reference allocation with every antenna on; returns (P, objective)."""
     ones = np.ones(prob.n_tx)
-    P, _, _ = ad1(prob, ones)
+    P, _ = ad1(prob, ones)
     return P, rate_mod.economic_objective(P, ones, prob)
 
 
@@ -304,9 +222,10 @@ def search_by_bound(prob: EsrProblem, bounds, keys, selection, power):
     solved for each until a bound exceeds the cheapest objective found: no
     later candidate can beat it.  Ties go to the smaller key, so the result
     is the one an exhaustive search over every candidate would return.
-    Returns (objective, key, x, P, lambda), P and lambda the power
-    subproblem's solution and rate multiplier at x, or None when every power
-    subproblem is infeasible.
+    Returns (objective, key, x, P, lambda), (P, lambda) = power(prob, x), or
+    None when every power subproblem is infeasible.  ad1's objective sits
+    about mu = NLP_TOL / 10 above its bound (the cost of its rate slack), far
+    above rounding error.
     """
     best = None
     for i in np.lexsort((keys, bounds)):
@@ -314,7 +233,7 @@ def search_by_bound(prob: EsrProblem, bounds, keys, selection, power):
             break
         x = selection(keys[i])
         try:
-            P, lam, _ = power(prob, x)
+            P, lam = power(prob, x)
         except Ad1InfeasibleError:
             continue
         objective = rate_mod.economic_objective(P, x, prob)
@@ -378,16 +297,39 @@ def solve(prob: EsrProblem, cfg: AdConfig | None = None):
     another selection and the all-on water-filling bound
     (rate.selection_bounds) does not exceed the alternation's objective.
     """
-    return _ad_loop(prob, cfg or AdConfig(), _sbqp_ad2, "AD-SBQP", full_fallback=True)
+    sol, trace = _ad_loop(prob, cfg or AdConfig(), _sbqp_ad2, "AD-SBQP")
+    # The incumbent is the alternation's own result when that ended at all-on.
+    if (sol.status in ("success", "complementarity_not_met", "max_iter")
+            and not (sol.x_star == 1.0).all()):
+        ones = np.ones(prob.n_tx)
+        # The all-on objective is at least its water-filling bound, so above
+        # the bound the incumbent cannot win and its power solve is skipped.
+        _, bound = rate_mod.selection_bounds(ones[None, :], prob)
+        if bound[0] <= sol.objective:
+            try:
+                P_ones, obj_ones = full_activation_allocation(prob)
+            except Ad1InfeasibleError:
+                obj_ones = np.inf
+            if obj_ones < sol.objective:
+                sol = _solution(prob, P_ones, ones, "success", sol.iterations)
+    return sol, trace
 
 
-def _ad_loop(
-    prob: EsrProblem,
-    cfg: AdConfig,
-    ad2_fn: Callable[..., Ad2Result],
-    method: str,
-    full_fallback: bool = False,
-):
+def _solution(prob: EsrProblem, P: np.ndarray, x: np.ndarray, status: str, iterations: int) -> Solution:
+    """Solution at (P, x) with its objective, complementarity and residuals."""
+    return Solution(
+        P_star=P,
+        x_star=x,
+        objective=rate_mod.economic_objective(P, x, prob),
+        complementarity=penalty_phi(x),
+        rate_residual=rate_mod.sum_rate(P, x, prob) - prob.r_th,
+        row_cap_residual=float(np.max(P.sum(axis=1) - prob.cfg.p_th, initial=-np.inf)),
+        status=status,
+        iterations=iterations,
+    )
+
+
+def _ad_loop(prob: EsrProblem, cfg: AdConfig, ad2_fn: Callable[..., Ad2Result], method: str):
     trace = AdTrace(method=method)
     n, k = prob.n_tx, prob.n_users
     if not prob.feasible_at_full_activation:
@@ -408,7 +350,7 @@ def _ad_loop(
     status = "max_iter"
     it = 0
     repeat = False
-    power = None  # ad1(prob, x_bar)[:2] when the last AD2 already solved it
+    power = None  # ad1(prob, x_bar) when the last AD2 already solved it
 
     while it < cfg.max_ad_iter:
         it += 1
@@ -417,7 +359,7 @@ def _ad_loop(
             P_star, lambda_bar = power
         else:
             try:
-                P_star, lambda_bar, _ = ad1(prob, x_bar)
+                P_star, lambda_bar = ad1(prob, x_bar)
             except Ad1InfeasibleError:
                 status = "infeasible_selection"
                 break
@@ -466,32 +408,4 @@ def _ad_loop(
         else:
             status = "complementarity_not_met"
 
-    # The incumbent is the alternation's own result when that ended at all-on.
-    if (full_fallback and status in ("success", "complementarity_not_met", "max_iter")
-            and not (x_bar == 1.0).all()):
-        objective = rate_mod.economic_objective(P_final, x_bar, prob)
-        # The all-on objective is at least its water-filling bound, so above
-        # the bound the incumbent cannot win and its power solve is skipped.
-        _, bound = rate_mod.selection_bounds(np.ones((1, n)), prob)
-        if bound[0] <= objective:
-            try:
-                P_ones, obj_ones = full_activation_allocation(prob)
-            except Ad1InfeasibleError:
-                obj_ones = np.inf
-            if obj_ones < objective:
-                P_final, x_bar, status = P_ones, np.ones(n), "success"
-
-    comp = penalty_phi(x_bar)
-    rate_res = rate_mod.sum_rate(P_final, x_bar, prob) - prob.r_th
-    row_res = float(np.max(P_final.sum(axis=1) - prob.cfg.p_th, initial=-np.inf))
-    sol = Solution(
-        P_star=P_final,
-        x_star=x_bar,
-        objective=rate_mod.economic_objective(P_final, x_bar, prob),
-        complementarity=comp,
-        rate_residual=rate_res,
-        row_cap_residual=row_res,
-        status=status,
-        iterations=it,
-    )
-    return sol, trace
+    return _solution(prob, P_final, x_bar, status, it), trace

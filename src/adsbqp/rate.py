@@ -8,8 +8,9 @@ relaxed on/off switch vector x is
 The squared-norm factor uses x_i^2 (literal Hadamard product of the channel
 column with x); on Boolean points this coincides with the x_i reading since
 x_i^2 = x_i.  This is the single authoritative definition used everywhere.
-The power subproblem's exact feasibility test and the least power a
-selection needs both come from one batched water-filling kernel.
+The power subproblem's exact feasibility test, the least power a selection
+needs and the power allocation of driver.ad1 all come from one batched
+water-filling kernel.
 """
 
 from __future__ import annotations
@@ -26,12 +27,8 @@ __all__ = [
     "water_filling",
     "rate_reachable",
     "selection_bounds",
-    "uniform_power",
     "is_boolean_feasible",
-    "snr_user",
-    "snr_all",
     "sum_rate",
-    "full_activation_rate",
     "economic_objective",
     "grad_rate_wrt_power",
     "grad_rate_wrt_switch",
@@ -77,11 +74,40 @@ class EsrProblem:
         return self.cfg.bandwidth_b
 
 
-def uniform_power(prob: EsrProblem, scale: float = 1.0) -> np.ndarray:
-    """Uniform allocation p_ij = scale * p_th / K (row sums scale * p_th)."""
-    return np.full(
-        (prob.n_tx, prob.n_users), scale * prob.cfg.p_th / prob.n_users, dtype=float
-    )
+def _water_level(snr_gain: np.ndarray, budget, r_th: float, bandwidth: float):
+    """water_filling's (feasible, least_total) with the level: log_top and served.
+
+    Water-filling (Boyd & Vandenberghe, Convex Optimization, 5.5.3) serves
+    the m strongest users at the level nu, user j with total nu - 1/g_j,
+    for the first m whose level stays below 1/g_(m+1).  The level is kept
+    as log_top = log(nu g_1), the log of one plus the SNR of the strongest
+    user, so that no digit is lost at low SNR: with d_j = log(g_1/g_j),
+    log_top = (r_th ln2 / B + sum d_j) / m over the served users, and the
+    least total is m expm1(log_top) / g_1 - sum (1/g_j - 1/g_1).
+    Feasibility is decided in log space so that no exp overflows.
+    """
+    g = np.sort(np.atleast_2d(snr_gain), axis=1)[:, ::-1]
+    rows, k = g.shape
+    positive = g > 0.0
+    # 1.0 stands in for the gains past the last positive one; no result reads it.
+    g = np.where(positive, g, 1.0)
+    top = g[:, :1]
+    gap = top - g
+    d = np.log1p(gap / g)
+    log_top = (r_th * LN2 / bandwidth + np.cumsum(d, axis=1)) / np.arange(1, k + 1)
+    # The level holds at the first m below the next floor, at the last
+    # positive gain, or at the last user.
+    held = np.ones((rows, k), dtype=bool)
+    held[:, :-1] = (log_top[:, :-1] <= d[:, 1:]) | ~positive[:, 1:]
+    m = held.argmax(axis=1)
+    at_m = (np.arange(rows), m)
+    excess = np.cumsum(gap / (top * g), axis=1)[at_m]
+    log_top, served, top = log_top[at_m], m + 1, top[:, 0]
+    feasible = positive[:, 0] & (log_top < np.log1p(top * (budget + excess) / served))
+    least_total = np.full(rows, np.inf)
+    f = feasible  # expm1 only where it cannot overflow
+    least_total[f] = served[f] * np.expm1(log_top[f]) / top[f] - excess[f]
+    return feasible, least_total, log_top, served
 
 
 def water_filling(snr_gain: np.ndarray, budget, r_th: float, bandwidth: float):
@@ -89,34 +115,11 @@ def water_filling(snr_gain: np.ndarray, budget, r_th: float, bandwidth: float):
 
     Row r of snr_gain holds the SNR per unit power g_j of every user (users
     with g_j = 0 take no power); budget is a scalar or one value per row.
-    Water-filling (Boyd & Vandenberghe, Convex Optimization, 5.5.3) serves
-    the m strongest users at the level nu with
-    log nu = (r_th ln2 / B - sum log g_j) / m, for the first m whose level
-    stays below 1/g_(m+1), and needs the least total m nu - sum 1/g_j over
-    them.  Returns (feasible, least_total): feasible when some totals a >= 0
-    with sum(a) < budget reach B sum_j log2(1 + g_j a_j) >= r_th, decided in
-    log space so that no exp overflows; least_total is inf where infeasible
-    and where a row has no positive gain.
+    Returns (feasible, least_total): feasible when some totals a >= 0 with
+    sum(a) < budget reach B sum_j log2(1 + g_j a_j) >= r_th; least_total is
+    inf where infeasible and where a row has no positive gain.
     """
-    g = np.sort(np.atleast_2d(snr_gain), axis=1)[:, ::-1]
-    rows, k = g.shape
-    positive = g > 0.0
-    # 1.0 stands in for the gains past the last positive one; no result reads it.
-    g = np.where(positive, g, 1.0)
-    log_g = np.log(g)
-    log_nu = (r_th * LN2 / bandwidth - np.cumsum(log_g, axis=1)) / np.arange(1, k + 1)
-    # The level holds at the first m below the next floor, at the last
-    # positive gain, or at the last user.
-    held = np.ones((rows, k), dtype=bool)
-    held[:, :-1] = (log_nu[:, :-1] + log_g[:, 1:] <= 0.0) | ~positive[:, 1:]
-    m = held.argmax(axis=1)
-    at_m = (np.arange(rows), m)
-    floors = np.cumsum(1.0 / g, axis=1)[at_m]
-    log_level = log_nu[at_m]
-    feasible = positive[:, 0] & (np.log(m + 1) + log_level < np.log(budget + floors))
-    least_total = np.full(rows, np.inf)
-    least_total[feasible] = (m[feasible] + 1) * np.exp(log_level[feasible]) - floors[feasible]
-    return feasible, least_total
+    return _water_level(snr_gain, budget, r_th, bandwidth)[:2]
 
 
 def rate_reachable(snr_gain: np.ndarray, budget: float, r_th: float, bandwidth: float) -> bool:
@@ -192,32 +195,9 @@ def _rate(P, x, gains, sigma, bandwidth) -> float:
     return float(bandwidth * np.sum(np.log1p(a * b / sigma)) / LN2)
 
 
-def snr_all(P: np.ndarray, x: np.ndarray, prob: EsrProblem) -> np.ndarray:
-    """Vector of per-user SNRs."""
-    a, b = _accumulate(P, x, prob.gains)
-    return a * b / prob.sigma
-
-
-def snr_user(P: np.ndarray, x: np.ndarray, j: int, prob: EsrProblem) -> float:
-    return float(snr_all(P, x, prob)[j])
-
-
 def sum_rate(P: np.ndarray, x: np.ndarray, prob: EsrProblem) -> float:
     """Total rate sum_j B*log2(1 + snr_j)."""
     return _rate(P, x, prob.gains, prob.sigma, prob.bandwidth)
-
-
-def full_activation_rate(P: np.ndarray, prob: EsrProblem) -> float:
-    """Rate with every antenna on, computed from the column-norm form directly.
-
-    Independent of sum_rate's code path: uses column norms of the channel
-    matrix rather than the elementwise gain accumulation.
-    """
-    norms_sq = np.linalg.norm(prob.channel.entries, axis=0) ** 2
-    totals = P.sum(axis=0)
-    return float(
-        prob.bandwidth * np.sum(np.log1p(totals * norms_sq / prob.sigma)) / LN2
-    )
 
 
 def economic_objective(P: np.ndarray, x: np.ndarray, prob: EsrProblem) -> float:

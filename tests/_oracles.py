@@ -6,7 +6,9 @@ derivatives, brute-force enumeration for Boolean problems and for antenna
 selections, water-filling by bisection on the level, the power subproblem
 solved over all N*K powers instead of the K per-user totals, and the
 log-barrier Newton loop that evaluates every point in full and factors
-through scipy's Cholesky wrappers.
+through scipy's Cholesky wrappers.  The per-user SNR, the uniform
+allocation and the full-activation rate by column norms serve the tests
+and these oracles only.
 """
 
 import numpy as np
@@ -113,6 +115,23 @@ def enumerate_boolean_qp(Q, g, C, d):
     return best_obj, best_x
 
 
+def uniform_power(prob, scale=1.0):
+    """Uniform allocation p_ij = scale * p_th / K (row sums scale * p_th)."""
+    return np.full((prob.n_tx, prob.n_users), scale * prob.cfg.p_th / prob.n_users, dtype=float)
+
+
+def snr_all(P, x, prob):
+    """Vector of per-user SNRs (sum_i p_ij x_i) (sum_i |h_ij|^2 x_i^2) / sigma."""
+    return (x @ P) * ((x ** 2) @ prob.gains) / prob.sigma
+
+
+def full_activation_rate(P, prob):
+    """Rate with every antenna on, from the column norms of the channel
+    matrix rather than the elementwise gain accumulation of rate.sum_rate."""
+    norms_sq = np.linalg.norm(prob.channel.entries, axis=0) ** 2
+    return float(prob.bandwidth * np.sum(np.log1p(P.sum(axis=0) * norms_sq / prob.sigma)) / rate_mod.LN2)
+
+
 def barrier_ad1(prob, x_bar):
     """Power subproblem as a barrier NLP over every power p_ij of the active rows.
 
@@ -131,7 +150,7 @@ def barrier_ad1(prob, x_bar):
     na = active.size
     nz = na * k
     b = (x_bar ** 2) @ prob.gains
-    P0 = rate_mod.uniform_power(prob, 1.0 - 1e-6)
+    P0 = uniform_power(prob, 1.0 - 1e-6)
 
     def to_full(z):
         P = np.zeros((n, k))
@@ -158,7 +177,7 @@ def barrier_ad1(prob, x_bar):
         return J
 
     def constraints_hess(z, w):
-        s = rate_mod.snr_all(to_full(z), x_bar, prob)
+        s = snr_all(to_full(z), x_bar, prob)
         c2 = prob.bandwidth / (rate_mod.LN2 * (1.0 + s) ** 2)
         H = np.zeros((nz, nz))
         for j in range(k):
@@ -192,7 +211,7 @@ def cheapest_exhaustive(prob, candidates):
     best, n_feasible = (None, None, None), 0
     for x in candidates:
         try:
-            P, _, _ = ad1(prob, x)
+            P, _ = ad1(prob, x)
         except Ad1InfeasibleError:
             continue
         n_feasible += 1

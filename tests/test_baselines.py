@@ -115,7 +115,8 @@ def test_enumeration_matches_the_exhaustive_oracle():
 
 def test_selection_bound_lies_just_below_every_feasible_objective():
     # The water-filling least total plus the standby draw bounds the ad1
-    # objective from below, and ad1's barrier slack keeps it within 1e-6.
+    # objective from below, and ad1's rate slack mu / lambda costs it about
+    # mu = 1e-9, well within 1e-6.
     masks = np.arange(1, 2 ** 8)
     X = ((masks[:, None] >> np.arange(8)) & 1).astype(float)
     for seed in range(3):
@@ -127,7 +128,7 @@ def test_selection_bound_lies_just_below_every_feasible_objective():
                 with pytest.raises(Ad1InfeasibleError):
                     ad1(prob, x)
                 continue
-            P, _, _ = ad1(prob, x)
+            P, _ = ad1(prob, x)
             obj = economic_objective(P, x, prob)
             assert b <= obj <= b * (1.0 + 1e-6)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,18 +7,22 @@ from adsbqp.channel import ScenarioConfig, generate_channel
 from adsbqp.rate import (
     build_esr_problem,
     economic_objective,
-    full_activation_rate,
     grad_rate_wrt_power,
     grad_rate_wrt_switch,
     hess_rate_wrt_switch,
     is_boolean_feasible,
     rate_reachable,
-    snr_user,
     sum_rate,
-    uniform_power,
     water_filling,
 )
-from _oracles import fd_gradient, fd_jacobian, water_filling_by_bisection
+from _oracles import (
+    fd_gradient,
+    fd_jacobian,
+    full_activation_rate,
+    snr_all,
+    uniform_power,
+    water_filling_by_bisection,
+)
 
 
 def small_problem(seed=0, n=4, k=3):
@@ -35,7 +41,7 @@ def test_sum_rate_composes_per_user_terms():
     rng = np.random.default_rng(1)
     P, x = random_point(prob, rng)
     total = sum(
-        prob.bandwidth * np.log2(1.0 + snr_user(P, x, j, prob))
+        prob.bandwidth * np.log2(1.0 + snr_all(P, x, prob)[j])
         for j in range(prob.n_users)
     )
     assert sum_rate(P, x, prob) == pytest.approx(total, rel=1e-12)
@@ -48,7 +54,7 @@ def test_snr_matches_direct_formula():
     gains = prob.gains
     for j in range(prob.n_users):
         expected = (P[:, j] @ x) * (gains[:, j] @ x ** 2) / prob.sigma
-        assert snr_user(P, x, j, prob) == pytest.approx(expected, rel=1e-12)
+        assert snr_all(P, x, prob)[j] == pytest.approx(expected, rel=1e-12)
 
 
 def test_rate_is_monotone_in_power_and_switch():
@@ -181,6 +187,13 @@ def test_rate_reachable_is_the_water_filling_bound():
     assert rate_reachable(g, 2.75 + 1e-9, 4.0, 1.0)
     assert not rate_reachable(g, 2.75 - 1e-9, 4.0, 1.0)
     assert water_filling(g, 3.0, 4.0, 1.0)[1][0] == pytest.approx(2.75, rel=1e-14)
+    # At low SNR the level nu ~1e10 dwarfs the least total; one user is
+    # served and needs (2^1e-9 - 1) / g_1 ~ 6.93, to all its digits.
+    g = np.array([1e-10, 0.5e-10])
+    want = math.expm1(1e-9 * math.log(2.0)) / 1e-10
+    assert water_filling(g, 10.0, 1e-9, 1.0)[1][0] == pytest.approx(want, rel=1e-14)
+    assert rate_reachable(g, want * (1.0 + 1e-12), 1e-9, 1.0)
+    assert not rate_reachable(g, want * (1.0 - 1e-12), 1e-9, 1.0)
     # A threshold far out of reach is decided without overflow.
     with np.errstate(all="raise"):
         assert not rate_reachable(g, 1.0, 1e6, 1.0)
