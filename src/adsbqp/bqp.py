@@ -9,8 +9,11 @@ the weight would pass MAX_PENALTY.  solve_bqp's round minimizes the convex
 QP with the penalty replaced by its first-order model rho * (1 - 2*x_hat)' x
 (the quadratic part of the penalty is dropped so the subproblem stays
 convex), takes an Armijo step toward that minimizer and snaps the result
-onto {0,1} when it is within reach; the smooth baselines run their
-penalized barrier solves on the same schedule.
+onto {0,1} when it is within SNAP_REACH; the smooth baselines run their
+penalized barrier solves on the same schedule.  AD-SBQP calls solve_bqp only
+when its driver cannot prove in closed form that the QP's minimizer lies
+within SNAP_REACH / 2 of a Boolean start (driver._step_bound bounds the
+1-norm of that step), since the snap would return the start then.
 """
 
 from __future__ import annotations
@@ -45,6 +48,13 @@ BACKTRACK_FACTOR = 0.5
 MIN_STEP = 1e-12
 # Box QP tolerance at rho <= 1; it scales with rho above that.
 QP_TOL = 1e-10
+# An iterate within SNAP_REACH of a Boolean point in every coordinate is
+# rounded onto it.
+SNAP_REACH = 1e-6
+# What solve_qp raises on a normal matrix that fails its second factor
+# (LinAlgError) or on non-finite data (ValueError); solve_bqp reports both
+# as the status "qp_failed".
+_QP_ERRORS = (np.linalg.LinAlgError, ValueError)
 
 
 @dataclass
@@ -58,7 +68,7 @@ class BqpIterate:
 
 @dataclass
 class BqpResult:
-    x_star: np.ndarray
+    x_star: np.ndarray | None  # None when the global search raised
     trace: list[BqpIterate]
     status: str  # "success" | "complementarity_not_met" | qp failure status
     complementarity: float
@@ -122,7 +132,7 @@ def _snap_boolean(qp: QpProblem, x: np.ndarray, feas_tol: float = 1e-8) -> np.nd
     inequality rows stay satisfied; mirrors the exact-bound activity an
     active-set solver would report."""
     snapped = np.round(x)
-    if np.max(np.abs(snapped - x), initial=0.0) > 1e-6:
+    if np.max(np.abs(snapped - x), initial=0.0) > SNAP_REACH:
         return x
     if qp.m and np.any(qp.A @ snapped - qp.u > feas_tol):
         return x
@@ -164,24 +174,33 @@ def solve_bqp(qp: QpProblem, eps_comp: float = EPS_COMP) -> BqpResult:
 
     Each round takes an Armijo step toward the tilted QP's minimizer.  The
     global minimizer and every round's iterate are snapped onto {0,1} when
-    they lie within reach of it, so the homotopy ends at the first iterate
-    that identifies the Boolean point; a round that moves x by at most
-    STALL_TOL ends it as "complementarity_not_met".  A QP that is not
-    solved to optimality ends the solve with the QP's status.
+    they lie within SNAP_REACH of it in every coordinate, so the homotopy
+    ends at the first iterate that identifies the Boolean point; a round
+    that moves x by at most STALL_TOL ends it as "complementarity_not_met".
+    A QP that is not solved to optimality ends the solve with the QP's
+    status, and one whose solve raises (a failed factor, non-finite data)
+    with "qp_failed": at the last iterate, or with x_star None when the
+    global search raised.
     """
     boxed = _boxed(qp)
 
     def step(rho, x_hat):
         # The tilted linear term grows like rho, so the subproblem tolerance
         # scales with it; the achieved x-space accuracy stays ~QP_TOL.
-        sol = local_search(qp, x_hat, rho, tol=QP_TOL * max(1.0, rho))
+        try:
+            sol = local_search(qp, x_hat, rho, tol=QP_TOL * max(1.0, rho))
+        except _QP_ERRORS:
+            return "qp_failed"
         if sol.status != "optimal":
             return sol.status
         alpha = armijo_step(qp, x_hat, sol.x_star, rho)
         x_new = _snap_boolean(boxed, x_hat + alpha * (sol.x_star - x_hat))
         return x_new, boxed.objective(x_new), alpha, sol.iterations
 
-    sol = global_search(qp)
+    try:
+        sol = global_search(qp)
+    except _QP_ERRORS:
+        return BqpResult(None, [], "qp_failed", float("nan"), float("nan"))
     x_hat, status, trace = sol.x_star, sol.status, []
     if status == "optimal":
         x_hat, status = _snap_boolean(boxed, x_hat), "success"

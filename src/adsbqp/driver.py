@@ -1,10 +1,16 @@
 """Alternating-direction loop: power allocation (AD1) and switch selection (AD2).
 
-AD1 minimizes transmit power at fixed switches over the K per-user received
-totals: it water-fills them with the kernel of rate.water_filling, which
-also decides its feasibility exactly, at a level raised to keep the rate
-slack a barrier solve ends with.  AD2 minimizes a convex quadratic model of the Lagrangian in x
-over the linearized rate constraint via the penalty-homotopy Boolean QP.
+AD1 minimizes transmit power at fixed switches over the K per-user
+received totals: it water-fills them with the kernel of
+rate.water_filling, which also decides its feasibility exactly, at a level
+raised to keep the rate slack a barrier solve ends with.  AD2 minimizes a
+convex quadratic model of the Lagrangian in x over the linearized rate
+constraint via the penalty-homotopy Boolean QP.  At a Boolean start x_bar
+AD-SBQP first tries a closed-form certificate (_step_bound): a multiplier
+nu >= 0 whose reduced costs f + nu a are positive where x_bar is 0 and
+negative where it is 1 bounds the QP's step by ||x - x_bar||_1 <= nu slack
+/ min |f + nu a|.  When that bound is at most half of bqp.SNAP_REACH, AD2
+returns x_bar without building the QP, as solve_bqp would after snapping.
 The loop stops as converged when AD2 returns its start x_bar bit for bit
 (AD1 and AD2 are deterministic, so the next iteration could only repeat
 this one) or ||[dP | dx]|| drops to EPS_TERM, after AdConfig.max_ad_iter
@@ -23,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import rate as rate_mod
-from .bqp import EPS_COMP, penalty_phi, solve_bqp
+from .bqp import EPS_COMP, SNAP_REACH, penalty_phi, solve_bqp
 # solve_barrier is unused here but stays importable as driver.solve_barrier,
 # a call site that perfbench's tracer tests wrap.
 from .nlp import InfeasibleProblemError, solve_barrier  # noqa: F401
@@ -171,6 +177,19 @@ def full_activation_allocation(prob: EsrProblem):
     return P, rate_mod.economic_objective(P, ones, prob)
 
 
+def _linear_model(prob: EsrProblem, P_star: np.ndarray, x_bar: np.ndarray):
+    """The first-order part of AD2's switch model at (P_star, x_bar): (f, a, slack).
+
+    f = P_star.sum(1) + p_rf is the cost per unit of each switch, a = -grad_x
+    rate the row of the linearized rate constraint a'(x - x_bar) <= slack,
+    and slack = rate - r_th its slack at x_bar (mu / lambda at an ad1 point).
+    """
+    f = P_star.sum(axis=1) + prob.cfg.p_rf
+    a = -rate_mod.grad_rate_wrt_switch(P_star, x_bar, prob)
+    slack = rate_mod.sum_rate(P_star, x_bar, prob) - prob.r_th
+    return f, a, slack
+
+
 def build_ad2_subproblem(
     prob: EsrProblem,
     P_star: np.ndarray,
@@ -187,9 +206,7 @@ def build_ad2_subproblem(
     rate exceeds r_th by the slack mu / lambda > 0, so x_bar itself meets
     the linearized constraint and the QP is feasible over the box.
     """
-    f_lin = P_star.sum(axis=1) + prob.cfg.p_rf
-    c_val = prob.r_th - rate_mod.sum_rate(P_star, x_bar, prob)
-    a = -rate_mod.grad_rate_wrt_switch(P_star, x_bar, prob)
+    f_lin, a, slack = _linear_model(prob, P_star, x_bar)
 
     h_rate = rate_mod.hess_rate_wrt_switch(P_star, x_bar, prob)
     Q0 = -lambda_bar * h_rate
@@ -206,7 +223,7 @@ def build_ad2_subproblem(
         Q=Q,
         g=g,
         A=a[None, :],
-        u=np.array([float(a @ x_bar - c_val)]),
+        u=np.array([float(a @ x_bar + slack)]),
         lower=np.zeros(prob.n_tx),
         upper=np.ones(prob.n_tx),
     )
@@ -264,9 +281,63 @@ def _complete_boolean(prob: EsrProblem, x: np.ndarray):
     return None if best is None else best[2:]
 
 
+def _step_bound(f: np.ndarray, a: np.ndarray, slack: float, on: np.ndarray) -> float:
+    """Bound on ||d||_1 for the minimizer d = x - x_bar of AD2's QP at a
+    Boolean x_bar with on switches `on`; inf when no multiplier certifies one.
+
+    In d the QP reads min 0.5 d'Qd + f'd over the box, d >= 0 where x_bar is
+    0 and d <= 0 where it is 1, subject to a'd <= slack.  For nu >= 0 with
+    r = f + nu a positive on every off switch and negative on every on one,
+    every feasible d has 0.5 d'Qd + f'd >= r'd - nu slack >= rho(nu) ||d||_1
+    - nu slack, rho(nu) = min |r_i|, since Q is positive definite after
+    build_ad2_subproblem's shift.  The minimizer does no worse than d = 0,
+    so ||d||_1 <= nu slack / rho(nu) (the active-set optimality conditions
+    with strict complementarity, Nocedal & Wright, Numerical Optimization,
+    sec. 16.5).  The admissible nu lie in (max over on of f_i / -a_i, min
+    over off with a_i < 0 of f_i / -a_i).  With t = 1/nu the bound is
+    slack / h(t), where h(t) = rho(nu) / nu is the least of the lines
+    a_i + f_i t (off) and -(a_i + f_i t) (on): a concave function that
+    peaks at t = 0 (nu -> inf) or where an on line crosses an off line, so
+    those are the only nu tried; no nu certifies when the peak is not
+    positive (an on switch with a_i >= 0, say).
+    """
+    if not ((f > 0.0).all() and slack >= 0.0):
+        return math.inf
+    sign = np.where(on, -1.0, 1.0)
+    crossings = -(a[on, None] + a[~on]) / (f[on, None] + f[~on])
+    t = np.concatenate(([0.0], np.maximum(crossings.ravel(), 0.0)))
+    h = (sign * (a + f * t[:, None])).min(axis=1).max()
+    return slack / h if h > 0.0 else math.inf
+
+
+def _returns_start(prob: EsrProblem, P_star: np.ndarray, x_bar: np.ndarray) -> bool:
+    """True when x_bar is Boolean and _step_bound proves that AD2's QP at
+    (P_star, x_bar) has its minimizer within SNAP_REACH / 2 of x_bar, so
+    that solve_bqp would snap it back to x_bar."""
+    on = x_bar == 1.0
+    if not (on | (x_bar == 0.0)).all():
+        return False
+    return _step_bound(*_linear_model(prob, P_star, x_bar), on) <= 0.5 * SNAP_REACH
+
+
 def _sbqp_ad2(prob, P_star, x_bar, lambda_bar, cfg: AdConfig) -> Ad2Result:
+    """AD2 of AD-SBQP: solve_bqp on build_ad2_subproblem's QP.
+
+    At a Boolean x_bar whose QP minimizer _step_bound places within half of
+    bqp.SNAP_REACH of it (in the 1-norm), the QP is not built: solve_bqp
+    would snap its global minimizer onto x_bar and return it with status
+    "success" and no homotopy round, and so does this step.  The half
+    leaves room for the QP solver's own error.  A fractional solve_bqp
+    result is completed to its cheapest Boolean neighbour
+    (_complete_boolean), and a QP solve that raised leaves x_bar as it is,
+    with the status "qp_failed".
+    """
+    if _returns_start(prob, P_star, x_bar):
+        return Ad2Result(x_bar.copy(), "success", [])
     qp, _ = build_ad2_subproblem(prob, P_star, x_bar, lambda_bar)
     res = solve_bqp(qp, eps_comp=cfg.eps_comp)
+    if res.x_star is None:
+        return Ad2Result(x_bar.copy(), res.status, res.trace)
     if res.status == "complementarity_not_met":
         completed = _complete_boolean(prob, res.x_star)
         if completed is not None:

@@ -34,8 +34,8 @@ __all__ = [
 HESSIAN_EIG_FLOOR = 1e-8
 MIN_STEP = 1e-14
 ARMIJO_C1 = 1e-4
-# Barrier schedule: mu = MU0, MU0 / MU_FACTOR, ... down to tol / 10, at most
-# MAX_NEWTON_PER_MU Newton steps per value.
+# Barrier schedule: mu = MU0 / MU_FACTOR**k for k = 0, 1, ..., floored at
+# tol / 10 and ending there, at most MAX_NEWTON_PER_MU Newton steps per value.
 MU0 = 1.0
 MU_FACTOR = 10.0
 MAX_NEWTON_PER_MU = 200
@@ -251,18 +251,19 @@ def _newton_step(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
 def solve_barrier(prob: NlpProblem, tol: float = 1e-8, z0: np.ndarray | None = None) -> NlpSolution:
     """Outer barrier loop from mu = MU0 down to tol/10, inner damped Newton.
 
-    mu shrinks MU_FACTOR-fold per stage, and a stage that does not converge
-    within MAX_NEWTON_PER_MU Newton steps ends the solve as "max_iter".  A
-    point is evaluated once: a line-search trial computes only the barrier
-    value and the constraint slack, and the accepted trial's objective
-    value, log sums and slack carry over to the next Newton step (and, with
-    the gradient and constraint Jacobian there, to the next mu stage); the
-    barrier gradient and Hessian diagonal are built once per step, at the
-    accepted point.  The Newton system is factored and solved by LAPACK's
-    potrf/potrs directly.  Duals are recovered as mu/slack at the final
-    iterate, and the KKT residual there reuses the slack and derivatives the
-    loop holds; the accepted inner steps are monotone in the barrier objective
-    by the Armijo rule.  iterations counts the Newton steps.
+    Stage k runs at mu = max(MU0 / MU_FACTOR**k, tol/10), computed from k so
+    that no rounding error accumulates into an extra stage, and a stage that
+    does not converge within MAX_NEWTON_PER_MU Newton steps ends the solve as
+    "max_iter".  A point is evaluated once: a line-search trial computes only
+    the barrier value and the constraint slack, and the accepted trial's
+    objective value, log sums and slack carry over to the next Newton step
+    (and, with the gradient and constraint Jacobian there, to the next mu
+    stage); the barrier gradient and Hessian diagonal are built once per step,
+    at the accepted point.  The Newton system is factored and solved by
+    LAPACK's potrf/potrs directly.  Duals are recovered as mu/slack at the
+    final iterate, and the KKT residual there reuses the slack and derivatives
+    the loop holds; the accepted inner steps are monotone in the barrier
+    objective by the Armijo rule.  iterations counts the Newton steps.
     """
     here = None  # _evaluate(prob, z)
     if z0 is not None:
@@ -274,8 +275,9 @@ def solve_barrier(prob: NlpProblem, tol: float = 1e-8, z0: np.ndarray | None = N
         if here is None:
             raise RuntimeError("barrier iterate left the feasible interior")
     f = prob.objective(z)
-    mu = MU0
+    stage = 0
     mu_min = tol * 0.1
+    mu = max(MU0, mu_min)
     total_iters = 0
     status = "optimal"
     derivatives = None  # objective gradient and constraint Jacobian at z
@@ -339,7 +341,8 @@ def solve_barrier(prob: NlpProblem, tol: float = 1e-8, z0: np.ndarray | None = N
             break
         if mu <= mu_min:
             break
-        mu = max(mu / MU_FACTOR, mu_min)
+        stage += 1
+        mu = max(MU0 / MU_FACTOR ** stage, mu_min)
 
     if prob.m:
         duals = mu / np.maximum(here[3], np.finfo(float).tiny)

@@ -1,7 +1,7 @@
 """Slow-but-sure reference implementations used to cross-check the solvers.
 
-Everything here trades speed for being independently verifiable: projected
-gradient with Dykstra projections for QPs, central finite differences for
+Everything here trades speed for being independently verifiable: SLSQP
+with an exact solve on its active set for QPs, central finite differences for
 derivatives, brute-force enumeration for Boolean problems and for antenna
 selections, water-filling by bisection on the level, the power subproblem
 solved over all N*K powers instead of the K per-user totals, and the
@@ -13,6 +13,7 @@ and these oracles only.
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 
 from adsbqp import rate as rate_mod
 from adsbqp.driver import NLP_TOL, Ad1InfeasibleError, ad1
@@ -57,48 +58,51 @@ def fd_jacobian(g, x, h=1e-6):
     return J
 
 
-def dykstra_project(y, C, d, lower, upper, cycles=60):
-    """Projection onto {x: Cx <= d, lower <= x <= upper} by Dykstra's method.
+def active_set_qp(Q, g, C, d, lower, upper):
+    """min 0.5 x'Qx + g'x over {Cx <= d, lower <= x <= upper}, finite bounds.
 
-    Row norms are computed once, and the box step and the row products use
-    the numpy calls with the least overhead that give np.clip's and ``@``'s
-    results bit for bit.
-    """
-    x = np.asarray(y, dtype=float).copy()
-    rows = [(row, float(row @ row), float(d_k)) for row, d_k in zip(C, d)]
-    box_correction = np.zeros_like(x)
-    row_corrections = [np.zeros_like(x) for _ in rows]
-    for _ in range(cycles):
-        z = x + box_correction
-        x = np.minimum(np.maximum(z, lower), upper)
-        box_correction = z - x
-        for k, (row, norm_sq, d_k) in enumerate(rows):
-            z = x + row_corrections[k]
-            violation = float(row.dot(z)) - d_k
-            x = z - (violation / norm_sq) * row if violation > 0.0 else z
-            row_corrections[k] = z - x
-    return x
-
-
-def projected_gradient_qp(Q, g, C, d, lower, upper, iters=3000, cycles=40):
-    """Long-run projected gradient for min 0.5 x'Qx + g'x over the polytope.
-
-    Step size 1/L with L the largest eigenvalue of Q; the projection is
-    Dykstra onto the box intersected with the halfspaces.
+    scipy's SLSQP (Kraft's sequential least squares, an active-set method
+    that shares nothing with qp.solve_qp's interior point) runs from the box
+    midpoint and both corners, and the best end point that meets every row
+    and bound names the active set: the rows and bounds within 1e-9 of
+    tight.  The KKT system of the QP with those constraints as equalities
+    is then solved exactly; when its solution is feasible and its
+    multipliers have the right signs it is the exact minimizer (for convex
+    Q) and is returned, else SLSQP's point is.
     """
     Q = np.asarray(Q, dtype=float)
     g = np.asarray(g, dtype=float)
     n = g.size
     C = np.asarray(C, dtype=float).reshape(-1, n)
     d = np.asarray(d, dtype=float).reshape(-1)
-    L = float(np.linalg.eigvalsh(Q)[-1])
-    step = 1.0 / max(L, 1e-12)
     lo = np.broadcast_to(np.asarray(lower, dtype=float), (n,))
     hi = np.broadcast_to(np.asarray(upper, dtype=float), (n,))
-    x = dykstra_project(np.zeros(n), C, d, lo, hi, cycles=cycles)
-    for _ in range(iters):
-        x = dykstra_project(x - step * (Q @ x + g), C, d, lo, hi, cycles=cycles)
-    return x
+    rows = [{"type": "ineq", "fun": lambda x: d - C @ x, "jac": lambda x: -C}] if C.shape[0] else []
+
+    def objective(x):
+        return float(0.5 * x @ Q @ x + g @ x)
+
+    best = None
+    for x0 in (0.5 * (lo + hi), lo, hi):
+        res = scipy.optimize.minimize(objective, x0, jac=lambda x: Q @ x + g, method="SLSQP",
+                                      bounds=list(zip(lo, hi)), constraints=rows,
+                                      options={"ftol": 1e-15, "maxiter": 500})
+        x = np.clip(res.x, lo, hi)
+        if (C @ x - d).max(initial=0.0) <= 1e-12 and (best is None or objective(x) < objective(best)):
+            best = x
+    tight = np.flatnonzero(d - C @ best <= 1e-9)
+    at_hi = np.flatnonzero(hi - best <= 1e-9)
+    at_lo = np.flatnonzero(best - lo <= 1e-9)
+    E = np.vstack([C[tight], np.eye(n)[at_hi], -np.eye(n)[at_lo]])
+    k = E.shape[0]
+    kkt = np.block([[Q, E.T], [E, np.zeros((k, k))]])
+    rhs = np.concatenate([-g, d[tight], hi[at_hi], -lo[at_lo]])
+    solution = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+    x, multipliers = solution[:n], solution[n:]
+    if ((multipliers >= -1e-12).all() and (C @ x - d).max(initial=0.0) <= 1e-13
+            and (x >= lo - 1e-13).all() and (x <= hi + 1e-13).all()):
+        return np.clip(x, lo, hi)
+    return best
 
 
 def enumerate_boolean_qp(Q, g, C, d):
@@ -336,8 +340,9 @@ def solve_barrier_reference(prob, tol=1e-8, z0=None, mu0=1.0, mu_factor=10.0, ma
     if z0 is None or not _strictly_inside(prob, np.asarray(z0, float)):
         z0 = find_strictly_feasible(prob, z0)
     z = np.asarray(z0, dtype=float).copy()
-    mu = float(mu0)
+    stage = 0
     mu_min = tol * 0.1
+    mu = max(float(mu0), mu_min)
     total_iters = 0
     status = "optimal"
 
@@ -387,7 +392,8 @@ def solve_barrier_reference(prob, tol=1e-8, z0=None, mu0=1.0, mu_factor=10.0, ma
             break
         if mu <= mu_min:
             break
-        mu = max(mu / mu_factor, mu_min)
+        stage += 1
+        mu = max(mu0 / mu_factor ** stage, mu_min)
 
     if prob.m:
         slack = -prob.cons(z)

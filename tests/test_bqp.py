@@ -2,7 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from adsbqp import bqp
 from adsbqp.bqp import (
     BETA,
     MIN_STEP,
@@ -16,7 +18,7 @@ from adsbqp.bqp import (
     solve_bqp,
 )
 from adsbqp.driver import AdConfig
-from adsbqp.qp import QpProblem
+from adsbqp.qp import QpProblem, solve_qp
 from _oracles import enumerate_boolean_qp
 
 
@@ -57,6 +59,33 @@ def test_rho_escalates_geometrically_in_the_trace():
     assert rhos == sorted(rhos)
     for a, b in zip(rhos, rhos[1:]):
         assert b == pytest.approx(2.0 * a)
+
+
+@pytest.mark.parametrize("error", [scipy.linalg.LinAlgError("the normal matrix is not positive definite"),
+                                   ValueError("array must not contain infs or NaNs")])
+def test_a_qp_solve_that_raises_ends_as_qp_failed(monkeypatch, error):
+    # The global minimizer (0.5, 0.45, 0) is fractional, so the homotopy runs.
+    qp = box_qp(np.eye(3), np.array([-0.5, -0.45, 0.2]))
+    x_global = solve_qp(qp, tol=bqp.QP_TOL).x_star
+
+    def raising_after(solved):
+        calls = []
+
+        def solve(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > solved:
+                raise error
+            return solve_qp(*args, **kwargs)
+        return solve
+
+    for solved in (0, 1):
+        monkeypatch.setattr(bqp, "solve_qp", raising_after(solved))
+        res = solve_bqp(qp)
+        assert (res.status, res.trace) == ("qp_failed", [])
+        if solved == 0:  # the global search raised: no point to return
+            assert res.x_star is None
+        else:  # the first round raised: the homotopy ends at its start
+            np.testing.assert_array_equal(res.x_star, x_global)
 
 
 def test_global_search_ignores_the_penalty():

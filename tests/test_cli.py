@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import adsbqp
-from adsbqp import cli
+from adsbqp import bqp, cli
 from adsbqp.channel import ScenarioConfig
 from adsbqp.cli import (
     RunManifest,
@@ -209,6 +209,23 @@ def test_compare_isolates_a_method_that_raises(tmp_path, monkeypatch, capsys):
         assert (out / name).is_file(), name
     assert not (out / "trace_AD-SPen.csv").exists()
     assert "RuntimeError: barrier iterate" in (out / "error_AD-SPen.txt").read_text()
+
+
+def test_compare_writes_every_row_when_the_qp_raises(tmp_path, monkeypatch, capsys):
+    # A QP solve that raises ends AD-SBQP's AD2 as "qp_failed" inside the
+    # solve, so AD-SBQP still reports a solution and ENUM runs after it.
+    def raising(*args, **kwargs):
+        raise np.linalg.LinAlgError("the normal matrix is not positive definite")
+
+    monkeypatch.setattr(bqp, "solve_qp", raising)
+    out = tmp_path / "out"
+    main(["compare", "--scenario", str(write_scenario(tmp_path)), "--out", str(out),
+          "--methods", "AD-SBQP,ENUM"])
+    assert "Traceback" not in capsys.readouterr().err
+    rows = {r["method"]: r for r in json.loads((out / "comparison.json").read_text())["rows"]}
+    assert sorted(rows) == ["AD-SBQP", "ENUM"]
+    assert "error" not in (rows["AD-SBQP"]["status"], rows["ENUM"]["status"])
+    assert (out / "trace_AD-SBQP.csv").is_file() and not (out / "error_AD-SBQP.txt").exists()
 
 
 def test_enumerate_subcommand_prints_the_optimum(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 import time
 
 import numpy as np
@@ -7,9 +9,10 @@ import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from adsbqp import driver
+from adsbqp import bqp, driver
 from adsbqp.baselines import enumerate_selections
 from adsbqp import rate as rate_mod
+from adsbqp.bqp import SNAP_REACH, solve_bqp
 from adsbqp.channel import ChannelMatrix, ScenarioConfig
 from adsbqp.driver import (
     HESSIAN_SHIFT_FLOOR,
@@ -22,6 +25,7 @@ from adsbqp.driver import (
     full_activation_allocation,
     solve,
 )
+from adsbqp.qp import solve_qp
 from adsbqp.rate import (
     BOOLEAN_TOL,
     build_esr_problem,
@@ -345,7 +349,8 @@ def test_build_ad2_subproblem_curvature_floor_holds():
 
 def test_ad2_least_eigenvalue_equals_eigvalsh(monkeypatch):
     # build_ad2_subproblem calls LAPACK's syevr directly; on every AD2
-    # curvature matrix of 16x16 seeds 0-3 it returns eigvalsh's bytes.
+    # curvature matrix of 16x16 seeds 0-7 it returns eigvalsh's bytes.  The
+    # confirming AD2 step builds no QP, so each solve adds one matrix.
     matrices = []
 
     def recorded(a):
@@ -354,13 +359,156 @@ def test_ad2_least_eigenvalue_equals_eigvalsh(monkeypatch):
 
     least_eigenvalue = driver._least_eigenvalue
     monkeypatch.setattr(driver, "_least_eigenvalue", recorded)
-    for seed in range(4):
+    for seed in range(8):
         solve(build_esr_problem(ScenarioConfig(n_tx=16, n_users=16, seed=seed, r_th_mode="fraction",
                                                r_th_value=0.5, noise_n0b=3e-14)))
     assert len(matrices) >= 8
     for a in matrices:
         want = scipy.linalg.eigvalsh(a, subset_by_index=(0, 0))[0]
         assert np.float64(least_eigenvalue(a)).tobytes() == want.tobytes()
+
+
+def test_certified_starts_are_the_ones_solve_bqp_snaps_back(monkeypatch):
+    # Every Boolean start the certificate accepts on these seeds (one per
+    # solve, the confirming AD2 step) is also what solve_bqp returns on the
+    # QP the certificate skips.
+    t0 = time.perf_counter()
+    accepted = []
+    returns_start = driver._returns_start
+
+    def recorded(prob, P, x):
+        certified = returns_start(prob, P, x)
+        if certified:
+            accepted.append((prob, P, x.copy()))
+        return certified
+
+    monkeypatch.setattr(driver, "_returns_start", recorded)
+    for n, seeds in ((8, range(20)), (16, range(10))):
+        for seed in seeds:
+            solve(scaled_problem(seed=seed, n=n, k=n))
+    assert len(accepted) == 30
+    for prob, P, x in accepted:
+        P_ad1, lam = ad1(prob, x)
+        assert P.tobytes() == P_ad1.tobytes()
+        res = solve_bqp(build_ad2_subproblem(prob, P, x, lam)[0])
+        assert res.status == "success" and res.x_star.tobytes() == x.tobytes()
+    assert time.perf_counter() - t0 < 10.0
+
+
+def recorded_qp_solves(monkeypatch):
+    """A list that gains "qp" at each qp.solve_qp call bqp makes."""
+    events = []
+
+    def counted(*args, **kwargs):
+        events.append("qp")
+        return solve_qp(*args, **kwargs)
+
+    monkeypatch.setattr(bqp, "solve_qp", counted)
+    return events
+
+
+def ad_rows(trace):
+    """Every field of every AD row but the wall times, exactly."""
+    return repr([{k: v for k, v in vars(r).items() if k not in ("ad1_time", "ad2_time")}
+                 for r in trace.rows])
+
+
+def test_solve_is_byte_identical_without_the_certificate(monkeypatch):
+    t0 = time.perf_counter()
+    calls = recorded_qp_solves(monkeypatch)
+    for n, seeds in ((8, range(10)), (16, range(4))):
+        for seed in seeds:
+            prob = scaled_problem(seed=seed, n=n, k=n)
+            calls.clear()
+            got, got_trace = solve(prob)
+            certified_calls = len(calls)
+            with monkeypatch.context() as patch:
+                patch.setattr(driver, "_step_bound", lambda *args: math.inf)
+                calls.clear()
+                want, want_trace = solve(prob)
+            assert certified_calls < len(calls)
+            assert (got.status, got.iterations) == (want.status, want.iterations)
+            for name in ("P_star", "x_star", "objective", "complementarity", "rate_residual",
+                         "row_cap_residual"):
+                assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(want, name)).tobytes()
+            assert ad_rows(got_trace) == ad_rows(want_trace)
+    assert time.perf_counter() - t0 < 10.0
+
+
+def test_uncertified_starts_go_to_the_qp(monkeypatch):
+    t0 = time.perf_counter()
+    calls = recorded_qp_solves(monkeypatch)
+
+    def qp_calls(prob, P, x, lam):
+        calls.clear()
+        driver._sbqp_ad2(prob, P, x, lam, AdConfig())
+        return len(calls)
+
+    prob = scaled_problem(seed=1)
+    x = solve(prob)[0].x_star
+    on = x == 1.0
+    P, lam = ad1(prob, x)
+    assert qp_calls(prob, P, x, lam) == 0  # the certified confirming step
+    # A fractional start.
+    x_frac = np.where(on, 0.9, 0.1)
+    P_frac, lam_frac = ad1(prob, x_frac)
+    assert qp_calls(prob, P_frac, x_frac, lam_frac) > 0
+    # An on switch whose rate gradient is 0 admits no multiplier.
+    grad = rate_mod.grad_rate_wrt_switch
+
+    def flat(P, x, prob):
+        g = grad(P, x, prob)
+        g[np.flatnonzero(x == 1.0)[0]] = 0.0
+        return g
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rate_mod, "grad_rate_wrt_switch", flat)
+        assert driver._step_bound(*driver._linear_model(prob, P, x), on) == math.inf
+        assert qp_calls(prob, P, x, lam) > 0
+    # A lower threshold widens the slack, and with it the bound, which is
+    # linear in the slack: here to SNAP_REACH, twice what the certificate
+    # accepts.
+    f, a, slack = driver._linear_model(prob, P, x)
+    per_slack = driver._step_bound(f, a, slack, on) / slack
+    wide = dataclasses.replace(prob, r_th=prob.r_th - (SNAP_REACH / per_slack - slack))
+    bound = driver._step_bound(*driver._linear_model(wide, P, x), on)
+    assert bound == pytest.approx(SNAP_REACH, rel=1e-6)
+    assert qp_calls(wide, P, x, lam) > 0
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_the_last_ad_iteration_solves_no_qp(monkeypatch):
+    t0 = time.perf_counter()
+    events = recorded_qp_solves(monkeypatch)
+    sbqp_ad2 = driver._sbqp_ad2
+
+    def marked(*args):
+        events.append("ad2")
+        return sbqp_ad2(*args)
+
+    monkeypatch.setattr(driver, "_sbqp_ad2", marked)
+    for seed in range(5):
+        events.clear()
+        sol, trace = solve(scaled_problem(seed=seed, n=16, k=16))
+        assert sol.status == "success" and events.count("ad2") == len(trace.rows) >= 2
+        last = len(events) - 1 - events[::-1].index("ad2")
+        assert "qp" in events[:last] and "qp" not in events[last:]
+    assert time.perf_counter() - t0 < 5.0
+
+
+@pytest.mark.parametrize("error", [scipy.linalg.LinAlgError("the normal matrix is not positive definite"),
+                                   ValueError("array must not contain infs or NaNs")])
+def test_a_qp_that_raises_ends_ad2_as_qp_failed(monkeypatch, error):
+    def raising(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(bqp, "solve_qp", raising)
+    prob = scaled_problem(seed=1)
+    sol, trace = solve(prob)
+    assert isinstance(sol, driver.Solution)
+    assert trace.rows[-1].ad2_status == "qp_failed"
+    # AD2 keeps its fractional start, so the loop stops after one iteration.
+    assert len(trace.rows) == 1 and trace.rows[0].dx_norm == 0.0
 
 
 def test_single_antenna_scenario_keeps_it_on():
