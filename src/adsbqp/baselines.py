@@ -94,7 +94,7 @@ def _penalized_barrier_ad2(x_bar: np.ndarray, cfg: AdConfig, f, grad_f, hess_f, 
         if sol.status != "optimal":
             return sol.status
         x = sol.z_star
-        return x, f(x) + rho * penalty_phi(x), float("nan"), sol.iterations
+        return x, f(x) + rho * penalty_phi(x), sol.iterations
 
     return Ad2Result(*penalty_homotopy(step, x_bar, cfg.eps_comp))
 

@@ -6,14 +6,17 @@ penalty_homotopy owns the rho schedule: it starts at RHO0, runs one round
 per penalty weight and multiplies rho by BETA until the complementarity
 tolerance is met, a round moves x by at most STALL_TOL in the max norm or
 the weight would pass MAX_PENALTY.  solve_bqp's round minimizes the convex
-QP with the penalty replaced by its first-order model rho * (1 - 2*x_hat)' x
-(the quadratic part of the penalty is dropped so the subproblem stays
-convex), takes an Armijo step toward that minimizer and snaps the result
-onto {0,1} when it is within SNAP_REACH; the smooth baselines run their
-penalized barrier solves on the same schedule.  AD-SBQP calls solve_bqp only
-when its driver cannot prove in closed form that the QP's minimizer lies
-within SNAP_REACH / 2 of a Boolean start (driver._step_bound bounds the
-1-norm of that step), since the snap would return the start then.
+QP with the penalty replaced by its tangent rho * (1 - 2*x_hat)' x and
+moves to that minimizer x_tilde, snapped onto {0,1} when it is within
+SNAP_REACH.  phi is concave, so the tilted QP majorizes the merit M = q +
+rho * phi (the concave-convex procedure, Yuille & Rangarajan 2003; DCA, Le
+Thi & Pham Dinh 2018): M(x_tilde) <= M(x_hat) - rho ||d||^2 - 0.5 d'Qd with
+d = x_tilde - x_hat, and the full step needs no line search.  The smooth
+baselines run their penalized barrier solves on the same schedule.  AD-SBQP
+calls solve_bqp only when its driver cannot prove in closed form that the
+QP's minimizer lies within SNAP_REACH / 2 of a Boolean start
+(driver._step_bound bounds the 1-norm of that step), since the snap would
+return the start then.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ __all__ = [
     "penalty_grad",
     "global_search",
     "local_search",
-    "armijo_step",
     "penalty_homotopy",
     "solve_bqp",
 ]
@@ -42,10 +44,6 @@ BETA = 2.0
 MAX_PENALTY = 2.0 ** 32
 STALL_TOL = 1e-9
 EPS_COMP = 1e-10
-# Armijo backtracking: decrease constant, step factor, last step tried.
-ARMIJO_C1 = 1e-4
-BACKTRACK_FACTOR = 0.5
-MIN_STEP = 1e-12
 # Box QP tolerance at rho <= 1; it scales with rho above that.
 QP_TOL = 1e-10
 # An iterate within SNAP_REACH of a Boolean point in every coordinate is
@@ -62,7 +60,6 @@ class BqpIterate:
     rho: float
     objective: float
     complementarity: float
-    step_length: float
     qp_iterations: int
 
 
@@ -105,28 +102,6 @@ def local_search(qp: QpProblem, x_hat: np.ndarray, rho: float, tol: float = QP_T
     return solve_qp(_boxed(qp).with_g(qp.g + rho * penalty_grad(x_hat)), tol=tol)
 
 
-def armijo_step(qp: QpProblem, x_hat: np.ndarray, x_tilde: np.ndarray, rho: float) -> float:
-    """Largest halved step satisfying the Armijo decrease on the exact merit.
-
-    Falls back to MIN_STEP when the direction is non-descent or the
-    backtracking exhausts.
-    """
-    def merit(x):
-        return qp.objective(x) + rho * penalty_phi(x)
-
-    d = x_tilde - x_hat
-    # A zero slope still admits progress when the merit is concave along d
-    # (penalty saddle); fall back to plain decrease instead of giving up.
-    slope = min(float((qp.Q @ x_hat + qp.g + rho * penalty_grad(x_hat)) @ d), 0.0)
-    base = merit(x_hat)
-    alpha = 1.0
-    while alpha >= MIN_STEP:
-        if merit(x_hat + alpha * d) <= base + ARMIJO_C1 * alpha * slope:
-            return alpha
-        alpha *= BACKTRACK_FACTOR
-    return MIN_STEP
-
-
 def _snap_boolean(qp: QpProblem, x: np.ndarray, feas_tol: float = 1e-8) -> np.ndarray:
     """Round near-Boolean coordinates exactly onto {0,1} when the general
     inequality rows stay satisfied; mirrors the exact-bound activity an
@@ -143,9 +118,9 @@ def penalty_homotopy(step, x0: np.ndarray, eps_comp: float):
     """The rho schedule shared by AD-SBQP and the smooth baselines.
 
     step(rho, x_hat) runs one round from x_hat at penalty weight rho and
-    returns (x, objective, step_length, iterations), or a status string
-    when the round fails, which ends the homotopy at x_hat.  Returns
-    (x, status, trace) with status "success" once phi(x) <= eps_comp and
+    returns (x, objective, iterations), or a status string when the round
+    fails, which ends the homotopy at x_hat.  Returns (x, status, trace)
+    with status "success" once phi(x) <= eps_comp and
     "complementarity_not_met" when a round moves x by at most STALL_TOL or
     the schedule runs out first; the stalled round is recorded.
     """
@@ -156,9 +131,9 @@ def penalty_homotopy(step, x0: np.ndarray, eps_comp: float):
         result = step(rho, x_hat)
         if isinstance(result, str):
             return x_hat, result, trace
-        x_new, objective, step_length, iterations = result
+        x_new, objective, iterations = result
         comp = penalty_phi(x_new)
-        trace.append(BqpIterate(rho, objective, comp, step_length, iterations))
+        trace.append(BqpIterate(rho, objective, comp, iterations))
         moved = np.max(np.abs(x_new - x_hat), initial=0.0)
         x_hat = x_new
         if comp <= eps_comp:
@@ -172,7 +147,10 @@ def solve_bqp(qp: QpProblem, eps_comp: float = EPS_COMP) -> BqpResult:
     """Global search once, then the penalty homotopy from its minimizer
     unless that is already Boolean to eps_comp.
 
-    Each round takes an Armijo step toward the tilted QP's minimizer.  The
+    Each round moves to the tilted QP's minimizer x_tilde, no line search:
+    phi(x_hat + d) = phi(x_hat) + grad phi(x_hat)'d - ||d||^2 exactly, and
+    x_tilde minimizes the tilted QP over a set that holds x_hat, so M(x_tilde)
+    <= M(x_hat) - rho ||d||^2 - 0.5 d'Qd with d = x_tilde - x_hat.  The
     global minimizer and every round's iterate are snapped onto {0,1} when
     they lie within SNAP_REACH of it in every coordinate, so the homotopy
     ends at the first iterate that identifies the Boolean point; a round
@@ -193,9 +171,8 @@ def solve_bqp(qp: QpProblem, eps_comp: float = EPS_COMP) -> BqpResult:
             return "qp_failed"
         if sol.status != "optimal":
             return sol.status
-        alpha = armijo_step(qp, x_hat, sol.x_star, rho)
-        x_new = _snap_boolean(boxed, x_hat + alpha * (sol.x_star - x_hat))
-        return x_new, boxed.objective(x_new), alpha, sol.iterations
+        x_new = _snap_boolean(boxed, sol.x_star)
+        return x_new, boxed.objective(x_new), sol.iterations
 
     try:
         sol = global_search(qp)

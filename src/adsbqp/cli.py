@@ -44,7 +44,7 @@ __all__ = [
     "main",
 ]
 
-TRACE_SCHEMA = "adsbqp-trace-v2"
+TRACE_SCHEMA = "adsbqp-trace-v3"
 COMPARISON_SCHEMA = "adsbqp-comparison-v1"
 
 _TUPLE_KEYS = {"cell_center", "bs_position"}
@@ -153,6 +153,7 @@ def _write_trace(out_dir: Path, method: str, trace: AdTrace) -> None:
         "dx_norm",
         "lambda",
         "ad2_rounds",
+        "ad2_status",
     ]
     rows = [
         [
@@ -164,6 +165,7 @@ def _write_trace(out_dir: Path, method: str, trace: AdTrace) -> None:
             _fmt(row.dx_norm),
             _fmt(row.lambda_bar),
             len(row.ad2_trace),
+            row.ad2_status,
         ]
         for row in trace.rows
     ]

@@ -327,10 +327,10 @@ def _sbqp_ad2(prob, P_star, x_bar, lambda_bar, cfg: AdConfig) -> Ad2Result:
     bqp.SNAP_REACH of it (in the 1-norm), the QP is not built: solve_bqp
     would snap its global minimizer onto x_bar and return it with status
     "success" and no homotopy round, and so does this step.  The half
-    leaves room for the QP solver's own error.  A fractional solve_bqp
-    result is completed to its cheapest Boolean neighbour
-    (_complete_boolean), and a QP solve that raised leaves x_bar as it is,
-    with the status "qp_failed".
+    leaves room for the QP solver's own error.  A solve_bqp result that is
+    neither "success" nor "qp_failed" (a stalled homotopy or QP) is
+    completed to its cheapest Boolean neighbour (_complete_boolean); a QP
+    solve that raised leaves x_bar as it is, with the status "qp_failed".
     """
     if _returns_start(prob, P_star, x_bar):
         return Ad2Result(x_bar.copy(), "success", [])
@@ -338,7 +338,7 @@ def _sbqp_ad2(prob, P_star, x_bar, lambda_bar, cfg: AdConfig) -> Ad2Result:
     res = solve_bqp(qp, eps_comp=cfg.eps_comp)
     if res.x_star is None:
         return Ad2Result(x_bar.copy(), res.status, res.trace)
-    if res.status == "complementarity_not_met":
+    if res.status not in ("success", "qp_failed"):
         completed = _complete_boolean(prob, res.x_star)
         if completed is not None:
             x_star, P, lam = completed
@@ -348,14 +348,15 @@ def _sbqp_ad2(prob, P_star, x_bar, lambda_bar, cfg: AdConfig) -> Ad2Result:
 
 def _initial_switch(prob: EsrProblem) -> np.ndarray:
     """Uniform fractional start 0.5*1, scaled up just enough to keep the
-    power subproblem feasible at the initial switches."""
+    power subproblem feasible at the initial switches; all-on, which
+    _ad_loop has proven feasible, when no fractional scale is."""
     n = prob.n_tx
     for s in (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.9999):
         x = np.full(n, s)
         g = (x ** 2) @ prob.gains / prob.sigma
         if rate_mod.rate_reachable(g, prob.cfg.p_th * float(x.sum()), prob.r_th, prob.bandwidth):
             return x
-    return np.full(n, 0.9999)
+    return np.ones(n)
 
 
 def solve(prob: EsrProblem, cfg: AdConfig | None = None):

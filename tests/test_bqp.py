@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -7,18 +8,19 @@ import scipy.linalg
 from adsbqp import bqp
 from adsbqp.bqp import (
     BETA,
-    MIN_STEP,
+    QP_TOL,
     RHO0,
     _boxed,
-    armijo_step,
     global_search,
     local_search,
     penalty_grad,
     penalty_phi,
     solve_bqp,
 )
-from adsbqp.driver import AdConfig
+from adsbqp.channel import ScenarioConfig
+from adsbqp.driver import AdConfig, solve
 from adsbqp.qp import QpProblem, solve_qp
+from adsbqp.rate import build_esr_problem
 from _oracles import enumerate_boolean_qp
 
 
@@ -107,21 +109,6 @@ def test_local_search_tilts_only_the_linear_term():
     np.testing.assert_allclose(sol.x_star, ref.x_star, atol=1e-8)
 
 
-def test_armijo_accepts_full_step_on_clean_descent():
-    qp = box_qp(np.eye(2), np.array([-0.6, 0.4]))
-    x_hat = np.array([0.5, 0.5])
-    x_tilde = np.array([1.0, 0.0])
-    alpha = armijo_step(qp, x_hat, x_tilde, rho=1.0)
-    assert alpha == 1.0
-
-
-def test_armijo_falls_back_on_non_descent():
-    qp = box_qp(np.eye(2), np.zeros(2))
-    x_hat = np.array([0.0, 0.0])  # already the minimizer at rho = 0
-    alpha = armijo_step(qp, x_hat, np.array([1.0, 1.0]), rho=0.0)
-    assert alpha == MIN_STEP
-
-
 def test_random_instances_reach_exact_boolean_points():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -194,3 +181,38 @@ def test_boxed_reuses_a_box_qp_and_copies_any_other():
     np.testing.assert_array_equal(boxed.lower, np.zeros(2))
     np.testing.assert_array_equal(boxed.upper, np.ones(2))
     np.testing.assert_allclose(global_search(wide).x_star, [1.0, 0.0], atol=1e-7)
+
+
+def test_each_round_lowers_the_merit_by_the_majorization_bound(monkeypatch):
+    # The tilted QP majorizes M = q + rho*phi, so its minimizer x_tilde
+    # obeys M(x_tilde) - M(x_hat) <= -(rho ||d||^2 + 0.5 d'Qd), d = x_tilde
+    # - x_hat, up to the duality gap of the round's QP, at most mt * tol.
+    t0 = time.perf_counter()
+    rounds = []
+
+    def recording(qp, x_hat, rho, tol=QP_TOL):
+        sol = local_search(qp, x_hat, rho, tol=tol)
+        rounds.append((_boxed(qp), rho, x_hat, sol.x_star, tol))
+        return sol
+
+    monkeypatch.setattr(bqp, "local_search", recording)
+    rng = np.random.default_rng(30)
+    for i in range(100):  # criterion 3's generator; odd draws add a row through the box centre
+        n = int(rng.integers(2, 13))
+        B = rng.normal(size=(n, n)) / np.sqrt(n)
+        A, u = loose_rows(rng, n, int(rng.integers(0, 4)))
+        qp = box_qp(B @ B.T + np.eye(n), rng.normal(size=n), A, u)
+        if i % 2:
+            a = rng.normal(size=n)
+            qp = replace(qp, A=np.vstack([qp.A, a]), u=np.append(qp.u, 0.5 * a.sum()))
+        solve_bqp(qp)
+    for seed in range(4):
+        solve(build_esr_problem(ScenarioConfig(n_tx=16, n_users=16, seed=seed, r_th_mode="fraction",
+                                               r_th_value=0.5, noise_n0b=3e-14)))
+    assert len(rounds) >= 100
+    for qp, rho, x_hat, x_tilde, tol in rounds:
+        d = x_tilde - x_hat
+        merit_change = (qp.objective(x_tilde) + rho * penalty_phi(x_tilde)
+                        - qp.objective(x_hat) - rho * penalty_phi(x_hat))
+        assert merit_change <= -(rho * d @ d + 0.5 * d @ qp.Q @ d) + (2 * qp.n + qp.m) * tol
+    assert time.perf_counter() - t0 < 10.0

@@ -139,11 +139,12 @@ def test_trace_files_count_the_rounds_of_each_ad2(tmp_path):
     _, trace = solve(build_esr_problem(load_scenario(scen)))
     rounds = [len(row.ad2_trace) for row in trace.rows]
     payload = json.loads((out / "trace_AD-SBQP.json").read_text())
-    assert payload["schema"] == "adsbqp-trace-v2"
+    assert payload["schema"] == "adsbqp-trace-v3"
     assert [row["ad2_rounds"] for row in payload["rows"]] == rounds
+    assert [row["ad2_status"] for row in payload["rows"]] == [row.ad2_status for row in trace.rows]
     lines = (out / "trace_AD-SBQP.csv").read_text().splitlines()
-    assert lines[1].split(",")[-1] == "ad2_rounds"
-    assert [int(line.split(",")[-1]) for line in lines[2:]] == rounds
+    assert lines[1].split(",")[-2:] == ["ad2_rounds", "ad2_status"]
+    assert [int(line.split(",")[-2]) for line in lines[2:]] == rounds
 
 
 def test_trace_files_are_byte_identical_across_reruns(tmp_path):
@@ -225,7 +226,10 @@ def test_compare_writes_every_row_when_the_qp_raises(tmp_path, monkeypatch, caps
     rows = {r["method"]: r for r in json.loads((out / "comparison.json").read_text())["rows"]}
     assert sorted(rows) == ["AD-SBQP", "ENUM"]
     assert "error" not in (rows["AD-SBQP"]["status"], rows["ENUM"]["status"])
-    assert (out / "trace_AD-SBQP.csv").is_file() and not (out / "error_AD-SBQP.txt").exists()
+    assert not (out / "error_AD-SBQP.txt").exists()
+    # The trace file names the failed AD2.
+    lines = (out / "trace_AD-SBQP.csv").read_text().splitlines()
+    assert [line.split(",")[-1] for line in lines[1:]] == ["ad2_status", "qp_failed"]
 
 
 def test_enumerate_subcommand_prints_the_optimum(tmp_path, capsys):

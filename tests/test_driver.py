@@ -511,6 +511,20 @@ def test_a_qp_that_raises_ends_ad2_as_qp_failed(monkeypatch, error):
     assert len(trace.rows) == 1 and trace.rows[0].dx_norm == 0.0
 
 
+@pytest.mark.parametrize("n, noise, r_th_value", [(4, 1.0, 0.5), (8, 3e-14, 0.99999)])
+def test_sbqp_matches_enumeration_where_a_fallback_decides(n, noise, r_th_value):
+    # At noise 1 the linearized rate row has coefficients ~1e-10 and the
+    # global search QP ends "stalled" at a fractional point, which AD2
+    # completes.  At r_th_value 0.99999 no fractional scale of the uniform
+    # start is feasible, so the loop starts at all-on.
+    prob = build_esr_problem(ScenarioConfig(n_tx=n, n_users=n, seed=0, r_th_mode="fraction",
+                                            r_th_value=r_th_value, noise_n0b=noise))
+    sol, _ = solve(prob)
+    report, _, _ = enumerate_selections(prob)
+    assert sol.status == report.status == "success"
+    assert sol.objective == pytest.approx(report.objective, rel=1e-9)
+
+
 def test_single_antenna_scenario_keeps_it_on():
     prob = unit_channel_problem(r_th=1.0)
     sol, trace = solve(prob)
@@ -652,10 +666,13 @@ def test_solve_matches_an_unpruned_incumbent(monkeypatch):
 
 @st.composite
 def fraction_scenarios(draw):
-    """6x6 to 8x8 fraction-mode scenarios at any seed and rate fraction."""
+    """6x6 to 8x8 fraction-mode scenarios at any seed, at SNRs from the
+    selection scenario's down to noise 1, and rate fractions up to 1 - 1e-6."""
+    r_th_value = draw(st.one_of(st.floats(0.05, 0.95), st.floats(2.0, 6.0).map(lambda u: 1.0 - 10.0 ** -u)))
     return build_esr_problem(ScenarioConfig(
         n_tx=draw(st.integers(6, 8)), n_users=draw(st.integers(6, 8)), seed=draw(st.integers(0, 2 ** 16)),
-        r_th_mode="fraction", r_th_value=draw(st.floats(0.05, 0.95)), noise_n0b=3e-14))
+        r_th_mode="fraction", r_th_value=r_th_value,
+        noise_n0b=draw(st.sampled_from([3e-14, 1e-10, 1e-6, 1e-3, 1.0]))))
 
 
 @settings(max_examples=200, deadline=None, database=None,
