@@ -4,8 +4,7 @@ Alternating-direction optimization of a mixed-Boolean power-minimization
 problem: the power allocation is the water-filling solution over the
 per-user received totals, the same kernel that decides its feasibility,
 and a penalty-homotopy sequential Boolean QP handles the antenna switches.
-AdConfig holds the only two settable values, the AD iteration cap and the
-complementarity tolerance.
+AdConfig holds the only settable value, the AD iteration cap.
 """
 
 __version__ = "0.1.0"

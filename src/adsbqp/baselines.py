@@ -54,7 +54,7 @@ class MethodReport:
             raise ValueError(f"unknown method name {self.method!r}")
 
 
-def _penalized_barrier_ad2(x_bar: np.ndarray, cfg: AdConfig, f, grad_f, hess_f, *,
+def _penalized_barrier_ad2(x_bar: np.ndarray, f, grad_f, hess_f, *,
                            constraints, constraints_jac, constraints_hess=None) -> Ad2Result:
     """Penalty homotopy over min f(x) + rho * x'(1-x) on the box under one
     constraint, each round a log-barrier solve from the last iterate.
@@ -96,23 +96,23 @@ def _penalized_barrier_ad2(x_bar: np.ndarray, cfg: AdConfig, f, grad_f, hess_f, 
         x = sol.z_star
         return x, f(x) + rho * penalty_phi(x), sol.iterations
 
-    return Ad2Result(*penalty_homotopy(step, x_bar, cfg.eps_comp))
+    return Ad2Result(*penalty_homotopy(step, x_bar))
 
 
-def _spen_ad2(prob, P_star, x_bar, lambda_bar, cfg: AdConfig) -> Ad2Result:
+def _spen_ad2(prob, P_star, x_bar, lambda_bar) -> Ad2Result:
     """Quadratic switch model plus the exact quadratic penalty rho*x'(1-x)."""
     qp, _ = build_ad2_subproblem(prob, P_star, x_bar, lambda_bar)
     a, u = qp.A[0], float(qp.u[0])
     return _penalized_barrier_ad2(
-        x_bar, cfg, qp.objective, lambda x: qp.Q @ x + qp.g, lambda x: qp.Q,
+        x_bar, qp.objective, lambda x: qp.Q @ x + qp.g, lambda x: qp.Q,
         constraints=lambda x: np.array([a @ x - u]), constraints_jac=lambda x: a[None, :])
 
 
-def _nspen_ad2(prob, P_star, x_bar, lambda_bar, cfg: AdConfig) -> Ad2Result:
+def _nspen_ad2(prob, P_star, x_bar, lambda_bar) -> Ad2Result:
     """Full nonlinear switch problem with the penalty added to the cost."""
     f_lin = P_star.sum(axis=1) + prob.cfg.p_rf
     return _penalized_barrier_ad2(
-        x_bar, cfg, lambda x: float(f_lin @ x), lambda x: f_lin, lambda x: 0.0,  # linear cost
+        x_bar, lambda x: float(f_lin @ x), lambda x: f_lin, lambda x: 0.0,  # linear cost
         constraints=lambda x: np.array([prob.r_th - rate_mod.sum_rate(P_star, x, prob)]),
         constraints_jac=lambda x: -rate_mod.grad_rate_wrt_switch(P_star, x, prob)[None, :],
         constraints_hess=lambda x, w: -w[0] * rate_mod.hess_rate_wrt_switch(P_star, x, prob))
@@ -168,6 +168,6 @@ def enumerate_selections(
     if best is None:
         report = MethodReport("ENUM", float("nan"), float("nan"), masks.size, wall, "infeasible")
         return report, None, None
-    obj, _, x_best, P_best, _ = best
+    obj, _, x_best, P_best = best
     report = MethodReport("ENUM", obj, penalty_phi(x_best), masks.size, wall, "success")
     return report, x_best, P_best

@@ -103,16 +103,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ScenarioParseError(str(exc), key_lines.get(field_name)) from exc
 
 
-def config_snapshot(cfg: ScenarioConfig) -> dict:
-    snap = dataclasses.asdict(cfg)
-    snap["cell_center"] = list(cfg.cell_center)
-    snap["bs_position"] = list(cfg.bs_position)
-    return snap
-
-
 def scenario_hash(cfg: ScenarioConfig) -> str:
-    snap = config_snapshot(cfg)
-    canonical = json.dumps(snap, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(dataclasses.asdict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
@@ -264,7 +256,7 @@ def run_compare(manifest: RunManifest):
             "methods": manifest.methods,
             "seed": manifest.seed,
             "scenario_hash": sh,
-            "config": config_snapshot(cfg),
+            "config": dataclasses.asdict(cfg),
         },
     )
 
@@ -341,7 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def ad_options(p):
         common(p)
         p.add_argument("--max-ad-iter", type=int, default=AdConfig.max_ad_iter)
-        p.add_argument("--eps-comp", type=float, default=AdConfig.eps_comp)
 
     p_run = sub.add_parser("run", help="run a single method")
     ad_options(p_run)
@@ -402,7 +393,7 @@ def main(argv=None) -> int:
             seed=cfg.seed,
             out_dir=Path(args.out),
             config=cfg,
-            ad_config=AdConfig(max_ad_iter=args.max_ad_iter, eps_comp=args.eps_comp),
+            ad_config=AdConfig(max_ad_iter=args.max_ad_iter),
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,11 +1,12 @@
 """Alternating-direction loop: power allocation (AD1) and switch selection (AD2).
 
 AD1 minimizes transmit power at fixed switches over the K per-user
-received totals: it water-fills them with the kernel of
-rate.water_filling, which also decides its feasibility exactly, at a level
-raised to keep the rate slack a barrier solve ends with.  AD2 minimizes a
-convex quadratic model of the Lagrangian in x over the linearized rate
-constraint via the penalty-homotopy Boolean QP.  At a Boolean start x_bar
+received totals: it water-fills them with rate.water_filling, which also
+decides its feasibility exactly, at a level raised to keep the rate slack
+a barrier solve ends with.  AD2 is one pure step ad2(prob, P_bar, x_bar,
+lambda_bar) -> Ad2Result from the AD1 point: it minimizes a convex
+quadratic model of the Lagrangian in x over the linearized rate constraint
+via the penalty-homotopy Boolean QP.  At a Boolean start x_bar
 AD-SBQP first tries a closed-form certificate (_step_bound): a multiplier
 nu >= 0 whose reduced costs f + nu a are positive where x_bar is 0 and
 negative where it is 1 bounds the QP's step by ||x - x_bar||_1 <= nu slack
@@ -15,9 +16,9 @@ The loop stops as converged when AD2 returns its start x_bar bit for bit
 (AD1 and AD2 are deterministic, so the next iteration could only repeat
 this one) or ||[dP | dx]|| drops to EPS_TERM, after AdConfig.max_ad_iter
 iterations, or as infeasible_selection at switches AD1 cannot serve.
-AdConfig holds the two values a caller sets: the iteration cap and the
-complementarity tolerance of AD2; every other tolerance is a module
-constant.
+AdConfig holds the one value a caller sets, the iteration cap; every
+tolerance is a module constant, AD2's complementarity tolerance
+bqp.EPS_COMP among them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import rate as rate_mod
-from .bqp import EPS_COMP, SNAP_REACH, penalty_phi, solve_bqp
+from .bqp import SNAP_REACH, penalty_phi, solve_bqp
 # solve_barrier is unused here but stays importable as driver.solve_barrier,
 # a call site that perfbench's tracer tests wrap.
 from .nlp import InfeasibleProblemError, solve_barrier  # noqa: F401
@@ -63,13 +64,10 @@ HESSIAN_SHIFT_FLOOR = 1e-8
 @dataclass(frozen=True)
 class AdConfig:
     max_ad_iter: int = 20
-    eps_comp: float = EPS_COMP
 
     def __post_init__(self) -> None:
         if self.max_ad_iter < 1:
             raise ValueError(f"max_ad_iter must be >= 1, got {self.max_ad_iter}")
-        if not self.eps_comp > 0:
-            raise ValueError(f"eps_comp must be > 0, got {self.eps_comp}")
 
 
 @dataclass
@@ -107,11 +105,11 @@ class Solution:
 
 @dataclass
 class Ad2Result:
+    """What every AD2 step ad2(prob, P_bar, x_bar, lambda_bar) returns."""
+
     x_star: np.ndarray
     status: str
     trace: list
-    # (P, lambda) = ad1(prob, x_star) when AD2 already solved it.
-    power: tuple[np.ndarray, float] | None = None
 
 
 class Ad1InfeasibleError(InfeasibleProblemError):
@@ -130,13 +128,12 @@ def ad1(prob: EsrProblem, x_bar: np.ndarray):
     caps and P >= 0.  Cost and rate depend on P only through the per-user
     received totals a_j = sum_i x_i p_ij, and the row caps only through the
     budget sum_j a_j <= p_th * sum_i x_i, so the problem lives on the K
-    totals, with g_j the SNR per unit total.  rate._water_level, the kernel
-    of rate.water_filling, decides feasibility and gives the level nu at
-    which the m served users reach r_th.  The level is then raised to
-    nu' = nu exp(mu / (m nu)) with mu = NLP_TOL / 10, so that the rate
-    clears r_th by mu / lambda, the slack a barrier solve at NLP_TOL ends
-    with and the smooth baselines' stall depends on; nu' is capped at the
-    level that spends the budget.  Each a_j = max(0, nu' - 1/g_j), computed
+    totals, with g_j the SNR per unit total.  rate.water_filling decides
+    feasibility and gives the level nu at which the m served users reach
+    r_th.  The level is then raised to nu' = nu exp(mu / (m nu)) with
+    mu = NLP_TOL / 10, so that the rate clears r_th by mu / lambda, the
+    slack a barrier solve at NLP_TOL ends with and the smooth baselines'
+    stall depends on; nu' is capped at the level that spends the budget.  Each a_j = max(0, nu' - 1/g_j), computed
     as expm1(log(nu' g_j)) / g_j so that no digit is lost at low SNR, and
     each active row (x_i above rate.BOOLEAN_TOL) holds a / sum x_i while
     the others are zero.  When the threshold is out of reach,
@@ -152,7 +149,7 @@ def ad1(prob: EsrProblem, x_bar: np.ndarray):
     budget = prob.cfg.p_th * x_sum
     g = ((x_bar ** 2) @ prob.gains) / prob.sigma  # SNR per unit received total
     feasible, least_total, log_top, served = (
-        v[0] for v in rate_mod._water_level(g, budget, prob.r_th, prob.bandwidth))
+        v[0] for v in rate_mod.water_filling(g, budget, prob.r_th, prob.bandwidth))
     if not feasible:
         even = np.full(prob.n_users, budget / prob.n_users)
         raise Ad1InfeasibleError(
@@ -239,8 +236,8 @@ def search_by_bound(prob: EsrProblem, bounds, keys, selection, power):
     solved for each until a bound exceeds the cheapest objective found: no
     later candidate can beat it.  Ties go to the smaller key, so the result
     is the one an exhaustive search over every candidate would return.
-    Returns (objective, key, x, P, lambda), (P, lambda) = power(prob, x), or
-    None when every power subproblem is infeasible.  ad1's objective sits
+    Returns (objective, key, x, P) with P from power(prob, x), or None when
+    every power subproblem is infeasible.  ad1's objective sits
     about mu = NLP_TOL / 10 above its bound (the cost of its rate slack), far
     above rounding error.
     """
@@ -250,12 +247,12 @@ def search_by_bound(prob: EsrProblem, bounds, keys, selection, power):
             break
         x = selection(keys[i])
         try:
-            P, lam = power(prob, x)
+            P, _ = power(prob, x)
         except Ad1InfeasibleError:
             continue
         objective = rate_mod.economic_objective(P, x, prob)
         if best is None or (objective, keys[i]) < best[:2]:
-            best = (objective, keys[i], x, P, lam)
+            best = (objective, keys[i], x, P)
     return best
 
 
@@ -266,9 +263,9 @@ def _complete_boolean(prob: EsrProblem, x: np.ndarray):
     values no penalty weight can move.  The true constraint decides instead:
     the completions of the pinned coordinates are searched by the
     water-filling bound, with a full power re-optimization of each one
-    that can still win, and the cheapest feasible one is returned with its
-    power solution as (x, P, lambda) (None when all completions are
-    infeasible or too many coordinates are fractional).
+    that can still win, and the cheapest feasible one is returned (None
+    when all completions are infeasible or too many coordinates are
+    fractional).
     """
     frac = np.flatnonzero(np.minimum(x, 1.0 - x) > rate_mod.BOOLEAN_TOL)
     if frac.size == 0 or frac.size > 8:
@@ -278,7 +275,7 @@ def _complete_boolean(prob: EsrProblem, x: np.ndarray):
     cands[:, frac] = (bits[:, None] >> np.arange(frac.size)) & 1
     feasible, bounds = rate_mod.selection_bounds(cands, prob)
     best = search_by_bound(prob, bounds[feasible], bits[feasible], lambda i: cands[i], ad1)
-    return None if best is None else best[2:]
+    return None if best is None else best[2]
 
 
 def _step_bound(f: np.ndarray, a: np.ndarray, slack: float, on: np.ndarray) -> float:
@@ -320,7 +317,7 @@ def _returns_start(prob: EsrProblem, P_star: np.ndarray, x_bar: np.ndarray) -> b
     return _step_bound(*_linear_model(prob, P_star, x_bar), on) <= 0.5 * SNAP_REACH
 
 
-def _sbqp_ad2(prob, P_star, x_bar, lambda_bar, cfg: AdConfig) -> Ad2Result:
+def _sbqp_ad2(prob, P_star, x_bar, lambda_bar) -> Ad2Result:
     """AD2 of AD-SBQP: solve_bqp on build_ad2_subproblem's QP.
 
     At a Boolean x_bar whose QP minimizer _step_bound places within half of
@@ -335,14 +332,13 @@ def _sbqp_ad2(prob, P_star, x_bar, lambda_bar, cfg: AdConfig) -> Ad2Result:
     if _returns_start(prob, P_star, x_bar):
         return Ad2Result(x_bar.copy(), "success", [])
     qp, _ = build_ad2_subproblem(prob, P_star, x_bar, lambda_bar)
-    res = solve_bqp(qp, eps_comp=cfg.eps_comp)
+    res = solve_bqp(qp)
     if res.x_star is None:
         return Ad2Result(x_bar.copy(), res.status, res.trace)
     if res.status not in ("success", "qp_failed"):
         completed = _complete_boolean(prob, res.x_star)
         if completed is not None:
-            x_star, P, lam = completed
-            return Ad2Result(x_star, "success", res.trace, power=(P, lam))
+            return Ad2Result(completed, "success", res.trace)
     return Ad2Result(res.x_star, res.status, res.trace)
 
 
@@ -401,7 +397,8 @@ def _solution(prob: EsrProblem, P: np.ndarray, x: np.ndarray, status: str, itera
     )
 
 
-def _ad_loop(prob: EsrProblem, cfg: AdConfig, ad2_fn: Callable[..., Ad2Result], method: str):
+def _ad_loop(prob: EsrProblem, cfg: AdConfig,
+             ad2_fn: Callable[[EsrProblem, np.ndarray, np.ndarray, float], Ad2Result], method: str):
     trace = AdTrace(method=method)
     n, k = prob.n_tx, prob.n_users
     if not prob.feasible_at_full_activation:
@@ -422,21 +419,17 @@ def _ad_loop(prob: EsrProblem, cfg: AdConfig, ad2_fn: Callable[..., Ad2Result], 
     status = "max_iter"
     it = 0
     repeat = False
-    power = None  # ad1(prob, x_bar) when the last AD2 already solved it
 
     while it < cfg.max_ad_iter:
         it += 1
         t0 = time.perf_counter()
-        if power is not None:
-            P_star, lambda_bar = power
-        else:
-            try:
-                P_star, lambda_bar = ad1(prob, x_bar)
-            except Ad1InfeasibleError:
-                status = "infeasible_selection"
-                break
+        try:
+            P_star, lambda_bar = ad1(prob, x_bar)
+        except Ad1InfeasibleError:
+            status = "infeasible_selection"
+            break
         t1 = time.perf_counter()
-        ad2_res = ad2_fn(prob, P_star, x_bar, lambda_bar, cfg)
+        ad2_res = ad2_fn(prob, P_star, x_bar, lambda_bar)
         t2 = time.perf_counter()
         x_star = ad2_res.x_star
 
@@ -458,7 +451,7 @@ def _ad_loop(prob: EsrProblem, cfg: AdConfig, ad2_fn: Callable[..., Ad2Result], 
             )
         )
         repeat = np.array_equal(x_star, x_bar)  # the next iteration is a copy
-        P_bar, x_bar, power = P_star, x_star, ad2_res.power
+        P_bar, x_bar = P_star, x_star
         if repeat or float(np.hypot(dp, dx)) <= EPS_TERM:
             status = "converged"
             break
@@ -469,15 +462,13 @@ def _ad_loop(prob: EsrProblem, cfg: AdConfig, ad2_fn: Callable[..., Ad2Result], 
     P_final = P_bar
     if not repeat and status in ("converged", "max_iter"):
         try:
-            P_final = power[0] if power is not None else ad1(prob, x_bar)[0]
+            P_final = ad1(prob, x_bar)[0]
         except Ad1InfeasibleError:
             status = "infeasible_selection"
 
+    # An AD2 "success" is Boolean to 2 * bqp.EPS_COMP: a snapped or
+    # certified start, a completion, or phi(x) <= EPS_COMP on [0, 1]^n.
     if status == "converged":
-        last_ad2 = trace.rows[-1].ad2_status if trace.rows else "success"
-        if rate_mod.is_boolean_feasible(x_bar) and last_ad2 == "success":
-            status = "success"
-        else:
-            status = "complementarity_not_met"
+        status = "success" if trace.rows[-1].ad2_status == "success" else "complementarity_not_met"
 
     return _solution(prob, P_final, x_bar, status, it), trace

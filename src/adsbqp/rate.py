@@ -27,7 +27,6 @@ __all__ = [
     "water_filling",
     "rate_reachable",
     "selection_bounds",
-    "is_boolean_feasible",
     "sum_rate",
     "economic_objective",
     "grad_rate_wrt_power",
@@ -74,17 +73,25 @@ class EsrProblem:
         return self.cfg.bandwidth_b
 
 
-def _water_level(snr_gain: np.ndarray, budget, r_th: float, bandwidth: float):
-    """water_filling's (feasible, least_total) with the level: log_top and served.
+def water_filling(snr_gain: np.ndarray, budget, r_th: float, bandwidth: float):
+    """Least total power that reaches r_th, whether it fits the budget, and
+    the water level, per row.
+
+    Row r of snr_gain holds the SNR per unit power g_j of every user (users
+    with g_j = 0 take no power); budget is a scalar or one value per row.
+    Returns (feasible, least_total, log_top, served): feasible when some
+    totals a >= 0 with sum(a) < budget reach B sum_j log2(1 + g_j a_j) >=
+    r_th; least_total is inf where infeasible and where a row has no
+    positive gain.
 
     Water-filling (Boyd & Vandenberghe, Convex Optimization, 5.5.3) serves
-    the m strongest users at the level nu, user j with total nu - 1/g_j,
-    for the first m whose level stays below 1/g_(m+1).  The level is kept
-    as log_top = log(nu g_1), the log of one plus the SNR of the strongest
-    user, so that no digit is lost at low SNR: with d_j = log(g_1/g_j),
-    log_top = (r_th ln2 / B + sum d_j) / m over the served users, and the
-    least total is m expm1(log_top) / g_1 - sum (1/g_j - 1/g_1).
-    Feasibility is decided in log space so that no exp overflows.
+    the m = served strongest users at the level nu, user j with total nu -
+    1/g_j, for the first m whose level stays below 1/g_(m+1).  The level is
+    kept as log_top = log(nu g_1), the log of one plus the SNR of the
+    strongest user, so that no digit is lost at low SNR: with d_j =
+    log(g_1/g_j), log_top = (r_th ln2 / B + sum d_j) / m over the served
+    users, and the least total is m expm1(log_top) / g_1 - sum (1/g_j -
+    1/g_1).  Feasibility is decided in log space so that no exp overflows.
     """
     g = np.sort(np.atleast_2d(snr_gain), axis=1)[:, ::-1]
     rows, k = g.shape
@@ -110,18 +117,6 @@ def _water_level(snr_gain: np.ndarray, budget, r_th: float, bandwidth: float):
     return feasible, least_total, log_top, served
 
 
-def water_filling(snr_gain: np.ndarray, budget, r_th: float, bandwidth: float):
-    """Least total power that reaches r_th, and whether it fits the budget, per row.
-
-    Row r of snr_gain holds the SNR per unit power g_j of every user (users
-    with g_j = 0 take no power); budget is a scalar or one value per row.
-    Returns (feasible, least_total): feasible when some totals a >= 0 with
-    sum(a) < budget reach B sum_j log2(1 + g_j a_j) >= r_th; least_total is
-    inf where infeasible and where a row has no positive gain.
-    """
-    return _water_level(snr_gain, budget, r_th, bandwidth)[:2]
-
-
 def rate_reachable(snr_gain: np.ndarray, budget: float, r_th: float, bandwidth: float) -> bool:
     """Exact feasibility of the power subproblem: True when totals a >= 0
     with sum(a) < budget reach B sum_j log2(1 + g_j a_j) >= r_th.
@@ -142,7 +137,7 @@ def selection_bounds(X: np.ndarray, prob: EsrProblem):
     sizes = X.sum(axis=1)
     feasible, least_total = water_filling(
         X @ prob.gains / prob.sigma, prob.cfg.p_th * sizes, prob.r_th, prob.bandwidth
-    )
+    )[:2]
     return feasible, least_total + prob.cfg.p_rf * sizes
 
 
@@ -175,12 +170,6 @@ def build_esr_problem(cfg: ScenarioConfig, channel: ChannelMatrix | None = None)
             ones @ gains / cfg.noise_n0b, cfg.p_th * cfg.n_tx, r_th, cfg.bandwidth_b
         ),
     )
-
-
-def is_boolean_feasible(x: np.ndarray, tol: float = BOOLEAN_TOL) -> bool:
-    """True when every coordinate is within tol of {0, 1}."""
-    x = np.asarray(x, dtype=float)
-    return bool(np.all(np.minimum(np.abs(x), np.abs(1.0 - x)) <= tol))
 
 
 def _accumulate(P: np.ndarray, x: np.ndarray, gains: np.ndarray):

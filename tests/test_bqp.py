@@ -10,15 +10,12 @@ from adsbqp.bqp import (
     BETA,
     QP_TOL,
     RHO0,
-    _boxed,
-    global_search,
-    local_search,
     penalty_grad,
     penalty_phi,
     solve_bqp,
 )
 from adsbqp.channel import ScenarioConfig
-from adsbqp.driver import AdConfig, solve
+from adsbqp.driver import solve
 from adsbqp.qp import QpProblem, solve_qp
 from adsbqp.rate import build_esr_problem
 from _oracles import enumerate_boolean_qp
@@ -91,8 +88,9 @@ def test_a_qp_solve_that_raises_ends_as_qp_failed(monkeypatch, error):
 
 
 def test_global_search_ignores_the_penalty():
+    # solve_bqp's global search is the plain QP: here the fractional saddle.
     qp = box_qp(np.eye(2), np.array([-0.5, -0.5]))
-    sol = global_search(qp)
+    sol = solve_qp(qp, tol=QP_TOL)
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.x_star, [0.5, 0.5], atol=1e-8)
 
@@ -101,11 +99,13 @@ def test_local_search_tilts_only_the_linear_term():
     qp = box_qp(np.eye(2), np.array([-0.5, -0.5]))
     x_hat = np.array([0.6, 0.2])
     rho = 8.0
-    sol = local_search(qp, x_hat, rho)
+    tilted = qp.with_g(qp.g + rho * penalty_grad(x_hat))
+    for name in ("Q", "A", "u", "lower", "upper"):
+        assert getattr(tilted, name) is getattr(qp, name)
+    sol = solve_qp(tilted, tol=QP_TOL * rho)
     assert sol.status == "optimal"
     # Equivalent explicit QP with the tilted linear term.
-    tilted = box_qp(np.eye(2), qp.g + rho * penalty_grad(x_hat))
-    ref = global_search(tilted)
+    ref = solve_qp(box_qp(np.eye(2), qp.g + rho * penalty_grad(x_hat)), tol=QP_TOL)
     np.testing.assert_allclose(sol.x_star, ref.x_star, atol=1e-8)
 
 
@@ -156,11 +156,10 @@ def test_exact_saddle_reports_complementarity_not_met():
 
 
 def test_config_validation():
-    # The schedule is fixed; eps_comp is the one settable value.
+    # The schedule and the complementarity tolerance are constants.
     assert BETA > 1.0
     assert RHO0 > 0.0
-    with pytest.raises(ValueError):
-        AdConfig(eps_comp=0.0)
+    assert bqp.EPS_COMP > 0.0
 
 
 def test_trace_records_monotone_merit_progress():
@@ -172,15 +171,12 @@ def test_trace_records_monotone_merit_progress():
     assert comps[-1] <= comps[0] + 1e-12
 
 
-def test_boxed_reuses_a_box_qp_and_copies_any_other():
+def test_solve_bqp_rejects_a_qp_off_the_box():
     qp = box_qp(np.eye(2), np.array([-2.0, 0.5]))
-    assert _boxed(qp) is qp
-    wide = replace(qp, lower=-np.ones(2), upper=np.full(2, 2.0))
-    boxed = _boxed(wide)
-    assert boxed is not wide
-    np.testing.assert_array_equal(boxed.lower, np.zeros(2))
-    np.testing.assert_array_equal(boxed.upper, np.ones(2))
-    np.testing.assert_allclose(global_search(wide).x_star, [1.0, 0.0], atol=1e-7)
+    for lower, upper in ((-1.0, 2.0), (0.0, 2.0), (-1.0, 1.0)):
+        with pytest.raises(ValueError, match=r"box \[0, 1\]\^n"):
+            solve_bqp(replace(qp, lower=lower, upper=upper))
+    np.testing.assert_array_equal(solve_bqp(qp).x_star, [1.0, 0.0])
 
 
 def test_each_round_lowers_the_merit_by_the_majorization_bound(monkeypatch):
@@ -188,14 +184,14 @@ def test_each_round_lowers_the_merit_by_the_majorization_bound(monkeypatch):
     # obeys M(x_tilde) - M(x_hat) <= -(rho ||d||^2 + 0.5 d'Qd), d = x_tilde
     # - x_hat, up to the duality gap of the round's QP, at most mt * tol.
     t0 = time.perf_counter()
-    rounds = []
+    solves = []  # (qp, tol, x_star) of every QP solve_bqp solves
 
-    def recording(qp, x_hat, rho, tol=QP_TOL):
-        sol = local_search(qp, x_hat, rho, tol=tol)
-        rounds.append((_boxed(qp), rho, x_hat, sol.x_star, tol))
+    def recording(qp, tol):
+        sol = solve_qp(qp, tol=tol)
+        solves.append((qp, tol, sol.x_star))
         return sol
 
-    monkeypatch.setattr(bqp, "local_search", recording)
+    monkeypatch.setattr(bqp, "solve_qp", recording)
     rng = np.random.default_rng(30)
     for i in range(100):  # criterion 3's generator; odd draws add a row through the box centre
         n = int(rng.integers(2, 13))
@@ -209,6 +205,21 @@ def test_each_round_lowers_the_merit_by_the_majorization_bound(monkeypatch):
     for seed in range(4):
         solve(build_esr_problem(ScenarioConfig(n_tx=16, n_users=16, seed=seed, r_th_mode="fraction",
                                                r_th_value=0.5, noise_n0b=3e-14)))
+    # A solve_bqp call first solves its own QP (the global search); round i
+    # of its homotopy then solves a QP sharing that QP's Q, at rho = RHO0 *
+    # BETA**i from the snapped last iterate x_hat.
+    rounds, qp = [], None
+    for solved, tol, x_star in solves:
+        if qp is not None and solved.Q is qp.Q:  # round i of qp's homotopy
+            rho = RHO0 * BETA ** i
+            assert solved.g.tobytes() == (qp.g + rho * penalty_grad(x_hat)).tobytes()
+            assert tol == QP_TOL * max(1.0, rho)
+            rounds.append((qp, rho, x_hat, x_star, tol))
+            i += 1
+        else:  # the global search of the next solve_bqp call
+            qp, i = solved, 0
+            assert tol == QP_TOL
+        x_hat = bqp._snap_boolean(qp, x_star)
     assert len(rounds) >= 100
     for qp, rho, x_hat, x_tilde, tol in rounds:
         d = x_tilde - x_hat

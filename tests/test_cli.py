@@ -269,11 +269,20 @@ def test_bad_numeric_flags_exit_with_usage_error(tmp_path, capsys):
     for argv, message in (
         (["run", "--max-ad-iter", "0"], "max_ad_iter must be >= 1"),
         (["compare", "--max-ad-iter", "0"], "max_ad_iter must be >= 1"),
-        (["run", "--eps-comp", "0"], "eps_comp must be > 0"),
     ):
         assert main(argv + ["--scenario", str(scen), "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_complementarity_tolerance_is_not_an_option(tmp_path, capsys):
+    # AD2's complementarity tolerance is the constant bqp.EPS_COMP.
+    with pytest.raises(SystemExit) as exited:
+        main(["run", "--scenario", str(write_scenario(tmp_path)), "--out", str(tmp_path / "out"),
+              "--eps-comp", "1e-3"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --eps-comp" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -283,11 +292,11 @@ def test_enumerate_rejects_the_ad_options(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(adsbqp.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "adsbqp.cli", "enumerate", "--scenario", str(scen),
-         "--eps-comp", "1e-3"],
+         "--max-ad-iter", "3"],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 2
-    assert "unrecognized arguments: --eps-comp" in proc.stderr
+    assert "unrecognized arguments: --max-ad-iter" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -441,7 +441,7 @@ def test_uncertified_starts_go_to_the_qp(monkeypatch):
 
     def qp_calls(prob, P, x, lam):
         calls.clear()
-        driver._sbqp_ad2(prob, P, x, lam, AdConfig())
+        driver._sbqp_ad2(prob, P, x, lam)
         return len(calls)
 
     prob = scaled_problem(seed=1)
@@ -523,6 +523,47 @@ def test_sbqp_matches_enumeration_where_a_fallback_decides(n, noise, r_th_value)
     report, _, _ = enumerate_selections(prob)
     assert sol.status == report.status == "success"
     assert sol.objective == pytest.approx(report.objective, rel=1e-9)
+
+
+def test_every_ad2_success_is_boolean(monkeypatch):
+    # _ad_loop reports "success" on the last AD2 status alone: an AD2
+    # "success" has phi(x) <= bqp.EPS_COMP on [0, 1]^n, or is snapped,
+    # certified or completed, so every coordinate lies within 2 * EPS_COMP
+    # of {0, 1}.  The r_th_value 0.9 and noise 1e-10 cases start from a
+    # scaled switch vector, and on some of them the incumbent wins.
+    t0 = time.perf_counter()
+    ad2_results = []
+    sbqp_ad2 = driver._sbqp_ad2
+
+    def recorded(*args):
+        res = sbqp_ad2(*args)
+        ad2_results.append(res)
+        return res
+
+    def boolean(x):
+        return np.max(np.minimum(np.abs(x), np.abs(1.0 - x))) <= 1e-9
+
+    monkeypatch.setattr(driver, "_sbqp_ad2", recorded)
+    problems = ([scaled_problem(seed=s) for s in range(20)]
+                + [r_th_problem(s, 0.9) for s in range(10)]
+                + [scaled_problem(seed=s, noise=1e-10) for s in range(20)])
+    for prob in problems:
+        sol, _ = solve(prob)
+        assert sol.status == "success" and boolean(sol.x_star)
+    successes = [res for res in ad2_results if res.status == "success"]
+    assert len(successes) >= len(problems)
+    assert all(boolean(res.x_star) for res in successes)
+    assert time.perf_counter() - t0 < 10.0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the AD2 rate row is unscaled: at noise 1 its coefficients are ~1e-10, the first AD2 "
+    "stalls with 16 fractional coordinates and _complete_boolean gives up above 8"))
+@pytest.mark.parametrize("seed", range(4))
+def test_sbqp_succeeds_at_16_antennas_and_noise_1(seed):
+    prob = scaled_problem(seed=seed, n=16, k=16, noise=1.0)
+    sol, _ = solve(prob)
+    assert sol.status == "success"
 
 
 def test_single_antenna_scenario_keeps_it_on():
@@ -713,42 +754,7 @@ def test_boolean_completion_is_the_exhaustive_cheapest():
         if want is None:
             assert got is None
         else:
-            x_got, P_got, lam_got = got
-            np.testing.assert_array_equal(x_got, want)
-            P_want, lam_want = ad1(prob, want)
-            assert P_got.tobytes() == P_want.tobytes() and lam_got == lam_want
-
-
-def test_the_next_ad_iteration_reuses_the_completion_power_solve(monkeypatch):
-    # The Boolean completion solves the power subproblem at the selection it
-    # returns; the AD iteration that starts there takes that solution
-    # instead of calling ad1 again.  The completion fires on these seeds.
-    events = []
-
-    def recorded_ad1(prob, x):
-        events.append(("ad1", np.asarray(x).tobytes()))
-        return ad1(prob, x)
-
-    def recorded_completion(prob, x):
-        got = _complete_boolean(prob, x)
-        if got is not None:
-            events.append(("completion", got[0].tobytes()))
-        return got
-
-    monkeypatch.setattr(driver, "ad1", recorded_ad1)
-    monkeypatch.setattr(driver, "_complete_boolean", recorded_completion)
-    ones = np.ones(8).tobytes()
-    completions = 0
-    for seed in (0, 3, 6):
-        events.clear()
-        solve(scaled_problem(seed=seed))
-        for i, (kind, x) in enumerate(events):
-            if kind == "completion":
-                completions += 1
-                later = [e for e in events[i + 1:] if e == ("ad1", x)]
-                # Only the full-activation incumbent may ask for all-on again.
-                assert later == [] or (x == ones and later == [("ad1", ones)])
-    assert completions > 0
+            np.testing.assert_array_equal(got, want)
 
 
 def test_infeasible_scenario_is_reported_without_iterating():
@@ -770,8 +776,6 @@ def test_termination_norm_decreases_at_convergence():
 
 
 def test_ad_config_validation():
-    with pytest.raises(ValueError):
-        AdConfig(eps_comp=0.0)
     with pytest.raises(ValueError):
         AdConfig(max_ad_iter=0)
 
