@@ -4,7 +4,9 @@ Alternating-direction optimization of a mixed-Boolean power-minimization
 problem: the power allocation is the water-filling solution over the
 per-user received totals, the same kernel that decides its feasibility,
 and a penalty-homotopy sequential Boolean QP handles the antenna switches.
-AdConfig holds the only settable value, the AD iteration cap.
+AdConfig holds the only settable value, the AD iteration cap; every
+tolerance and solver limit is a constant of the module that reads it, and
+bqp.Ad2Result is the one result of an AD2 step.
 """
 
 __version__ = "0.1.0"
@@ -21,7 +23,7 @@ from .rate import (
 )
 from .qp import QpProblem, QpSolution, kkt_residual, solve_qp
 from .nlp import InfeasibleProblemError, NlpProblem, NlpSolution, find_strictly_feasible, solve_barrier
-from .bqp import BqpResult, penalty_phi, solve_bqp
+from .bqp import Ad2Result, penalty_phi, solve_bqp
 from .driver import AdConfig, AdTrace, Solution, ad1, build_ad2_subproblem, full_activation_allocation, solve
 from .baselines import MethodReport, enumerate_selections, solve_ad_nspen, solve_ad_spen
 
@@ -48,7 +50,7 @@ __all__ = [
     "NlpSolution",
     "find_strictly_feasible",
     "solve_barrier",
-    "BqpResult",
+    "Ad2Result",
     "penalty_phi",
     "solve_bqp",
     "AdConfig",

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rate as rate_mod
-from .bqp import penalty_grad, penalty_homotopy, penalty_phi
+from .bqp import Ad2Result, penalty_grad, penalty_homotopy, penalty_phi
 from .driver import (
-    NLP_TOL,
-    Ad2Result,
     AdConfig,
     _ad_loop,
     ad1,
@@ -88,7 +86,7 @@ def _penalized_barrier_ad2(x_bar: np.ndarray, f, grad_f, hess_f, *,
         except InfeasibleProblemError:
             return "stalled"
         try:
-            sol = solve_barrier(nlp, tol=NLP_TOL, z0=x0)
+            sol = solve_barrier(nlp, z0=x0)
         except RuntimeError:
             return "barrier_failed"
         if sol.status != "optimal":
@@ -96,7 +94,7 @@ def _penalized_barrier_ad2(x_bar: np.ndarray, f, grad_f, hess_f, *,
         x = sol.z_star
         return x, f(x) + rho * penalty_phi(x), sol.iterations
 
-    return Ad2Result(*penalty_homotopy(step, x_bar))
+    return penalty_homotopy(step, x_bar)
 
 
 def _spen_ad2(prob, P_star, x_bar, lambda_bar) -> Ad2Result:

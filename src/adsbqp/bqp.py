@@ -19,6 +19,8 @@ QP's minimizer lies within SNAP_REACH / 2 of a Boolean start
 return the start then.  The complementarity tolerance EPS_COMP is a
 constant: phi(x) <= EPS_COMP puts every coordinate of x in [0, 1] within
 2 * EPS_COMP of {0, 1}, so a "success" is Boolean to that accuracy.
+penalty_homotopy and solve_bqp return Ad2Result, the one result type of an
+AD2 step, AD-SBQP's and the baselines' alike.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import numpy as np
 from .qp import QpProblem, solve_qp
 
 __all__ = [
+    "Ad2Result",
     "BqpIterate",
-    "BqpResult",
     "penalty_phi",
     "penalty_grad",
     "penalty_homotopy",
@@ -47,9 +49,11 @@ EPS_COMP = 1e-10
 # Box QP tolerance at rho <= 1; it scales with rho above that.
 QP_TOL = 1e-10
 # An iterate within SNAP_REACH of a Boolean point in every coordinate is
-# rounded onto it.
+# rounded onto it, unless that violates a general row by more than
+# SNAP_ROW_TOL.
 SNAP_REACH = 1e-6
-# What solve_qp raises on a normal matrix that fails its second factor
+SNAP_ROW_TOL = 1e-8
+# What solve_qp raises on a normal matrix that fails its factor
 # (LinAlgError) or on non-finite data (ValueError); solve_bqp reports both
 # as the status "qp_failed".
 _QP_ERRORS = (np.linalg.LinAlgError, ValueError)
@@ -64,12 +68,13 @@ class BqpIterate:
 
 
 @dataclass
-class BqpResult:
-    x_star: np.ndarray | None  # None when the global search raised
+class Ad2Result:
+    """What penalty_homotopy, solve_bqp and every AD2 step ad2(prob, P_bar,
+    x_bar, lambda_bar) return."""
+
+    x_star: np.ndarray | None  # None when solve_bqp's global search raised
+    status: str  # "success" | "complementarity_not_met" | a failed round's status
     trace: list[BqpIterate]
-    status: str  # "success" | "complementarity_not_met" | qp failure status
-    complementarity: float
-    objective: float
 
 
 def penalty_phi(x: np.ndarray) -> float:
@@ -82,25 +87,25 @@ def penalty_grad(x: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * np.asarray(x, dtype=float)
 
 
-def _snap_boolean(qp: QpProblem, x: np.ndarray, feas_tol: float = 1e-8) -> np.ndarray:
+def _snap_boolean(qp: QpProblem, x: np.ndarray) -> np.ndarray:
     """Round near-Boolean coordinates exactly onto {0,1} when the general
     inequality rows stay satisfied; mirrors the exact-bound activity an
     active-set solver would report."""
     snapped = np.round(x)
     if np.max(np.abs(snapped - x), initial=0.0) > SNAP_REACH:
         return x
-    if qp.m and np.any(qp.A @ snapped - qp.u > feas_tol):
+    if qp.m and np.any(qp.A @ snapped - qp.u > SNAP_ROW_TOL):
         return x
     return snapped
 
 
-def penalty_homotopy(step, x0: np.ndarray):
+def penalty_homotopy(step, x0: np.ndarray) -> Ad2Result:
     """The rho schedule shared by AD-SBQP and the smooth baselines.
 
     step(rho, x_hat) runs one round from x_hat at penalty weight rho and
     returns (x, objective, iterations), or a status string when the round
-    fails, which ends the homotopy at x_hat.  Returns (x, status, trace)
-    with status "success" once phi(x) <= EPS_COMP and
+    fails, which ends the homotopy at x_hat.  Returns Ad2Result(x, status,
+    trace) with status "success" once phi(x) <= EPS_COMP and
     "complementarity_not_met" when a round moves x by at most STALL_TOL or
     the schedule runs out first; the stalled round is recorded.
     """
@@ -110,20 +115,20 @@ def penalty_homotopy(step, x0: np.ndarray):
     while True:
         result = step(rho, x_hat)
         if isinstance(result, str):
-            return x_hat, result, trace
+            return Ad2Result(x_hat, result, trace)
         x_new, objective, iterations = result
         comp = penalty_phi(x_new)
         trace.append(BqpIterate(rho, objective, comp, iterations))
         moved = np.max(np.abs(x_new - x_hat), initial=0.0)
         x_hat = x_new
         if comp <= EPS_COMP:
-            return x_hat, "success", trace
+            return Ad2Result(x_hat, "success", trace)
         if moved <= STALL_TOL or rho * BETA > MAX_PENALTY:
-            return x_hat, "complementarity_not_met", trace
+            return Ad2Result(x_hat, "complementarity_not_met", trace)
         rho *= BETA
 
 
-def solve_bqp(qp: QpProblem) -> BqpResult:
+def solve_bqp(qp: QpProblem) -> Ad2Result:
     """Global search once, then the penalty homotopy from its minimizer
     unless that is already Boolean to EPS_COMP.
 
@@ -162,10 +167,10 @@ def solve_bqp(qp: QpProblem) -> BqpResult:
     try:
         sol = solve_qp(qp, tol=QP_TOL)
     except _QP_ERRORS:
-        return BqpResult(None, [], "qp_failed", float("nan"), float("nan"))
-    x_hat, status, trace = sol.x_star, sol.status, []
-    if status == "optimal":
-        x_hat, status = _snap_boolean(qp, x_hat), "success"
-        if penalty_phi(x_hat) > EPS_COMP:
-            x_hat, status, trace = penalty_homotopy(step, x_hat)
-    return BqpResult(x_hat, trace, status, penalty_phi(x_hat), qp.objective(x_hat))
+        return Ad2Result(None, "qp_failed", [])
+    if sol.status != "optimal":
+        return Ad2Result(sol.x_star, sol.status, [])
+    x_hat = _snap_boolean(qp, sol.x_star)
+    if penalty_phi(x_hat) > EPS_COMP:
+        return penalty_homotopy(step, x_hat)
+    return Ad2Result(x_hat, "success", [])

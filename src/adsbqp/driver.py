@@ -4,7 +4,7 @@ AD1 minimizes transmit power at fixed switches over the K per-user
 received totals: it water-fills them with rate.water_filling, which also
 decides its feasibility exactly, at a level raised to keep the rate slack
 a barrier solve ends with.  AD2 is one pure step ad2(prob, P_bar, x_bar,
-lambda_bar) -> Ad2Result from the AD1 point: it minimizes a convex
+lambda_bar) -> bqp.Ad2Result from the AD1 point: it minimizes a convex
 quadratic model of the Lagrangian in x over the linearized rate constraint
 via the penalty-homotopy Boolean QP.  At a Boolean start x_bar
 AD-SBQP first tries a closed-form certificate (_step_bound): a multiplier
@@ -30,10 +30,10 @@ from typing import Callable
 import numpy as np
 
 from . import rate as rate_mod
-from .bqp import SNAP_REACH, penalty_phi, solve_bqp
+from .bqp import SNAP_REACH, Ad2Result, penalty_phi, solve_bqp
 # solve_barrier is unused here but stays importable as driver.solve_barrier,
 # a call site that perfbench's tracer tests wrap.
-from .nlp import InfeasibleProblemError, solve_barrier  # noqa: F401
+from .nlp import MU_MIN, InfeasibleProblemError, solve_barrier  # noqa: F401
 from .qp import QpProblem, _least_eigenvalue
 from .rate import EsrProblem
 
@@ -42,7 +42,6 @@ __all__ = [
     "AdIterate",
     "AdTrace",
     "Solution",
-    "Ad2Result",
     "ad1",
     "build_ad2_subproblem",
     "search_by_bound",
@@ -53,10 +52,6 @@ __all__ = [
 
 # The AD loop converges once ||[dP | dx]|| <= EPS_TERM.
 EPS_TERM = 1e-6
-# Barrier tolerance: the smooth baselines solve their switch NLPs at
-# NLP_TOL, and ad1 keeps the rate slack mu / lambda with mu = NLP_TOL / 10,
-# where such a solve ends.
-NLP_TOL = 1e-8
 # Least eigenvalue of the AD2 curvature matrix after the shift.
 HESSIAN_SHIFT_FLOOR = 1e-8
 
@@ -103,22 +98,9 @@ class Solution:
     iterations: int
 
 
-@dataclass
-class Ad2Result:
-    """What every AD2 step ad2(prob, P_bar, x_bar, lambda_bar) returns."""
-
-    x_star: np.ndarray
-    status: str
-    trace: list
-
-
 class Ad1InfeasibleError(InfeasibleProblemError):
     """The rate threshold is out of reach within the power budget at the given
     switch vector, by rate.water_filling's exact test, or every switch is off."""
-
-    def __init__(self, message: str, achievable_rate: float):
-        super().__init__(message)
-        self.achievable_rate = achievable_rate
 
 
 def ad1(prob: EsrProblem, x_bar: np.ndarray):
@@ -131,34 +113,30 @@ def ad1(prob: EsrProblem, x_bar: np.ndarray):
     totals, with g_j the SNR per unit total.  rate.water_filling decides
     feasibility and gives the level nu at which the m served users reach
     r_th.  The level is then raised to nu' = nu exp(mu / (m nu)) with
-    mu = NLP_TOL / 10, so that the rate clears r_th by mu / lambda, the
-    slack a barrier solve at NLP_TOL ends with and the smooth baselines'
-    stall depends on; nu' is capped at the level that spends the budget.  Each a_j = max(0, nu' - 1/g_j), computed
-    as expm1(log(nu' g_j)) / g_j so that no digit is lost at low SNR, and
-    each active row (x_i above rate.BOOLEAN_TOL) holds a / sum x_i while
-    the others are zero.  When the threshold is out of reach,
-    Ad1InfeasibleError carries the rate at the even split of the budget
-    over the users.  Returns (P_star, lambda_bar), lambda_bar = nu' ln2 / B
-    the rate multiplier.
+    mu = nlp.MU_MIN, so that the rate clears r_th by mu / lambda, the
+    slack a barrier solve ends with and the smooth baselines' stall
+    depends on; nu' is capped at the level that spends the budget.  Each
+    a_j = max(0, nu' - 1/g_j), computed as expm1(log(nu' g_j)) / g_j so
+    that no digit is lost at low SNR, and each active row (x_i above
+    rate.BOOLEAN_TOL) holds a / sum x_i while the others are zero.  An
+    unreachable threshold raises Ad1InfeasibleError.  Returns (P_star,
+    lambda_bar), lambda_bar = nu' ln2 / B the rate multiplier.
     """
     x_bar = np.asarray(x_bar, dtype=float)
     active = np.flatnonzero(x_bar > rate_mod.BOOLEAN_TOL)
     if active.size == 0:
-        raise Ad1InfeasibleError("all antennas are switched off", achievable_rate=0.0)
+        raise Ad1InfeasibleError("all antennas are switched off")
     x_sum = float(x_bar[active].sum())
     budget = prob.cfg.p_th * x_sum
     g = ((x_bar ** 2) @ prob.gains) / prob.sigma  # SNR per unit received total
     feasible, least_total, log_top, served = (
         v[0] for v in rate_mod.water_filling(g, budget, prob.r_th, prob.bandwidth))
     if not feasible:
-        even = np.full(prob.n_users, budget / prob.n_users)
         raise Ad1InfeasibleError(
-            f"rate threshold {prob.r_th:.6g} not met within the power budget {budget:.6g}",
-            achievable_rate=float(prob.bandwidth / rate_mod.LN2 * np.log1p(even * g).sum()),
-        )
+            f"rate threshold {prob.r_th:.6g} not met within the power budget {budget:.6g}")
     top = float(g.max())
     spread = served * math.exp(log_top) / top  # m nu: d(sum a) / d(log nu)
-    log_top += min(0.1 * NLP_TOL / spread, math.log1p((budget - least_total) / spread))
+    log_top += min(MU_MIN / spread, math.log1p((budget - least_total) / spread))
     on = g > 0.0
     a = np.zeros(prob.n_users)
     a[on] = np.maximum(0.0, np.expm1(log_top - np.log1p((top - g[on]) / g[on]))) / g[on]
@@ -238,7 +216,7 @@ def search_by_bound(prob: EsrProblem, bounds, keys, selection, power):
     is the one an exhaustive search over every candidate would return.
     Returns (objective, key, x, P) with P from power(prob, x), or None when
     every power subproblem is infeasible.  ad1's objective sits
-    about mu = NLP_TOL / 10 above its bound (the cost of its rate slack), far
+    about mu = nlp.MU_MIN above its bound (the cost of its rate slack), far
     above rounding error.
     """
     best = None
@@ -339,7 +317,7 @@ def _sbqp_ad2(prob, P_star, x_bar, lambda_bar) -> Ad2Result:
         completed = _complete_boolean(prob, res.x_star)
         if completed is not None:
             return Ad2Result(completed, "success", res.trace)
-    return Ad2Result(res.x_star, res.status, res.trace)
+    return res
 
 
 def _initial_switch(prob: EsrProblem) -> np.ndarray:
@@ -359,26 +337,27 @@ def solve(prob: EsrProblem, cfg: AdConfig | None = None):
     """Full alternating-direction solve; returns (Solution, AdTrace).
 
     The full-activation allocation is kept as an incumbent: when the
-    alternation ends on a costlier selection, the all-on solution is
-    returned instead, so the reported objective never exceeds that baseline.
-    Its power subproblem is solved only when the alternation ended on
-    another selection and the all-on water-filling bound
+    alternation ends on a costlier selection, or on one AD1 cannot serve
+    ("infeasible_selection", which counts as objective +inf), the all-on
+    solution is returned instead, so the reported objective never exceeds
+    that baseline.  Its power subproblem is solved only when the alternation
+    ended on another selection and the all-on water-filling bound
     (rate.selection_bounds) does not exceed the alternation's objective.
     """
     sol, trace = _ad_loop(prob, cfg or AdConfig(), _sbqp_ad2, "AD-SBQP")
     # The incumbent is the alternation's own result when that ended at all-on.
-    if (sol.status in ("success", "complementarity_not_met", "max_iter")
-            and not (sol.x_star == 1.0).all()):
+    if sol.status != "infeasible" and not (sol.x_star == 1.0).all():
+        objective = np.inf if sol.status == "infeasible_selection" else sol.objective
         ones = np.ones(prob.n_tx)
         # The all-on objective is at least its water-filling bound, so above
         # the bound the incumbent cannot win and its power solve is skipped.
         _, bound = rate_mod.selection_bounds(ones[None, :], prob)
-        if bound[0] <= sol.objective:
+        if bound[0] <= objective:
             try:
                 P_ones, obj_ones = full_activation_allocation(prob)
             except Ad1InfeasibleError:
                 obj_ones = np.inf
-            if obj_ones < sol.objective:
+            if obj_ones < objective:
                 sol = _solution(prob, P_ones, ones, "success", sol.iterations)
     return sol, trace
 

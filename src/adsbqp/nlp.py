@@ -4,14 +4,15 @@ Problem form: min f(z)  s.t.  c(z) <= 0 (m general constraints), lo <= z <= up.
 The barrier subproblems are minimized by Newton's method with Armijo
 backtracking; an eigenvalue shift keeps the Newton system positive definite
 so descent also holds for nonconvex penalized instances.  The barrier weight
-mu starts at MU0 and shrinks MU_FACTOR-fold per stage, each stage taking at
-most MAX_NEWTON_PER_MU Newton steps.  Each point is evaluated once: a
-line-search trial computes the objective, the log sums and the constraint
-slack, and the accepted trial carries them into the next step.  The Newton
-system goes to LAPACK's Cholesky routines (potrf/potrs) directly, behind
-the finiteness checks scipy.linalg.cho_factor/cho_solve would make, and
-the least eigenvalue of a shift to syevr as scipy.linalg.eigvalsh calls it;
-qp holds the routines for both solvers.
+mu starts at MU0 and shrinks MU_FACTOR-fold per stage down to MU_MIN =
+TOL / 10, each stage taking at most MAX_NEWTON_PER_MU Newton steps; all of
+these are constants.  Each point is evaluated once: a line-search trial
+computes the objective, the log sums and the constraint slack, and the
+accepted trial carries them into the next step.  The Newton system goes to
+LAPACK's Cholesky routines (potrf/potrs) directly, behind the finiteness
+checks scipy.linalg.cho_factor/cho_solve would make, and the least
+eigenvalue of a shift to syevr as scipy.linalg.eigvalsh calls it; qp holds
+the routines for both solvers.
 """
 
 from __future__ import annotations
@@ -34,10 +35,15 @@ __all__ = [
 HESSIAN_EIG_FLOOR = 1e-8
 MIN_STEP = 1e-14
 ARMIJO_C1 = 1e-4
+# Stationarity tolerance of a barrier stage: its gradient is within
+# max(mu, TOL).
+TOL = 1e-8
 # Barrier schedule: mu = MU0 / MU_FACTOR**k for k = 0, 1, ..., floored at
-# tol / 10 and ending there, at most MAX_NEWTON_PER_MU Newton steps per value.
+# MU_MIN and ending there, at most MAX_NEWTON_PER_MU Newton steps per value.
+# driver.ad1 keeps the rate slack MU_MIN / lambda that such a solve ends with.
 MU0 = 1.0
 MU_FACTOR = 10.0
+MU_MIN = TOL * 0.1
 MAX_NEWTON_PER_MU = 200
 
 
@@ -168,7 +174,7 @@ def find_strictly_feasible(prob: NlpProblem, z0: np.ndarray | None = None) -> np
         constraints_jac=aug_jac,
         constraints_hess=aug_chess,
     )
-    sol = solve_barrier(aug, tol=1e-8, z0=np.concatenate((mid, [s0])))
+    sol = solve_barrier(aug, z0=np.concatenate((mid, [s0])))
     z, s = sol.z_star[:n], float(sol.z_star[prob.n])
     if s < -1e-10 and _evaluate(prob, z) is not None:
         return z
@@ -225,21 +231,22 @@ def _barrier_derivatives(prob: NlpProblem, lo_gap: np.ndarray, up_gap: np.ndarra
     return grad, hess_diag
 
 
-def _shift_to_pd(H: np.ndarray, floor: float = HESSIAN_EIG_FLOOR) -> np.ndarray:
-    """Lower Cholesky factor of H + tau*I with tau chosen so min eigenvalue >= floor."""
+def _shift_to_pd(H: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of H + tau*I, tau chosen so that the least
+    eigenvalue is at least HESSIAN_EIG_FLOOR."""
     eye = np.eye(H.shape[0])
-    c = _cho_factor(H + floor * eye)
+    c = _cho_factor(H + HESSIAN_EIG_FLOOR * eye)
     if c is not None:
         return c
     min_eig = _least_eigenvalue(H)
     # Start from the exact shift; grow geometrically when rounding at the
     # scale of ||H|| still leaves the factorization indefinite.
-    tau = max(floor - min_eig, floor)
+    tau = max(HESSIAN_EIG_FLOOR - min_eig, HESSIAN_EIG_FLOOR)
     for _ in range(60):
         c = _cho_factor(H + tau * eye)
         if c is not None:
             return c
-        tau = 10.0 * tau + floor
+        tau = 10.0 * tau + HESSIAN_EIG_FLOOR
     raise scipy.linalg.LinAlgError("could not regularize the Newton system")
 
 
@@ -248,10 +255,10 @@ def _newton_step(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return _cho_solve(_shift_to_pd(H), -grad)
 
 
-def solve_barrier(prob: NlpProblem, tol: float = 1e-8, z0: np.ndarray | None = None) -> NlpSolution:
-    """Outer barrier loop from mu = MU0 down to tol/10, inner damped Newton.
+def solve_barrier(prob: NlpProblem, z0: np.ndarray | None = None) -> NlpSolution:
+    """Outer barrier loop from mu = MU0 down to MU_MIN, inner damped Newton.
 
-    Stage k runs at mu = max(MU0 / MU_FACTOR**k, tol/10), computed from k so
+    Stage k runs at mu = max(MU0 / MU_FACTOR**k, MU_MIN), computed from k so
     that no rounding error accumulates into an extra stage, and a stage that
     does not converge within MAX_NEWTON_PER_MU Newton steps ends the solve as
     "max_iter".  A point is evaluated once: a line-search trial computes only
@@ -276,8 +283,7 @@ def solve_barrier(prob: NlpProblem, tol: float = 1e-8, z0: np.ndarray | None = N
             raise RuntimeError("barrier iterate left the feasible interior")
     f = prob.objective(z)
     stage = 0
-    mu_min = tol * 0.1
-    mu = max(MU0, mu_min)
+    mu = max(MU0, MU_MIN)
     total_iters = 0
     status = "optimal"
     derivatives = None  # objective gradient and constraint Jacobian at z
@@ -294,7 +300,7 @@ def solve_barrier(prob: NlpProblem, tol: float = 1e-8, z0: np.ndarray | None = N
             if prob.m:
                 weights = mu / slack
                 grad = grad + J.T @ weights
-            if np.abs(grad).max() <= max(mu, tol):
+            if np.abs(grad).max() <= max(mu, TOL):
                 converged_inner = True
                 break
             H = prob.hessian(z) + np.diag(bhess_diag)
@@ -339,10 +345,10 @@ def solve_barrier(prob: NlpProblem, tol: float = 1e-8, z0: np.ndarray | None = N
         if not converged_inner:
             status = "max_iter"
             break
-        if mu <= mu_min:
+        if mu <= MU_MIN:
             break
         stage += 1
-        mu = max(MU0 / MU_FACTOR ** stage, mu_min)
+        mu = max(MU0 / MU_FACTOR ** stage, MU_MIN)
 
     if prob.m:
         duals = mu / np.maximum(here[3], np.finfo(float).tiny)

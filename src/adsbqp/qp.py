@@ -6,7 +6,8 @@ fraction-to-boundary rule.  All inequalities (general rows plus finite
 bounds) are stacked into a single slack system C x + s = d, s >= 0; each
 iteration factors the condensed normal matrix Q + C' diag(z/s) C once by a
 dense Cholesky and solves with that factor twice, for the affine-scaling
-predictor and for the centering corrector.  A QpProblem is validated and
+predictor and for the centering corrector; a solve ends as "max_iter" after
+MAX_ITER iterations.  A QpProblem is validated and
 stacked once, when it is built, and QpProblem.with_g shares all of it but
 the linear term.  The Cholesky factor and solve go to LAPACK's potrf/potrs
 directly, behind the finiteness checks scipy.linalg.cho_factor/cho_solve
@@ -38,6 +39,8 @@ FRACTION_TO_BOUNDARY = 0.995
 CENTERING_FLOOR = 1e-2
 NEIGHBORHOOD = 1e-3
 MIN_STEP = 1e-8
+# Interior-point iterations before a solve ends as "max_iter".
+MAX_ITER = 100
 
 # The double-precision routines scipy.linalg.cho_factor/cho_solve and
 # eigvalsh call; on the 16x16 systems of AD-SBQP and the 2-4 variable ones of
@@ -204,17 +207,18 @@ def _step_to_boundary(s, ds, z, dz, fraction):
     return min(1.0, fraction / t) if t > 0.0 else 1.0
 
 
-def solve_qp(qp: QpProblem, tol: float = 1e-10, max_iter: int = 100) -> QpSolution:
+def solve_qp(qp: QpProblem, tol: float = 1e-10) -> QpSolution:
     """Solve the QP by an infeasible-start Mehrotra predictor-corrector.
 
-    Each iteration factors the normal matrix once, by LAPACK's potrf with
-    one jitter retry, and solves with the factor twice (potrs): the
-    predictor is the affine-scaling step, whose complementarity after the
-    longest step to the boundary, mu_aff, sets sigma = min(1, mu_aff/mu)^3;
-    the corrector targets max(sigma*mu, CENTERING_FLOOR*tol) and adds the
-    predictor's second-order term ds_aff*dz_aff.  The step goes 0.995 of the
-    way to the boundary and is halved until every product s_i z_i stays at
-    least NEIGHBORHOOD times their mean.
+    Each iteration factors the normal matrix once, by LAPACK's potrf, and
+    solves with the factor twice (potrs): the predictor is the
+    affine-scaling step, whose complementarity after the longest step to
+    the boundary, mu_aff, sets sigma = min(1, mu_aff/mu)^3; the corrector
+    targets max(sigma*mu, CENTERING_FLOOR*tol) and adds the predictor's
+    second-order term ds_aff*dz_aff.  The step goes 0.995 of the way to the
+    boundary and is halved until every product s_i z_i stays at least
+    NEIGHBORHOOD times their mean.  A normal matrix that is not positive
+    definite raises LinAlgError at once.
 
     Status "optimal" guarantees, when the QP has inequalities, that
     kkt_residual <= tol: stationarity, the violation of every row and bound,
@@ -223,12 +227,12 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, max_iter: int = 100) -> QpSoluti
     s_i z_i, not their mean) are within tol and the iterate, clipped onto
     its bounds, still has kkt_residual <= tol; the clip makes the bounds
     exact.  Without inequalities x solves Qx = -g by the Cholesky factor of
-    Q and is reported "optimal" with its residual.  A run that ends by
-    max_iter or by a step below MIN_STEP ("max_iter", "stalled") is reported
-    "infeasible" when its clipped point violates a row by more than
-    max(1e-6, 1e3 * tol).  The data were validated when qp was built; Q is
-    factored once here, to check convexity and, without inequalities, to
-    solve.  A non-finite Q, normal matrix or right-hand side raises
+    Q and is reported "optimal" with its residual.  A run that ends after
+    MAX_ITER iterations or by a step below MIN_STEP ("max_iter", "stalled")
+    is reported "infeasible" when its clipped point violates a row by more
+    than max(1e-6, 1e3 * tol).  The data were validated when qp was built;
+    Q is factored once here, to check convexity and, without inequalities,
+    to solve.  A non-finite Q, normal matrix or right-hand side raises
     ValueError, as scipy's Cholesky wrappers would.  iterations counts the
     interior-point iterations.
     """
@@ -250,8 +254,8 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, max_iter: int = 100) -> QpSoluti
     floor = CENTERING_FLOOR * tol
 
     status = "max_iter"
-    iterations = max_iter
-    for it in range(max_iter):
+    iterations = MAX_ITER
+    for it in range(MAX_ITER):
         r_d = qp.Q @ x + qp.g + C.T @ z
         r_p = C @ x + s - d
         if np.abs(r_d).max() <= tol and np.abs(r_p).max() <= tol and sz.max() <= tol:
@@ -265,9 +269,7 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, max_iter: int = 100) -> QpSoluti
         M = qp.Q + (C.T * z_over_s) @ C
         cf = _cho_factor(M)
         if cf is None:
-            cf = _cho_factor(M + 1e-10 * max(1.0, np.abs(M).max()) * np.eye(n))
-            if cf is None:
-                raise scipy.linalg.LinAlgError("the normal matrix is not positive definite")
+            raise scipy.linalg.LinAlgError("the normal matrix is not positive definite")
         # With ds = -r_p - C dx and dz = w + (z/s) C dx, the Newton system
         # for a complementarity target t reduces to M dx = -(r_d + C'w),
         # w = (z/s) r_p + (t - s z - correction) / s.

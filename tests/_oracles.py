@@ -16,7 +16,7 @@ import scipy.linalg
 import scipy.optimize
 
 from adsbqp import rate as rate_mod
-from adsbqp.driver import NLP_TOL, Ad1InfeasibleError, ad1
+from adsbqp.driver import Ad1InfeasibleError, ad1
 from adsbqp.nlp import (
     ARMIJO_C1,
     HESSIAN_EIG_FLOOR,
@@ -202,9 +202,9 @@ def barrier_ad1(prob, x_bar):
         constraints_hess=constraints_hess,
     )
     try:
-        sol = solve_barrier(nlp, tol=NLP_TOL, z0=P0[active].flatten(order="F"))
+        sol = solve_barrier(nlp, z0=P0[active].flatten(order="F"))
     except InfeasibleProblemError as exc:
-        raise Ad1InfeasibleError(str(exc), achievable_rate=np.nan) from exc
+        raise Ad1InfeasibleError(str(exc)) from exc
     return to_full(sol.z_star), float(sol.duals[0])
 
 

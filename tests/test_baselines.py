@@ -202,16 +202,16 @@ def test_switch_nlps_match_the_reference_barrier_loop(monkeypatch):
     # rounding apart, so the same point may come back later.)
     solves = []
 
-    def recorded(prob, tol=1e-8, z0=None):
+    def recorded(prob, z0=None):
         seen = []
 
         def objective(z):
             seen.append(np.asarray(z, dtype=float).tobytes())
             return prob.objective(z)
 
-        sol = solve_barrier(replace(prob, objective=objective), tol=tol, z0=z0)
+        sol = solve_barrier(replace(prob, objective=objective), z0=z0)
         assert all(a != b for a, b in zip(seen, seen[1:]))
-        solves.append((prob, tol, z0, sol))
+        solves.append((prob, z0, sol))
         return sol
 
     solve_barrier = nlp.solve_barrier
@@ -223,14 +223,14 @@ def test_switch_nlps_match_the_reference_barrier_loop(monkeypatch):
         solve_ad_nspen(prob)
     monkeypatch.undo()
     assert any(prob.n == 3 for prob, *_ in solves)  # phase 1 ran
-    for prob, tol, z0, sol in solves:
-        assert_same_solution(sol, solve_barrier_reference(prob, tol=tol, z0=z0))
+    for prob, z0, sol in solves:
+        assert_same_solution(sol, solve_barrier_reference(prob, z0=z0))
 
 
 @pytest.mark.parametrize("outcome, status", [("stalled", "stalled"), ("max_iter", "max_iter"),
                                              (RuntimeError("left the interior"), "barrier_failed")])
 def test_a_failed_switch_nlp_ends_the_homotopy_with_its_status(monkeypatch, outcome, status):
-    def failing(prob, tol=1e-8, z0=None):
+    def failing(prob, z0=None):
         if isinstance(outcome, Exception):
             raise outcome
         return NlpSolution(np.asarray(z0, dtype=float), np.zeros(prob.m), outcome, 1, 1.0, 1.0)

@@ -260,6 +260,17 @@ def test_equalities_of_scale_one_preserved_with_jitter():
     assert sol.kkt_residual <= 1e-8
 
 
+def test_a_singular_normal_matrix_raises_at_once():
+    # x2 has no curvature and appears in no inequality, so the normal matrix
+    # Q + C' diag(z/s) C is singular at every iterate.  solve_qp raises;
+    # solve_bqp reports that as "qp_failed".  Box QPs never get here: their
+    # bound rows give C full column rank.
+    qp = box_qp(np.zeros((2, 2)), np.array([1.0, 0.0]), A=np.array([[-1.0, 0.0]]), u=np.array([1.0]),
+                lower=-np.inf, upper=np.inf)
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_qp(qp)
+
+
 # Every problem above, by the name the reference test reports.
 PROBLEMS = {
     "unconstrained": unconstrained_qp,
@@ -301,9 +312,9 @@ def test_ad2_qps_match_the_reference_loop_bit_for_bit(monkeypatch):
     # leaves a fractional point alone).
     calls = []
 
-    def recorded(qp, tol=1e-10, max_iter=100):
+    def recorded(qp, tol=1e-10):
         calls.append((qp, tol))
-        return solve_qp(qp, tol=tol, max_iter=max_iter)
+        return solve_qp(qp, tol=tol)
 
     monkeypatch.setattr(bqp, "solve_qp", recorded)
     for seed in range(4):
@@ -373,7 +384,7 @@ def convex_box_qps(draw):
     return box_qp(B @ B.T + np.eye(n), g, A, A @ np.full(n, 0.5) + margin)
 
 
-@settings(max_examples=200, deadline=None, database=None,
+@settings(max_examples=200, deadline=None, database=None, print_blob=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(convex_box_qps())
 def check_random_convex_box_qp(qp):
