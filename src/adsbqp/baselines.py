@@ -58,11 +58,15 @@ def _penalized_barrier_ad2(x_bar: np.ndarray, f, grad_f, hess_f, *,
     constraint, each round a log-barrier solve from the last iterate.
 
     The method supplies f with its gradient and Hessian and the constraint
-    callbacks of NlpProblem.  A round that finds no strictly feasible start
-    near the last iterate ends the homotopy as "stalled"; a barrier solve
-    that ends "stalled" or "max_iter" ends it with that status, and one that
-    raises RuntimeError ends it as "barrier_failed", as solve_bqp ends on a
-    QP that is not solved to optimality.
+    callbacks of NlpProblem.  Each round starts its barrier solve at the last
+    iterate x_hat as it is: every barrier iterate is strictly feasible, so
+    phase 1 of find_strictly_feasible, from the box midpoint, runs only when
+    the first round's x_bar is not (on the box boundary, such as the all-on
+    fallback of driver._initial_switch, or outside the constraint).  A round
+    that finds no strictly feasible start ends the homotopy as "stalled"; a
+    barrier solve that ends "stalled" or "max_iter" ends it with that
+    status, and one that raises RuntimeError ends it as "barrier_failed", as
+    solve_bqp ends on a QP that is not solved to optimality.
     """
     n = x_bar.size
     eye = np.eye(n)
@@ -82,7 +86,7 @@ def _penalized_barrier_ad2(x_bar: np.ndarray, f, grad_f, hess_f, *,
             constraints_hess=constraints_hess,
         )
         try:
-            x0 = find_strictly_feasible(nlp, np.clip(x_hat, 1e-6, 1.0 - 1e-6))
+            x0 = find_strictly_feasible(nlp, x_hat)
         except InfeasibleProblemError:
             return "stalled"
         try:

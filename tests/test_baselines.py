@@ -12,10 +12,10 @@ from adsbqp.baselines import (
     solve_ad_spen,
 )
 from adsbqp.channel import ChannelMatrix, ScenarioConfig, generate_channel
-from adsbqp.bqp import BETA, RHO0, STALL_TOL
+from adsbqp.bqp import BETA, RHO0, STALL_TOL, penalty_homotopy
 from adsbqp.driver import Ad1InfeasibleError, ad1, solve
 from adsbqp.rate import build_esr_problem, economic_objective, selection_bounds, sum_rate
-from adsbqp.nlp import NlpSolution
+from adsbqp.nlp import InfeasibleProblemError, NlpSolution
 from _oracles import enumerate_exhaustive, solve_barrier_reference
 from test_nlp import assert_same_solution
 
@@ -199,7 +199,10 @@ def test_switch_nlps_match_the_reference_barrier_loop(monkeypatch):
     # solves of find_strictly_feasible included, returns the reference
     # loop's bytes and never passes the objective the point it was just
     # passed.  (Near the bound the iterate can cycle between two points a
-    # rounding apart, so the same point may come back later.)
+    # rounding apart, so the same point may come back later.)  A round
+    # starts at the last iterate, which is strictly feasible, so phase 1
+    # runs only from a start on the box boundary: the all-on x_bar, with
+    # the power and multiplier of ad1 there, is added for it.
     solves = []
 
     def recorded(prob, z0=None):
@@ -221,21 +224,58 @@ def test_switch_nlps_match_the_reference_barrier_loop(monkeypatch):
         prob = scaled_problem(seed=seed, n=2, k=2)
         solve_ad_spen(prob)
         solve_ad_nspen(prob)
+        x_on = np.ones(prob.n_tx)
+        P_on, lam_on = ad1(prob, x_on)
+        for ad2 in (baselines._spen_ad2, baselines._nspen_ad2):
+            ad2(prob, P_on, x_on, lam_on)
     monkeypatch.undo()
     assert any(prob.n == 3 for prob, *_ in solves)  # phase 1 ran
     for prob, z0, sol in solves:
         assert_same_solution(sol, solve_barrier_reference(prob, z0=z0))
 
 
+def test_switch_nlp_rounds_start_at_the_last_iterate(monkeypatch):
+    # Every barrier iterate is strictly feasible, so each round's barrier
+    # solve starts at that round's x_hat, bit for bit, and no round at 2x2
+    # runs a phase-1 solve (an (n + 1)-variable barrier solve).
+    rounds, starts = [], []
+
+    def homotopy(step, x0):
+        def recorded_step(rho, x_hat):
+            rounds.append(np.asarray(x_hat, dtype=float).tobytes())
+            return step(rho, x_hat)
+
+        return penalty_homotopy(recorded_step, x0)
+
+    def recorded(prob, z0=None):
+        starts.append((prob.n, np.asarray(z0, dtype=float).tobytes()))
+        return solve_barrier(prob, z0=z0)
+
+    solve_barrier = nlp.solve_barrier
+    monkeypatch.setattr(baselines, "penalty_homotopy", homotopy)
+    monkeypatch.setattr(nlp, "solve_barrier", recorded)
+    monkeypatch.setattr(baselines, "solve_barrier", recorded)
+    for seed in range(4):
+        prob = scaled_problem(seed=seed, n=2, k=2)
+        solve_ad_spen(prob)
+        solve_ad_nspen(prob)
+    assert rounds
+    assert starts == [(2, x_hat) for x_hat in rounds]
+
+
 @pytest.mark.parametrize("outcome, status", [("stalled", "stalled"), ("max_iter", "max_iter"),
-                                             (RuntimeError("left the interior"), "barrier_failed")])
+                                             (RuntimeError("left the interior"), "barrier_failed"),
+                                             (InfeasibleProblemError("no start"), "stalled")])
 def test_a_failed_switch_nlp_ends_the_homotopy_with_its_status(monkeypatch, outcome, status):
+    # A barrier solve that ends short or raises ends the homotopy with its
+    # status; a round with no strictly feasible start ends it as "stalled".
     def failing(prob, z0=None):
         if isinstance(outcome, Exception):
             raise outcome
         return NlpSolution(np.asarray(z0, dtype=float), np.zeros(prob.m), outcome, 1, 1.0, 1.0)
 
-    monkeypatch.setattr(baselines, "solve_barrier", failing)
+    no_start = isinstance(outcome, InfeasibleProblemError)
+    monkeypatch.setattr(baselines, "find_strictly_feasible" if no_start else "solve_barrier", failing)
     prob = scaled_problem(seed=0, n=2, k=2)
     for solver in (solve_ad_spen, solve_ad_nspen):
         sol, trace = solver(prob)

@@ -1,11 +1,15 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adsbqp
 from adsbqp import bqp, cli
@@ -70,6 +74,53 @@ def test_load_scenario_rejects_unknown_keys_and_bad_values(tmp_path):
         load_scenario(write_scenario(tmp_path, "n_tx = eight\n"))
     with pytest.raises(ScenarioParseError, match="two coordinates"):
         load_scenario(write_scenario(tmp_path, "cell_center = 1, 2, 3\n"))
+
+
+def finite(lo=None, hi=None, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+@st.composite
+def scenario_configs(draw):
+    """Valid ScenarioConfigs; a None draw leaves the field to its default."""
+    mode = draw(st.sampled_from([None, "absolute", "fraction"]))
+    positive = finite(0.0, 1e12, exclude_min=True)
+    point = st.tuples(finite(-1e6, 1e6), finite(-1e6, 1e6))
+    value = {None: st.none(), "absolute": positive,
+             "fraction": finite(0.0, 1.0, exclude_min=True, exclude_max=True)}[mode]
+    return ScenarioConfig(
+        n_tx=draw(st.integers(1, 128)), n_users=draw(st.integers(1, 128)),
+        bandwidth_b=draw(positive), noise_n0b=draw(positive),
+        pathloss_t0_db=draw(finite(-200.0, 200.0)), pathloss_exponent_eta=draw(finite(0.0, 10.0)),
+        cell_center=draw(point), cell_radius=draw(finite(0.0, 1e6)), bs_position=draw(point),
+        seed=draw(st.integers(0, 2 ** 32 - 1)), p_rf=draw(finite(0.0, 1e3)),
+        p_th=draw(st.none() | positive), r_th_mode=mode, r_th_value=draw(value))
+
+
+def scenario_text(cfg):
+    """cfg as a key = value file, one line per field, tuples as (x, y)."""
+    lines = []
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        text = f"({value[0]!r}, {value[1]!r})" if isinstance(value, tuple) else str(value)
+        lines.append(f"{f.name} = {text}")
+    return "\n".join(lines) + "\n"
+
+
+def test_scenario_files_round_trip(tmp_path):
+    # Every valid config written as a scenario file loads back equal, each
+    # float exactly (repr round-trips).
+    path = tmp_path / "scen.txt"
+
+    @settings(max_examples=300, deadline=None, database=None, print_blob=True)
+    @given(scenario_configs())
+    def check(cfg):
+        path.write_text(scenario_text(cfg))
+        assert load_scenario(path) == cfg
+
+    t0 = time.perf_counter()
+    check()
+    assert time.perf_counter() - t0 < 10.0
 
 
 def test_scenario_hash_is_stable_and_sensitive():
