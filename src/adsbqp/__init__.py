@@ -24,7 +24,7 @@ from .rate import (
 from .qp import QpProblem, QpSolution, kkt_residual, solve_qp
 from .nlp import InfeasibleProblemError, NlpProblem, NlpSolution, find_strictly_feasible, solve_barrier
 from .bqp import Ad2Result, penalty_phi, solve_bqp
-from .driver import AdConfig, AdTrace, Solution, ad1, build_ad2_subproblem, full_activation_allocation, solve
+from .driver import AdConfig, AdTrace, Solution, ad1, build_ad2_subproblem, solve
 from .baselines import MethodReport, enumerate_selections, solve_ad_nspen, solve_ad_spen
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "Solution",
     "ad1",
     "build_ad2_subproblem",
-    "full_activation_allocation",
     "solve",
     "MethodReport",
     "enumerate_selections",

@@ -16,13 +16,10 @@ import numpy as np
 
 from . import rate as rate_mod
 from .bqp import Ad2Result, penalty_grad, penalty_homotopy, penalty_phi
-from .driver import (
-    AdConfig,
-    _ad_loop,
-    ad1,
-    build_ad2_subproblem,
-    search_by_bound,
-)
+from .driver import AdConfig, _ad_loop, bit_rows, build_ad2_subproblem, cheapest_selection
+# ad1 is unused here but stays importable as baselines.ad1, a call site
+# that perfbench's tracer tests wrap.
+from .driver import ad1  # noqa: F401
 from .nlp import InfeasibleProblemError, NlpProblem, find_strictly_feasible, solve_barrier
 from .rate import EsrProblem
 
@@ -31,6 +28,7 @@ __all__ = [
     "solve_ad_spen",
     "solve_ad_nspen",
     "enumerate_selections",
+    "EnumerationRefused",
 ]
 
 METHOD_NAMES = ("AD-SBQP", "AD-SPen", "AD-NSPen", "ENUM")
@@ -128,9 +126,8 @@ def solve_ad_nspen(prob: EsrProblem, cfg: AdConfig | None = None):
     return _ad_loop(prob, cfg or AdConfig(), _nspen_ad2, "AD-NSPen")
 
 
-def _selections(masks: np.ndarray, n: int) -> np.ndarray:
-    """One 0/1 row per bitmask: x_i = bit i of the mask."""
-    return ((masks[:, None] >> np.arange(n)) & 1).astype(float)
+class EnumerationRefused(ValueError):
+    """The instance has more antennas than enumerate_selections' n_limit."""
 
 
 def enumerate_selections(
@@ -140,36 +137,40 @@ def enumerate_selections(
 ):
     """Ground truth: the cheapest of every Boolean switch vector, by branch and bound.
 
-    Pass 1 decides every selection (bitmask) at once with the exact
-    water-filling test and bounds its objective below by the least total
-    power plus the standby draw (rate.selection_bounds), in blocks of
-    _BLOCK masks so the work arrays do not grow with 2^N.  Pass 2 solves
-    the power subproblem of the feasible selections in ascending bound and
-    stops at the first bound above the cheapest objective found
-    (driver.search_by_bound), so the result is the exhaustive one.  It is
-    invariant to enumeration order: objectives are deterministic per
-    selection and ties break on the smaller bitmask.  The report's
-    iterations count the feasible selections.  Returns (report, x_best,
-    P_best).
+    Pass 1 decides every selection (bitmask) with the exact water-filling
+    test and bounds its objective below by the least total power plus the
+    standby draw (rate.selection_bounds), in blocks of _BLOCK masks so the
+    work arrays do not grow with 2^N; the feasible rows are kept as
+    Booleans.  Pass 2 hands them, in ascending mask order, to
+    driver.cheapest_selection, which solves the power subproblem in
+    ascending bound and stops at the first bound above the cheapest
+    objective found, so the result is the exhaustive one with ties broken
+    on the smaller bitmask.  It is invariant to enumeration order: the
+    masks of order are sorted first.  The report's iterations count the
+    feasible selections.  Returns (report, x_best, P_best); more than
+    n_limit antennas raise EnumerationRefused.
     """
     n = prob.n_tx
     if n > n_limit:
-        raise ValueError(
+        raise EnumerationRefused(
             f"enumeration refused: {n} antennas exceeds the limit of {n_limit}"
         )
     t0 = time.perf_counter()
-    masks = np.arange(1, 2 ** n) if order is None else np.fromiter(order, dtype=np.int64)
-    feasible = np.empty(masks.size, dtype=bool)
+    masks = np.arange(1, 2 ** n) if order is None else np.sort(np.fromiter(order, dtype=np.int64))
+    X = np.empty((masks.size, n), dtype=bool)
     bounds = np.empty(masks.size)
+    count = 0  # feasible rows so far, packed at the front of X and bounds
     for start in range(0, masks.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        feasible[block], bounds[block] = rate_mod.selection_bounds(_selections(masks[block], n), prob)
-    masks = masks[feasible]
-    best = search_by_bound(prob, bounds[feasible], masks, lambda m: _selections(np.array([m]), n)[0], ad1)
+        rows = bit_rows(masks[start:start + _BLOCK], n)
+        feasible, bound = rate_mod.selection_bounds(rows.astype(float), prob)
+        end = count + int(feasible.sum())
+        X[count:end], bounds[count:end] = rows[feasible], bound[feasible]
+        count = end
+    best = cheapest_selection(prob, X[:count], bounds[:count])
     wall = time.perf_counter() - t0
     if best is None:
-        report = MethodReport("ENUM", float("nan"), float("nan"), masks.size, wall, "infeasible")
+        report = MethodReport("ENUM", float("nan"), float("nan"), count, wall, "infeasible")
         return report, None, None
-    obj, _, x_best, P_best = best
-    report = MethodReport("ENUM", obj, penalty_phi(x_best), masks.size, wall, "success")
+    obj, x_best, P_best = best
+    report = MethodReport("ENUM", obj, penalty_phi(x_best), count, wall, "success")
     return report, x_best, P_best

@@ -26,6 +26,7 @@ from . import __version__
 from . import rate as rate_mod
 from .baselines import (
     METHOD_NAMES,
+    EnumerationRefused,
     MethodReport,
     enumerate_selections,
     solve_ad_nspen,
@@ -63,7 +64,8 @@ class ScenarioParseError(ValueError):
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Parse a key-value scenario file, defaulting every missing key.
 
-    A value ScenarioConfig rejects is reported with the line of its key.
+    A value ScenarioConfig rejects is reported with the line of its key, and
+    a key set twice with the line of its second setting.
     """
     fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
     values = {}
@@ -80,6 +82,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         value = value.strip()
         if key not in fields:
             raise ScenarioParseError(f"unknown key {key!r}", line_no)
+        if key in key_lines:
+            raise ScenarioParseError(f"duplicate key {key!r}, first set on line {key_lines[key]}", line_no)
         key_lines[key] = line_no
         try:
             if key in _TUPLE_KEYS:
@@ -217,9 +221,14 @@ _RUNNERS = {
 
 def _run_method(method: str, prob: EsrProblem, ad_config: AdConfig):
     """One method on prob; returns (report, solution, trace), the last two
-    None for ENUM, which has neither."""
+    None for ENUM, which has neither.  An instance too large to enumerate
+    gives ENUM the status "too_large" and one line on stderr."""
     if method == "ENUM":
-        report, _, _ = enumerate_selections(prob)
+        try:
+            report, _, _ = enumerate_selections(prob)
+        except EnumerationRefused as exc:
+            print(f"ENUM: {exc}", file=sys.stderr)
+            report = MethodReport(method, float("nan"), float("nan"), 0, 0.0, "too_large")
         return report, None, None
     solution, trace = _RUNNERS[method](prob, ad_config)
     report = MethodReport(
@@ -239,7 +248,8 @@ def run_compare(manifest: RunManifest):
     Writes manifest.json, comparison.csv (+json), per-method trace files,
     selection reports for successful methods and a timings.json sidecar.
     A method that raises gets a status "error" row with NaN values and its
-    traceback in error_<method>.txt; the other methods still run and write
+    traceback in error_<method>.txt (an ENUM refused for size is no error:
+    its row has the status "too_large"); the other methods still run and write
     their files.  Returns (reports, all_success).
     """
     out = manifest.out_dir
@@ -370,7 +380,7 @@ def main(argv=None) -> int:
         prob = build_esr_problem(cfg)
         try:
             report, x_best, _ = enumerate_selections(prob, n_limit=args.n_limit)
-        except ValueError as exc:
+        except EnumerationRefused as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if report.status != "success":

@@ -19,6 +19,13 @@ iterations, or as infeasible_selection at switches AD1 cannot serve.
 AdConfig holds the one value a caller sets, the iteration cap; every
 tolerance is a module constant, AD2's complementarity tolerance
 bqp.EPS_COMP among them.
+
+Every exact decision about 0/1 selections is one search,
+cheapest_selection(prob, X, bounds, incumbent): candidate rows in,
+visited in ascending water-filling bound with ties to the earlier row and
+to the incumbent, the cheapest (objective, x, P) out.  AD2's Boolean
+completion, solve's all-on incumbent and baselines.enumerate_selections
+are its callers.
 """
 
 from __future__ import annotations
@@ -43,10 +50,10 @@ __all__ = [
     "AdTrace",
     "Solution",
     "ad1",
+    "bit_rows",
     "build_ad2_subproblem",
-    "search_by_bound",
+    "cheapest_selection",
     "solve",
-    "full_activation_allocation",
 ]
 
 
@@ -145,13 +152,6 @@ def ad1(prob: EsrProblem, x_bar: np.ndarray):
     return P_star, math.exp(log_top) / top * math.log(2.0) / prob.bandwidth
 
 
-def full_activation_allocation(prob: EsrProblem):
-    """Reference allocation with every antenna on; returns (P, objective)."""
-    ones = np.ones(prob.n_tx)
-    P, _ = ad1(prob, ones)
-    return P, rate_mod.economic_objective(P, ones, prob)
-
-
 def _linear_model(prob: EsrProblem, P_star: np.ndarray, x_bar: np.ndarray):
     """The first-order part of AD2's switch model at (P_star, x_bar): (f, a, slack).
 
@@ -205,32 +205,38 @@ def build_ad2_subproblem(
     return qp, offset
 
 
-def search_by_bound(prob: EsrProblem, bounds, keys, selection, power):
-    """Cheapest feasible selection, visited in ascending water-filling bound.
+def bit_rows(bits: np.ndarray, n: int) -> np.ndarray:
+    """One Boolean row per integer of bits: column i holds bit i."""
+    return ((bits[:, None] >> np.arange(n)) & 1).astype(bool)
 
-    bounds[i] is rate.selection_bounds' lower bound on the objective of the
-    selection x = selection(keys[i]).  Candidates are visited in ascending
-    (bound, key) order and power(prob, x), the power subproblem (ad1), is
-    solved for each until a bound exceeds the cheapest objective found: no
-    later candidate can beat it.  Ties go to the smaller key, so the result
-    is the one an exhaustive search over every candidate would return.
-    Returns (objective, key, x, P) with P from power(prob, x), or None when
-    every power subproblem is infeasible.  ad1's objective sits
-    about mu = nlp.MU_MIN above its bound (the cost of its rate slack), far
-    above rounding error.
+
+def cheapest_selection(prob: EsrProblem, X: np.ndarray, bounds: np.ndarray, incumbent: float = math.inf):
+    """Cheapest 0/1 row of X that beats the incumbent objective, by bound.
+
+    bounds is rate.selection_bounds(X, prob)[1], a lower bound on each row's
+    objective that is inf where the row is infeasible; such rows are never
+    visited.  Rows are visited in ascending (bound, row) order and the power
+    subproblem (ad1) is solved for each until a bound exceeds the best
+    objective so far, which starts at incumbent: no later row can beat it.
+    Ties go to the earlier row, and the incumbent wins its ties, so the
+    result is the one an exhaustive search over X in row order would return
+    against the incumbent.  ad1's objective sits about mu = nlp.MU_MIN
+    above its bound (the cost of its rate slack), far above rounding error.
+    Returns (objective, x, P) with x the row as float64, or None when no
+    row's power subproblem is feasible and cheaper than incumbent.
     """
-    best = None
-    for i in np.lexsort((keys, bounds)):
-        if best is not None and bounds[i] > best[0]:
+    best, best_key = None, (incumbent, -1)
+    for i in np.argsort(bounds, kind="stable"):
+        if bounds[i] == math.inf or bounds[i] > best_key[0]:
             break
-        x = selection(keys[i])
+        x = X[i].astype(float)
         try:
-            P, _ = power(prob, x)
+            P, _ = ad1(prob, x)
         except Ad1InfeasibleError:
             continue
         objective = rate_mod.economic_objective(P, x, prob)
-        if best is None or (objective, keys[i]) < best[:2]:
-            best = (objective, keys[i], x, P)
+        if (objective, i) < best_key:
+            best, best_key = (objective, x, P), (objective, i)
     return best
 
 
@@ -239,21 +245,17 @@ def _complete_boolean(prob: EsrProblem, x: np.ndarray):
 
     The linearized rate constraint can pin a few coordinates at fractional
     values no penalty weight can move.  The true constraint decides instead:
-    the completions of the pinned coordinates are searched by the
-    water-filling bound, with a full power re-optimization of each one
-    that can still win, and the cheapest feasible one is returned (None
-    when all completions are infeasible or too many coordinates are
-    fractional).
+    cheapest_selection searches the completions of the pinned coordinates,
+    and the cheapest feasible one is returned (None when all completions
+    are infeasible or too many coordinates are fractional).
     """
     frac = np.flatnonzero(np.minimum(x, 1.0 - x) > rate_mod.BOOLEAN_TOL)
     if frac.size == 0 or frac.size > 8:
         return None
-    bits = np.arange(2 ** frac.size)
-    cands = np.tile(np.round(x), (bits.size, 1))
-    cands[:, frac] = (bits[:, None] >> np.arange(frac.size)) & 1
-    feasible, bounds = rate_mod.selection_bounds(cands, prob)
-    best = search_by_bound(prob, bounds[feasible], bits[feasible], lambda i: cands[i], ad1)
-    return None if best is None else best[2]
+    cands = np.tile(np.round(x), (2 ** frac.size, 1))
+    cands[:, frac] = bit_rows(np.arange(2 ** frac.size), frac.size)
+    best = cheapest_selection(prob, cands, rate_mod.selection_bounds(cands, prob)[1])
+    return None if best is None else best[1]
 
 
 def _step_bound(f: np.ndarray, a: np.ndarray, slack: float, on: np.ndarray) -> float:
@@ -336,29 +338,22 @@ def _initial_switch(prob: EsrProblem) -> np.ndarray:
 def solve(prob: EsrProblem, cfg: AdConfig | None = None):
     """Full alternating-direction solve; returns (Solution, AdTrace).
 
-    The full-activation allocation is kept as an incumbent: when the
-    alternation ends on a costlier selection, or on one AD1 cannot serve
-    ("infeasible_selection", which counts as objective +inf), the all-on
-    solution is returned instead, so the reported objective never exceeds
-    that baseline.  Its power subproblem is solved only when the alternation
-    ended on another selection and the all-on water-filling bound
-    (rate.selection_bounds) does not exceed the alternation's objective.
+    The all-on selection is the incumbent's one candidate row: when the
+    alternation ends on another selection, cheapest_selection searches that
+    row against the alternation's objective (+inf when it ended
+    "infeasible_selection", at switches AD1 cannot serve), and all-on is
+    returned only when it is strictly cheaper, so the reported objective
+    never exceeds the all-on one.  Its power subproblem is solved only when
+    the all-on water-filling bound does not exceed that objective.
     """
     sol, trace = _ad_loop(prob, cfg or AdConfig(), _sbqp_ad2, "AD-SBQP")
     # The incumbent is the alternation's own result when that ended at all-on.
     if sol.status != "infeasible" and not (sol.x_star == 1.0).all():
-        objective = np.inf if sol.status == "infeasible_selection" else sol.objective
-        ones = np.ones(prob.n_tx)
-        # The all-on objective is at least its water-filling bound, so above
-        # the bound the incumbent cannot win and its power solve is skipped.
-        _, bound = rate_mod.selection_bounds(ones[None, :], prob)
-        if bound[0] <= objective:
-            try:
-                P_ones, obj_ones = full_activation_allocation(prob)
-            except Ad1InfeasibleError:
-                obj_ones = np.inf
-            if obj_ones < objective:
-                sol = _solution(prob, P_ones, ones, "success", sol.iterations)
+        objective = math.inf if sol.status == "infeasible_selection" else sol.objective
+        ones = np.ones((1, prob.n_tx))
+        best = cheapest_selection(prob, ones, rate_mod.selection_bounds(ones, prob)[1], objective)
+        if best is not None:
+            sol = _solution(prob, best[2], best[1], "success", sol.iterations)
     return sol, trace
 
 

@@ -7,8 +7,8 @@ selections, water-filling by bisection on the level, the power subproblem
 solved over all N*K powers instead of the K per-user totals, and the
 log-barrier Newton loop that evaluates every point in full and factors
 through scipy's Cholesky wrappers.  The per-user SNR, the uniform
-allocation and the full-activation rate by column norms serve the tests
-and these oracles only.
+allocation, the full-activation rate by column norms and the all-on
+allocation serve the tests and these oracles only.
 """
 
 import numpy as np
@@ -206,6 +206,13 @@ def barrier_ad1(prob, x_bar):
     except InfeasibleProblemError as exc:
         raise Ad1InfeasibleError(str(exc)) from exc
     return to_full(sol.z_star), float(sol.duals[0])
+
+
+def full_activation_allocation(prob):
+    """ad1 with every antenna on; returns (P, objective)."""
+    ones = np.ones(prob.n_tx)
+    P, _ = ad1(prob, ones)
+    return P, rate_mod.economic_objective(P, ones, prob)
 
 
 def cheapest_exhaustive(prob, candidates):

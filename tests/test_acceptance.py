@@ -13,7 +13,7 @@ import numpy as np
 from adsbqp.baselines import enumerate_selections, solve_ad_nspen, solve_ad_spen
 from adsbqp.channel import ScenarioConfig
 from adsbqp.cli import main
-from adsbqp.driver import full_activation_allocation, solve
+from adsbqp.driver import solve
 from adsbqp.qp import solve_qp
 from adsbqp.bqp import penalty_phi, solve_bqp
 from adsbqp.rate import (
@@ -23,7 +23,7 @@ from adsbqp.rate import (
     hess_rate_wrt_switch,
     sum_rate,
 )
-from _oracles import active_set_qp, enumerate_boolean_qp, fd_gradient, fd_jacobian
+from _oracles import active_set_qp, enumerate_boolean_qp, fd_gradient, fd_jacobian, full_activation_allocation
 from test_bqp import box_qp, loose_rows
 from test_qp import random_convex_qp
 

@@ -37,7 +37,7 @@ def test_method_report_rejects_unknown_names():
 
 def test_enumeration_refuses_large_instances():
     prob = scaled_problem(seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(baselines.EnumerationRefused):
         enumerate_selections(prob, n_limit=4)
 
 

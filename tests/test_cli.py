@@ -67,6 +67,19 @@ def test_load_scenario_reports_the_offending_line(tmp_path):
     assert "line 2" in str(err.value)
 
 
+def test_load_scenario_rejects_duplicate_keys(tmp_path):
+    path = write_scenario(tmp_path, "n_tx = 4\nseed = 1\nn_tx = 6\n")
+    with pytest.raises(ScenarioParseError, match="duplicate key 'n_tx', first set on line 1") as err:
+        load_scenario(path)
+    assert err.value.line_no == 3
+
+
+def test_duplicate_scenario_keys_exit_with_usage_error(tmp_path, capsys):
+    scen = write_scenario(tmp_path, SCENARIO + "n_tx = 6\n")
+    assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: line 8: duplicate key 'n_tx', first set on line 2\n"
+
+
 def test_load_scenario_rejects_unknown_keys_and_bad_values(tmp_path):
     with pytest.raises(ScenarioParseError, match="unknown key"):
         load_scenario(write_scenario(tmp_path, "voltage = 3\n"))
@@ -302,10 +315,30 @@ def test_enumerate_subcommand_refuses_oversized_instances(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_enum_beyond_its_limit_is_a_typed_status_in_run_and_compare(tmp_path, capsys):
+    # An instance ENUM refuses for size is a "too_large" row, not an error:
+    # no traceback file, one line on stderr, the other methods unaffected.
+    scen = write_scenario(tmp_path, SCENARIO.replace("= 8", "= 18"))
+    out = tmp_path / "cmp"
+    assert main(["compare", "--scenario", str(scen), "--out", str(out), "--methods", "AD-SBQP,ENUM"]) == 1
+    assert capsys.readouterr().err == "ENUM: enumeration refused: 18 antennas exceeds the limit of 16\n"
+    rows = {r["method"]: r for r in json.loads((out / "comparison.json").read_text())["rows"]}
+    assert rows["ENUM"] == {"method": "ENUM", "objective": "nan", "complementarity": "nan",
+                            "iterations": 0, "status": "too_large"}
+    assert rows["AD-SBQP"]["status"] == "success"
+    assert not list(out.glob("error_*"))
+    out = tmp_path / "run"
+    assert main(["run", "--scenario", str(scen), "--out", str(out), "--method", "ENUM"]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+    assert "too_large" in (out / "comparison.csv").read_text() and not list(out.glob("error_*"))
+
+
 def test_non_finite_scenario_values_exit_with_usage_error(tmp_path, capsys):
-    # The message names the line of the rejected key, the 8th of the file.
+    # The message names the line of the rejected key, the 8th of the file;
+    # line 7 no longer sets noise_n0b, since a key set twice is an error too.
+    base = SCENARIO.replace("noise_n0b = 3e-14", "# noise_n0b is set below")
     for line in ("pathloss_exponent_eta = nan", "noise_n0b = inf", "p_rf = nan"):
-        scen = write_scenario(tmp_path, SCENARIO + line + "\n")
+        scen = write_scenario(tmp_path, base + line + "\n")
         with pytest.raises(ScenarioParseError) as err:
             load_scenario(scen)
         assert err.value.line_no == 8

@@ -21,7 +21,7 @@ from adsbqp.driver import (
     _complete_boolean,
     ad1,
     build_ad2_subproblem,
-    full_activation_allocation,
+    cheapest_selection,
     solve,
 )
 from adsbqp.qp import solve_qp
@@ -33,7 +33,7 @@ from adsbqp.rate import (
     selection_bounds,
     sum_rate,
 )
-from _oracles import barrier_ad1, cheapest_exhaustive
+from _oracles import barrier_ad1, cheapest_exhaustive, full_activation_allocation
 
 
 def unit_channel_problem(r_th=1.0, p_th=2.0):
@@ -747,6 +747,55 @@ def test_sbqp_is_never_worse_than_full_activation_nor_better_than_enumeration():
     t0 = time.perf_counter()
     check_sbqp_between_enumeration_and_full_activation()
     assert time.perf_counter() - t0 < 30.0
+
+
+@st.composite
+def candidate_sets(draw):
+    """A 3x2 to 6x5 scenario at any SNR, 0/1 candidate rows in any order
+    with exact duplicates and infeasible rows (the all-off row always among
+    them), and an incumbent of inf, of one feasible row's exact objective,
+    or below every bound."""
+    n = draw(st.integers(3, 6))
+    prob = build_esr_problem(ScenarioConfig(
+        n_tx=n, n_users=draw(st.integers(2, 5)), seed=draw(st.integers(0, 2 ** 16)),
+        r_th_mode="fraction", r_th_value=draw(st.floats(0.05, 0.95)),
+        noise_n0b=draw(st.sampled_from([3e-14, 1e-6, 1e-3, 1.0]))))
+    masks = draw(st.lists(st.integers(1, 2 ** n - 1), min_size=1, max_size=10)) + [0]
+    masks += draw(st.lists(st.sampled_from(masks), max_size=4))  # exact ties
+    X = driver.bit_rows(np.array(draw(st.permutations(masks))), n)
+    bounds = selection_bounds(X.astype(float), prob)[1]
+    kind = draw(st.sampled_from(["inf", "exact", "below"]))
+    incumbent = math.inf
+    if kind == "below":
+        incumbent = np.nextafter(bounds.min(), -np.inf) if np.isfinite(bounds).any() else 0.0
+    elif kind == "exact":
+        objectives = [cheapest_exhaustive(prob, [x])[0] for x in X.astype(float)]
+        feasible = [obj for obj in objectives if obj is not None]
+        if feasible:
+            incumbent = draw(st.sampled_from(feasible))
+    return prob, X, bounds, incumbent
+
+
+@settings(max_examples=200, deadline=None, database=None, print_blob=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(candidate_sets())
+def check_cheapest_selection_against_the_exhaustive_search(case):
+    prob, X, bounds, incumbent = case
+    got = cheapest_selection(prob, X, bounds, incumbent)
+    obj, x, P, _ = cheapest_exhaustive(prob, X.astype(float))
+    if obj is None or not obj < incumbent:
+        assert got is None
+    else:
+        assert got[0] == obj and got[1].dtype == float
+        assert got[1].tobytes() == x.tobytes() and got[2].tobytes() == P.tobytes()
+
+
+def test_cheapest_selection_is_the_exhaustive_search_against_the_incumbent():
+    # The bound-ordered search returns what ad1 on every row in row order
+    # returns, the earlier row winning ties and the incumbent winning its own.
+    t0 = time.perf_counter()
+    check_cheapest_selection_against_the_exhaustive_search()
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_boolean_completion_is_the_exhaustive_cheapest():
