@@ -109,13 +109,25 @@ def _spen_ad2(prob, P_star, x_bar, lambda_bar) -> Ad2Result:
 
 
 def _nspen_ad2(prob, P_star, x_bar, lambda_bar) -> Ad2Result:
-    """Full nonlinear switch problem with the penalty added to the cost."""
+    """Full nonlinear switch problem with the penalty added to the cost.
+
+    The barrier solve asks for the rate's Jacobian and Hessian at the same
+    point, so the rate's common factors (rate._snr_weights) are computed
+    once per point and shared."""
     f_lin = P_star.sum(axis=1) + prob.cfg.p_rf
+    last = [None, None]  # the last point asked for, and its factors
+
+    def weights(x):
+        key = x.tobytes()
+        if key != last[0]:
+            last[:] = key, rate_mod._snr_weights(P_star, x, prob)
+        return last[1]
+
     return _penalized_barrier_ad2(
         x_bar, lambda x: float(f_lin @ x), lambda x: f_lin, lambda x: 0.0,  # linear cost
         constraints=lambda x: np.array([prob.r_th - rate_mod.sum_rate(P_star, x, prob)]),
-        constraints_jac=lambda x: -rate_mod.grad_rate_wrt_switch(P_star, x, prob)[None, :],
-        constraints_hess=lambda x, w: -w[0] * rate_mod.hess_rate_wrt_switch(P_star, x, prob))
+        constraints_jac=lambda x: -rate_mod.grad_rate_wrt_switch(P_star, x, prob, weights(x))[None, :],
+        constraints_hess=lambda x, w: -w[0] * rate_mod.hess_rate_wrt_switch(P_star, x, prob, weights(x)))
 
 
 def solve_ad_spen(prob: EsrProblem, cfg: AdConfig | None = None):

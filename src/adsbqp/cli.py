@@ -114,6 +114,9 @@ def scenario_hash(cfg: ScenarioConfig) -> str:
 
 @dataclass
 class RunManifest:
+    """The inputs of one run; methods is a non-empty list of distinct
+    baselines.METHOD_NAMES, run in its order."""
+
     scenario_path: str | None
     methods: list[str]
     seed: int
@@ -126,9 +129,13 @@ class RunManifest:
         self.out_dir = Path(self.out_dir)
         if not self.version:
             self.version = __version__
-        for m in self.methods:
+        if not self.methods:
+            raise ValueError("no method given")
+        for i, m in enumerate(self.methods):
             if m not in METHOD_NAMES:
                 raise ValueError(f"unknown method {m!r}")
+            if m in self.methods[:i]:
+                raise ValueError(f"method {m!r} given more than once")
 
 
 def _fmt(value: float) -> str:
@@ -408,7 +415,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    reports, all_success = run_compare(manifest)
+    try:
+        reports, all_success = run_compare(manifest)
+    except OSError as exc:  # --out names a file, or the outputs cannot be written
+        print(f"error: cannot write the outputs: {exc}", file=sys.stderr)
+        return 2
     for r in reports:
         print(
             f"{r.method:10s} status={r.status:12s} objective={r.objective:.6g} "

@@ -14,8 +14,10 @@ negative where it is 1 bounds the QP's step by ||x - x_bar||_1 <= nu slack
 returns x_bar without building the QP, as solve_bqp would after snapping.
 The loop stops as converged when AD2 returns its start x_bar bit for bit
 (AD1 and AD2 are deterministic, so the next iteration could only repeat
-this one) or ||[dP | dx]|| drops to EPS_TERM, after AdConfig.max_ad_iter
-iterations, or as infeasible_selection at switches AD1 cannot serve.
+this one), when ||[dP | dx]|| drops to EPS_TERM, or before AD2 when the
+new AD1 point agrees with the last one within EPS_TERM (that AD2 could only
+confirm); after AdConfig.max_ad_iter iterations; or as
+infeasible_selection at switches AD1 cannot serve.
 AdConfig holds the one value a caller sets, the iteration cap; every
 tolerance is a module constant, AD2's complementarity tolerance
 bqp.EPS_COMP among them.
@@ -57,7 +59,8 @@ __all__ = [
 ]
 
 
-# The AD loop converges once ||[dP | dx]|| <= EPS_TERM.
+# The AD loop converges once ||[dP | dx]|| <= EPS_TERM, after an AD2 or
+# between two AD1 points.
 EPS_TERM = 1e-6
 # Least eigenvalue of the AD2 curvature matrix after the shift.
 HESSIAN_SHIFT_FLOOR = 1e-8
@@ -373,6 +376,20 @@ def _solution(prob: EsrProblem, P: np.ndarray, x: np.ndarray, status: str, itera
 
 def _ad_loop(prob: EsrProblem, cfg: AdConfig,
              ad2_fn: Callable[[EsrProblem, np.ndarray, np.ndarray, float], Ad2Result], method: str):
+    """The alternation from _initial_switch; returns (Solution, AdTrace),
+    one trace row per AD2.
+
+    Pass k solves AD1 at x_k for P_k, then AD2 from (P_k, x_k) for x_{k+1}.
+    It stops as converged before that AD2 when hypot(||P_k - P_{k-1}||,
+    ||x_k - x_{k-1}||) <= EPS_TERM (the AD2 could only confirm), and after
+    it on a repeat (x_{k+1} == x_k bit for bit) or when hypot(||P_k -
+    P_{k-1}||, ||x_{k+1} - x_k||) <= EPS_TERM.  A converged solve has the
+    last AD2's status at (ad1(x), x) for its final x: the loop holds that
+    pair after the first stop or a repeat, and a final AD1 computes it
+    otherwise.  iterations counts the passes, each begun by AD1: the trace's
+    rows, or one more when the last pass ended at AD1 (the first stop, or
+    infeasible_selection).
+    """
     trace = AdTrace(method=method)
     n, k = prob.n_tx, prob.n_users
     if not prob.feasible_at_full_activation:
@@ -390,9 +407,10 @@ def _ad_loop(prob: EsrProblem, cfg: AdConfig,
 
     x_bar = _initial_switch(prob)
     P_bar = np.zeros((n, k))
+    dx = math.inf  # the last AD2's step; no AD1 point precedes the first
     status = "max_iter"
     it = 0
-    repeat = False
+    held = False  # P_bar is ad1(prob, x_bar)[0]
 
     while it < cfg.max_ad_iter:
         it += 1
@@ -403,11 +421,16 @@ def _ad_loop(prob: EsrProblem, cfg: AdConfig,
             status = "infeasible_selection"
             break
         t1 = time.perf_counter()
+        dp = float(np.linalg.norm(P_star - P_bar))
+        if float(np.hypot(dp, dx)) <= EPS_TERM:
+            # This AD1 point agrees with the last one, (P_bar, the x_bar
+            # the last AD2 started from): an AD2 here could only confirm.
+            P_bar, held, status = P_star, True, "converged"
+            break
         ad2_res = ad2_fn(prob, P_star, x_bar, lambda_bar)
         t2 = time.perf_counter()
         x_star = ad2_res.x_star
 
-        dp = float(np.linalg.norm(P_star - P_bar))
         dx = float(np.linalg.norm(x_star - x_bar))
         trace.rows.append(
             AdIterate(
@@ -424,17 +447,17 @@ def _ad_loop(prob: EsrProblem, cfg: AdConfig,
                 ad2_trace=ad2_res.trace,
             )
         )
-        repeat = np.array_equal(x_star, x_bar)  # the next iteration is a copy
+        held = np.array_equal(x_star, x_bar)  # a repeat: the next iteration is a copy
         P_bar, x_bar = P_star, x_star
-        if repeat or float(np.hypot(dp, dx)) <= EPS_TERM:
+        if held or float(np.hypot(dp, dx)) <= EPS_TERM:
             status = "converged"
             break
 
     # Final consistency pass: powers re-optimized at the final switches so
-    # the reported pair satisfies its own constraints.  After a repeat,
-    # P_bar already is ad1(x_bar).
+    # the reported pair satisfies its own constraints.  After a repeat or
+    # the AD1 stop, P_bar already is ad1(x_bar).
     P_final = P_bar
-    if not repeat and status in ("converged", "max_iter"):
+    if not held and status in ("converged", "max_iter"):
         try:
             P_final = ad1(prob, x_bar)[0]
         except Ad1InfeasibleError:

@@ -8,7 +8,9 @@ mu starts at MU0 and shrinks MU_FACTOR-fold per stage down to MU_MIN =
 TOL / 10, each stage taking at most MAX_NEWTON_PER_MU Newton steps; all of
 these are constants.  Each point is evaluated once: a line-search trial
 computes the objective, the log sums and the constraint slack, and the
-accepted trial carries them into the next step.  The Newton system goes to
+accepted trial carries them into the next step.  No step does masked work
+on the bounds, so a step costs few Python-level calls and gives the same
+bytes as the plain loop.  The Newton system goes to
 LAPACK's Cholesky routines (potrf/potrs) directly, behind the finiteness
 checks scipy.linalg.cho_factor/cho_solve would make, and the least
 eigenvalue of a shift to syevr as scipy.linalg.eigvalsh calls it; qp holds
@@ -17,6 +19,7 @@ the routines for both solvers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 import numpy as np
@@ -194,18 +197,20 @@ def _evaluate(prob: NlpProblem, z: np.ndarray):
     Returns (sums, lo_gap, up_gap, slack): sums holds sum(log(gap)) over the
     finite lower gaps, over the finite upper gaps and, when m > 0, over the
     constraint slacks, in the order _barrier_value weights them.  An empty
-    group sums to 0.0, which leaves the barrier value unchanged.
+    group sums to 0.0, which leaves the barrier value unchanged.  A gap to
+    an infinite bound is +inf at a finite z, so the least gap decides the
+    box test whatever the bounds (and n = 0 has no box).
     """
-    lo, up = prob.finite_lower, prob.finite_upper
     lo_gap = z - prob.lower
     up_gap = prob.upper - z
-    if (lo_gap[lo] <= 0).any() or (up_gap[up] <= 0).any():
+    if prob.n and (lo_gap.min() <= 0.0 or up_gap.min() <= 0.0):
         return None
-    sums = [float(np.log(lo_gap[lo]).sum()), float(np.log(up_gap[up]).sum())]
+    sums = [float(np.log(lo_gap[prob.finite_lower]).sum()),
+            float(np.log(up_gap[prob.finite_upper]).sum())]
     slack = None
     if prob.m:
         slack = -prob.cons(z)
-        if (slack <= 0).any():
+        if slack.min() <= 0.0:
             return None
         sums.append(float(np.log(slack).sum()))
     return sums, lo_gap, up_gap, slack
@@ -219,22 +224,18 @@ def _barrier_value(f: float, sums: list, mu: float) -> float:
     return f + value
 
 
-def _barrier_derivatives(prob: NlpProblem, lo_gap: np.ndarray, up_gap: np.ndarray, mu: float):
-    """Gradient and Hessian diagonal of the box barrier terms."""
-    lo, up = prob.finite_lower, prob.finite_upper
-    grad = np.zeros(prob.n)
-    hess_diag = np.zeros(prob.n)
-    grad[lo] -= mu / lo_gap[lo]
-    hess_diag[lo] += mu / lo_gap[lo] ** 2
-    grad[up] += mu / up_gap[up]
-    hess_diag[up] += mu / up_gap[up] ** 2
-    return grad, hess_diag
+@functools.lru_cache
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, built once per order and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def _shift_to_pd(H: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of H + tau*I, tau chosen so that the least
     eigenvalue is at least HESSIAN_EIG_FLOOR."""
-    eye = np.eye(H.shape[0])
+    eye = _identity(H.shape[0])
     c = _cho_factor(H + HESSIAN_EIG_FLOOR * eye)
     if c is not None:
         return c
@@ -266,11 +267,14 @@ def solve_barrier(prob: NlpProblem, z0: np.ndarray | None = None) -> NlpSolution
     objective value, log sums and slack carry over to the next Newton step
     (and, with the gradient and constraint Jacobian there, to the next mu
     stage); the barrier gradient and Hessian diagonal are built once per step,
-    at the accepted point.  The Newton system is factored and solved by
-    LAPACK's potrf/potrs directly.  Duals are recovered as mu/slack at the
-    final iterate, and the KKT residual there reuses the slack and derivatives
-    the loop holds; the accepted inner steps are monotone in the barrier
-    objective by the Armijo rule.  iterations counts the Newton steps.
+    at the accepted point, from the gaps as they are (a gap to an infinite
+    bound is +inf and adds 0.0), with no masked update.  The Newton system
+    is factored and solved by LAPACK's potrf/potrs directly, its shift
+    built on an identity made once per order.  Duals are recovered as
+    mu/slack at the final iterate, and the KKT residual there reuses the
+    slack and derivatives the loop holds; the accepted inner steps are
+    monotone in the barrier objective by the Armijo rule.  iterations counts
+    the Newton steps.
     """
     here = None  # _evaluate(prob, z)
     if z0 is not None:
@@ -295,15 +299,18 @@ def solve_barrier(prob: NlpProblem, z0: np.ndarray | None = None) -> NlpSolution
                 derivatives = _derivatives(prob, z)
             fgrad, J = derivatives
             sums, lo_gap, up_gap, slack = here
-            bgrad, bhess_diag = _barrier_derivatives(prob, lo_gap, up_gap, mu)
-            grad = fgrad + bgrad
+            # The box barrier's gradient: a gap to an infinite bound is +inf
+            # and adds exactly 0.0, and (0 - a) + b == b - a, so no masked
+            # update onto zeros is needed for the same bits; likewise for
+            # the Hessian diagonal below.
+            grad = fgrad + (mu / up_gap - mu / lo_gap)
             if prob.m:
                 weights = mu / slack
                 grad = grad + J.T @ weights
             if np.abs(grad).max() <= max(mu, TOL):
                 converged_inner = True
                 break
-            H = prob.hessian(z) + np.diag(bhess_diag)
+            H = prob.hessian(z) + np.diag(mu / lo_gap ** 2 + mu / up_gap ** 2)
             if prob.m:
                 H = H + (J.T * (mu / slack ** 2)) @ J
                 if prob.constraints_hess is not None:

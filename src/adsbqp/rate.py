@@ -209,15 +209,19 @@ def grad_rate_wrt_power(P: np.ndarray, x: np.ndarray, prob: EsrProblem) -> np.nd
     return np.outer(x, c1 * b)
 
 
-def grad_rate_wrt_switch(P: np.ndarray, x: np.ndarray, prob: EsrProblem) -> np.ndarray:
-    """Length-N gradient d(rate)/d(x_i) = sum_j c1_j (p_ij b_j + 2 a_j w_ij x_i)."""
-    gains, a, b, _, c1 = _snr_weights(P, x, prob)
+def grad_rate_wrt_switch(P: np.ndarray, x: np.ndarray, prob: EsrProblem, weights=None) -> np.ndarray:
+    """Length-N gradient d(rate)/d(x_i) = sum_j c1_j (p_ij b_j + 2 a_j w_ij x_i).
+
+    weights is _snr_weights(P, x, prob) when the caller already holds it."""
+    gains, a, b, _, c1 = weights or _snr_weights(P, x, prob)
     return P @ (c1 * b) + 2.0 * x * (gains @ (c1 * a))
 
 
-def hess_rate_wrt_switch(P: np.ndarray, x: np.ndarray, prob: EsrProblem) -> np.ndarray:
-    """N x N Hessian of the rate in x; exactly symmetric by construction."""
-    gains, a, b, s, c1 = _snr_weights(P, x, prob)
+def hess_rate_wrt_switch(P: np.ndarray, x: np.ndarray, prob: EsrProblem, weights=None) -> np.ndarray:
+    """N x N Hessian of the rate in x; exactly symmetric by construction.
+
+    weights is _snr_weights(P, x, prob) when the caller already holds it."""
+    gains, a, b, s, c1 = weights or _snr_weights(P, x, prob)
     sigma = prob.sigma
     # d snr_j / d x: one column per user.
     ds = (P * b + 2.0 * a * (gains * x[:, None])) / sigma

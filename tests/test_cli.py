@@ -157,6 +157,35 @@ def test_run_manifest_rejects_unknown_methods(tmp_path):
         )
 
 
+@pytest.mark.parametrize("methods, message", [([], "no method given"),
+                                              (["AD-SBQP", "ENUM", "AD-SBQP"],
+                                               "method 'AD-SBQP' given more than once")])
+def test_run_manifest_rejects_an_empty_or_repeated_method_list(tmp_path, methods, message):
+    with pytest.raises(ValueError, match=message):
+        RunManifest(None, methods, 0, tmp_path, ScenarioConfig(), AdConfig())
+
+
+@pytest.mark.parametrize("methods, message", [("", "no method given"), (" , ", "no method given"),
+                                              ("AD-SBQP,AD-SBQP", "method 'AD-SBQP' given more than once")])
+def test_an_empty_or_repeated_methods_flag_exits_with_usage_error(tmp_path, capsys, methods, message):
+    # Nothing runs and nothing is written: an empty list used to exit 0
+    # having run nothing, a repeated method to write its row twice.
+    out = tmp_path / "out"
+    assert main(["compare", "--scenario", str(write_scenario(tmp_path)), "--out", str(out),
+                 "--methods", methods]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_an_out_path_that_is_a_file_exits_with_usage_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main(["run", "--scenario", str(write_scenario(tmp_path)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the outputs: ") and err.count("\n") == 1
+    assert "Traceback" not in err and out.read_text() == "not a directory\n"
+
+
 def test_run_subcommand_writes_expected_artifacts(tmp_path):
     scen = write_scenario(tmp_path)
     out = tmp_path / "out"

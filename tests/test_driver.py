@@ -564,6 +564,33 @@ def test_sbqp_succeeds_at_16_antennas_and_noise_1(seed):
     assert sol.status == "success"
 
 
+@pytest.mark.parametrize("last_status", ["success", "complementarity_not_met"])
+def test_the_loop_stops_before_an_ad2_once_two_ad1_points_agree(last_status):
+    # A scripted AD2 moves 0.5 * 1 to x_a, then x_a by 1e-9 per coordinate:
+    # neither a repeat nor, with AD1's power still moving, a stop after the
+    # AD2.  The third AD1 point agrees with the second within EPS_TERM, so
+    # no third AD2 runs; the pair returned is (ad1(x), x) as the loop holds
+    # it, and the status is the last AD2's.  iterations counts the passes
+    # of the loop, each begun by AD1, so it is one more than the AD2 rows.
+    prob = scaled_problem(seed=0, n=2, k=2)
+    x_a = np.array([0.75, 0.875])
+    steps = [(x_a, "complementarity_not_met"), (x_a + 1e-9, last_status)]
+    calls = []
+
+    def scripted(prob, P_bar, x_bar, lambda_bar):
+        calls.append(x_bar)
+        x, status = steps[len(calls) - 1]
+        return bqp.Ad2Result(x.copy(), status, [])
+
+    sol, trace = driver._ad_loop(prob, AdConfig(), scripted, "AD-SPen")
+    assert len(calls) == len(trace.rows) == 2
+    assert trace.rows[1].dx_norm <= driver.EPS_TERM < trace.rows[1].dp_norm
+    assert sol.x_star.tobytes() == (x_a + 1e-9).tobytes()
+    assert sol.P_star.tobytes() == ad1(prob, sol.x_star)[0].tobytes()
+    assert np.linalg.norm(sol.P_star - ad1(prob, x_a)[0]) <= driver.EPS_TERM
+    assert (sol.status, sol.iterations) == (last_status, 3)
+
+
 @pytest.mark.parametrize("noise", [1e-6, 1e-3])
 def test_an_unservable_selection_falls_back_to_the_incumbent(noise):
     # The first AD2 ends at one antenna, which the next AD1 cannot serve, so

@@ -1,10 +1,15 @@
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from adsbqp import nlp
 from adsbqp.nlp import (
     InfeasibleProblemError,
+    _interior_midpoint,
     NlpProblem,
     find_strictly_feasible,
     solve_barrier,
@@ -258,3 +263,95 @@ def test_non_finite_newton_system_raises_value_error(bad, value):
     for solve in (solve_barrier, solve_barrier_reference):
         with pytest.raises(ValueError, match="infs or NaNs"):
             solve(prob)
+
+
+@st.composite
+def barrier_problems(draw):
+    """A 1- to 3-variable quadratic over a box, one-sided or free bounds, with
+    no constraint, a linear one or a ball, and a start that may need phase 1:
+    the default (the midpoint), any point, or a strictly feasible one.
+
+    Every problem has a strictly feasible point p with a margin.  The
+    objective is convex unless the box is finite; there it may be concave,
+    as a penalized switch NLP is, so that the Newton system needs its
+    shift.  A linear constraint's row is bounded below over the bounds, so
+    that phase 1 is bounded too.
+    """
+    n = draw(st.integers(1, 3))
+
+    def vector(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    kinds = np.array(["box"] * n)  # as in every switch NLP, half of the time
+    if draw(st.booleans()):
+        kinds = np.array(draw(st.lists(st.sampled_from(["box", "lower", "upper", "free"]),
+                                       min_size=n, max_size=n)))
+    p = vector(-2.0, 2.0)
+    lower = np.where((kinds == "box") | (kinds == "lower"), p - vector(0.05, 3.0), -np.inf)
+    upper = np.where((kinds == "box") | (kinds == "upper"), p + vector(0.05, 3.0), np.inf)
+    B = vector(-1.0, 1.0)[:, None] * vector(-1.0, 1.0) + np.diag(vector(-1.0, 1.0))
+    Q = 0.5 * (B + B.T) - draw(st.floats(0.0, 4.0)) * np.eye(n)  # a penalty's concavity
+    if (kinds != "box").any() or draw(st.booleans()):
+        Q = B @ B.T + 0.1 * np.eye(n)
+    g = vector(-3.0, 3.0)
+    problem = dict(n=n, objective=lambda z: float(0.5 * z @ Q @ z + g @ z), gradient=lambda z: Q @ z + g,
+                   hessian=lambda z: Q, lower=lower, upper=upper)
+    margin = draw(st.floats(0.05, 1.0))
+    constraint = draw(st.sampled_from(["none", "linear", "ball", "ball off the midpoint"]))
+    if constraint == "linear":
+        a = vector(-2.0, 2.0)
+        a = np.where(kinds == "lower", np.abs(a), np.where(kinds == "upper", -np.abs(a), a))
+        a[kinds == "free"] = 0.0
+        b = float(a @ p) + margin
+        problem.update(m=1, constraints=lambda z: np.array([a @ z - b]), constraints_jac=lambda z: a[None, :])
+    elif constraint.startswith("ball"):
+        c = p + vector(-2.0, 2.0)
+        away = p - _interior_midpoint(lower, upper)
+        if constraint == "ball off the midpoint" and away @ away >= 0.1:
+            # Centred beyond p, away from the midpoint, and too small to
+            # hold it: a start from the midpoint runs phase 1.
+            c = p + draw(st.floats(0.5, 2.0)) * away
+            margin = min(margin, 0.05)
+        r2 = float((p - c) @ (p - c)) + margin
+        problem.update(m=1, constraints=lambda z: np.array([(z - c) @ (z - c) - r2]),
+                       constraints_jac=lambda z: 2.0 * (z - c)[None, :],
+                       constraints_hess=lambda z, w: 2.0 * w[0] * np.eye(n))
+    z0 = draw(st.sampled_from([None, "p", "anywhere"]))
+    if z0 == "p":
+        z0 = p
+    elif z0 == "anywhere":
+        z0 = p + vector(-3.0, 3.0)
+    return NlpProblem(**problem), z0
+
+
+def test_random_solves_match_the_reference_loop_bit_for_bit():
+    # Every solve, and every phase-1 solve it makes, returns the reference
+    # loop's bytes on box, one-sided and free bounds, with no constraint, a
+    # linear one or a curved one, from starts inside and outside.
+    phase_one = []  # one entry per example: whether its solve ran phase 1
+    solve_barrier_lean = nlp.solve_barrier
+
+    @settings(max_examples=60, deadline=None, database=None, print_blob=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(barrier_problems())
+    @example((linear_objective_problem(), None))  # runs phase 1 from the midpoint
+    def check(case):
+        prob, z0 = case
+        solves = []
+
+        def recorded(prob, z0=None):
+            sol = solve_barrier_lean(prob, z0=z0)
+            solves.append((prob, z0, sol))
+            return sol
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nlp, "solve_barrier", recorded)
+            nlp.solve_barrier(prob, z0=z0)
+        phase_one.append(len(solves) > 1)
+        for got_prob, got_z0, got in solves:
+            assert_same_solution(got, solve_barrier_reference(got_prob, z0=got_z0))
+
+    t0 = time.perf_counter()
+    check()
+    assert time.perf_counter() - t0 < 5.0
+    assert any(phase_one)
