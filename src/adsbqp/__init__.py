@@ -4,9 +4,9 @@ Alternating-direction optimization of a mixed-Boolean power-minimization
 problem: the power allocation is the water-filling solution over the
 per-user received totals, the same kernel that decides its feasibility,
 and a penalty-homotopy sequential Boolean QP handles the antenna switches.
-AdConfig holds the only settable value, the AD iteration cap; every
-tolerance and solver limit is a constant of the module that reads it, and
-bqp.Ad2Result is the one result of an AD2 step.
+Nothing is settable: every tolerance and solver limit, the AD iteration
+cap driver.MAX_AD_ITER among them, is a constant of the module that reads
+it, and bqp.Ad2Result is the one result of an AD2 step.
 """
 
 __version__ = "0.1.0"

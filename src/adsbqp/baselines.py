@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rate as rate_mod
 from .bqp import Ad2Result, penalty_grad, penalty_homotopy, penalty_phi
-from .driver import AdConfig, _ad_loop, bit_rows, build_ad2_subproblem, cheapest_selection
+from .driver import _ad_loop, bit_rows, build_ad2_subproblem, cheapest_selection
 # ad1 is unused here but stays importable as baselines.ad1, a call site
 # that perfbench's tracer tests wrap.
 from .driver import ad1  # noqa: F401
@@ -101,7 +101,7 @@ def _penalized_barrier_ad2(x_bar: np.ndarray, f, grad_f, hess_f, *,
 
 def _spen_ad2(prob, P_star, x_bar, lambda_bar) -> Ad2Result:
     """Quadratic switch model plus the exact quadratic penalty rho*x'(1-x)."""
-    qp, _ = build_ad2_subproblem(prob, P_star, x_bar, lambda_bar)
+    qp = build_ad2_subproblem(prob, P_star, x_bar, lambda_bar)
     a, u = qp.A[0], float(qp.u[0])
     return _penalized_barrier_ad2(
         x_bar, qp.objective, lambda x: qp.Q @ x + qp.g, lambda x: qp.Q,
@@ -130,12 +130,12 @@ def _nspen_ad2(prob, P_star, x_bar, lambda_bar) -> Ad2Result:
         constraints_hess=lambda x, w: -w[0] * rate_mod.hess_rate_wrt_switch(P_star, x, prob, weights(x)))
 
 
-def solve_ad_spen(prob: EsrProblem, cfg: AdConfig | None = None):
-    return _ad_loop(prob, cfg or AdConfig(), _spen_ad2, "AD-SPen")
+def solve_ad_spen(prob: EsrProblem):
+    return _ad_loop(prob, _spen_ad2, "AD-SPen")
 
 
-def solve_ad_nspen(prob: EsrProblem, cfg: AdConfig | None = None):
-    return _ad_loop(prob, cfg or AdConfig(), _nspen_ad2, "AD-NSPen")
+def solve_ad_nspen(prob: EsrProblem):
+    return _ad_loop(prob, _nspen_ad2, "AD-NSPen")
 
 
 class EnumerationRefused(ValueError):

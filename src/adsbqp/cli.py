@@ -115,20 +115,24 @@ def scenario_hash(cfg: ScenarioConfig) -> str:
 @dataclass
 class RunManifest:
     """The inputs of one run; methods is a non-empty list of distinct
-    baselines.METHOD_NAMES, run in its order."""
+    baselines.METHOD_NAMES, run in its order, and seed equals config.seed.
+    ad_config, an AdConfig without fields, stays only because the benchmark
+    harness passes one."""
 
     scenario_path: str | None
     methods: list[str]
     seed: int
     out_dir: Path
     config: ScenarioConfig
-    ad_config: AdConfig
+    ad_config: AdConfig = AdConfig()
     version: str = ""
 
     def __post_init__(self) -> None:
         self.out_dir = Path(self.out_dir)
         if not self.version:
             self.version = __version__
+        if self.seed != self.config.seed:
+            raise ValueError(f"seed {self.seed} differs from the scenario's seed {self.config.seed}")
         if not self.methods:
             raise ValueError("no method given")
         for i, m in enumerate(self.methods):
@@ -226,7 +230,7 @@ _RUNNERS = {
 }
 
 
-def _run_method(method: str, prob: EsrProblem, ad_config: AdConfig):
+def _run_method(method: str, prob: EsrProblem):
     """One method on prob; returns (report, solution, trace), the last two
     None for ENUM, which has neither.  An instance too large to enumerate
     gives ENUM the status "too_large" and one line on stderr."""
@@ -237,7 +241,7 @@ def _run_method(method: str, prob: EsrProblem, ad_config: AdConfig):
             print(f"ENUM: {exc}", file=sys.stderr)
             report = MethodReport(method, float("nan"), float("nan"), 0, 0.0, "too_large")
         return report, None, None
-    solution, trace = _RUNNERS[method](prob, ad_config)
+    solution, trace = _RUNNERS[method](prob)
     report = MethodReport(
         method=method,
         objective=solution.objective,
@@ -283,7 +287,7 @@ def run_compare(manifest: RunManifest):
     for method in manifest.methods:
         t0 = time.perf_counter()
         try:
-            report, solution, trace = _run_method(method, prob, manifest.ad_config)
+            report, solution, trace = _run_method(method, prob)
         except Exception:  # one failing method must not lose the others' outputs
             error_path = out / f"error_{method}.txt"
             error_path.write_text(traceback.format_exc())
@@ -347,16 +351,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the scenario seed")
         p.add_argument("--out", default="out", help="output directory")
 
-    def ad_options(p):
-        common(p)
-        p.add_argument("--max-ad-iter", type=int, default=AdConfig.max_ad_iter)
-
     p_run = sub.add_parser("run", help="run a single method")
-    ad_options(p_run)
+    common(p_run)
     p_run.add_argument("--method", default="AD-SBQP", choices=list(METHOD_NAMES))
 
     p_cmp = sub.add_parser("compare", help="run several methods on one channel draw")
-    ad_options(p_cmp)
+    common(p_cmp)
     p_cmp.add_argument(
         "--methods",
         default="AD-SBQP,AD-SPen,AD-NSPen",
@@ -410,7 +410,6 @@ def main(argv=None) -> int:
             seed=cfg.seed,
             out_dir=Path(args.out),
             config=cfg,
-            ad_config=AdConfig(max_ad_iter=args.max_ad_iter),
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

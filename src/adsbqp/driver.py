@@ -12,15 +12,15 @@ nu >= 0 whose reduced costs f + nu a are positive where x_bar is 0 and
 negative where it is 1 bounds the QP's step by ||x - x_bar||_1 <= nu slack
 / min |f + nu a|.  When that bound is at most half of bqp.SNAP_REACH, AD2
 returns x_bar without building the QP, as solve_bqp would after snapping.
-The loop stops as converged when AD2 returns its start x_bar bit for bit
-(AD1 and AD2 are deterministic, so the next iteration could only repeat
-this one), when ||[dP | dx]|| drops to EPS_TERM, or before AD2 when the
-new AD1 point agrees with the last one within EPS_TERM (that AD2 could only
-confirm); after AdConfig.max_ad_iter iterations; or as
-infeasible_selection at switches AD1 cannot serve.
-AdConfig holds the one value a caller sets, the iteration cap; every
-tolerance is a module constant, AD2's complementarity tolerance
-bqp.EPS_COMP among them.
+The loop holds the pair (P_bar, x_bar) = (ad1(x_bar), x_bar) that its last
+AD1 computed, and every exit returns that pair.  It stops as converged
+when AD2 returns its start x_bar bit for bit (AD1 and AD2 are
+deterministic, so the next iteration could only repeat this one) or,
+before AD2, when the new AD1 point agrees with the last one within
+EPS_TERM (that AD2 could only confirm); as max_iter when MAX_AD_ITER AD2
+steps have run; or as infeasible_selection when AD2 chose switches AD1
+cannot serve.  Nothing is settable: every tolerance and limit is a module
+constant, AD2's complementarity tolerance bqp.EPS_COMP among them.
 
 Every exact decision about 0/1 selections is one search,
 cheapest_selection(prob, X, bounds, incumbent): candidate rows in,
@@ -59,20 +59,19 @@ __all__ = [
 ]
 
 
-# The AD loop converges once ||[dP | dx]|| <= EPS_TERM, after an AD2 or
+# The AD loop converges before an AD2 once hypot(||dP||, ||dx||) <= EPS_TERM
 # between two AD1 points.
 EPS_TERM = 1e-6
+# AD2 steps before the AD loop ends as "max_iter".
+MAX_AD_ITER = 20
 # Least eigenvalue of the AD2 curvature matrix after the shift.
 HESSIAN_SHIFT_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
 class AdConfig:
-    max_ad_iter: int = 20
-
-    def __post_init__(self) -> None:
-        if self.max_ad_iter < 1:
-            raise ValueError(f"max_ad_iter must be >= 1, got {self.max_ad_iter}")
+    """No field: the AD loop has no setting.  It stays constructible only
+    because the benchmark harness builds cli.RunManifest(ad_config=AdConfig())."""
 
 
 @dataclass
@@ -179,10 +178,10 @@ def build_ad2_subproblem(
     Cost is linear in x (per-antenna transmit total plus standby draw); the
     rate constraint is linearized at x_bar; the curvature matrix is the
     constraint Hessian weighted by the rate multiplier, eigenvalue-shifted to
-    HESSIAN_SHIFT_FLOOR.  Returns (qp, offset) with the QP objective equal
-    to the quadratic Lagrangian model minus offset.  At an ad1 point the
-    rate exceeds r_th by the slack mu / lambda > 0, so x_bar itself meets
-    the linearized constraint and the QP is feasible over the box.
+    HESSIAN_SHIFT_FLOOR.  Returns the QP, whose objective equals the
+    quadratic Lagrangian model up to a constant.  At an ad1 point the rate
+    exceeds r_th by the slack mu / lambda > 0, so x_bar itself meets the
+    linearized constraint and the QP is feasible over the box.
     """
     f_lin, a, slack = _linear_model(prob, P_star, x_bar)
 
@@ -193,19 +192,14 @@ def build_ad2_subproblem(
     tau = max(0.0, HESSIAN_SHIFT_FLOOR - min_eig)
     Q = Q0 + tau * np.eye(prob.n_tx)
 
-    g = f_lin - Q @ x_bar
-    f_center = rate_mod.economic_objective(P_star, x_bar, prob)
-    offset = f_center + 0.5 * float(x_bar @ Q @ x_bar) - float(f_lin @ x_bar)
-
-    qp = QpProblem(
+    return QpProblem(
         Q=Q,
-        g=g,
+        g=f_lin - Q @ x_bar,
         A=a[None, :],
         u=np.array([float(a @ x_bar + slack)]),
         lower=np.zeros(prob.n_tx),
         upper=np.ones(prob.n_tx),
     )
-    return qp, offset
 
 
 def bit_rows(bits: np.ndarray, n: int) -> np.ndarray:
@@ -314,8 +308,7 @@ def _sbqp_ad2(prob, P_star, x_bar, lambda_bar) -> Ad2Result:
     """
     if _returns_start(prob, P_star, x_bar):
         return Ad2Result(x_bar.copy(), "success", [])
-    qp, _ = build_ad2_subproblem(prob, P_star, x_bar, lambda_bar)
-    res = solve_bqp(qp)
+    res = solve_bqp(build_ad2_subproblem(prob, P_star, x_bar, lambda_bar))
     if res.x_star is None:
         return Ad2Result(x_bar.copy(), res.status, res.trace)
     if res.status not in ("success", "qp_failed"):
@@ -338,20 +331,22 @@ def _initial_switch(prob: EsrProblem) -> np.ndarray:
     return np.ones(n)
 
 
-def solve(prob: EsrProblem, cfg: AdConfig | None = None):
+def solve(prob: EsrProblem):
     """Full alternating-direction solve; returns (Solution, AdTrace).
 
     The all-on selection is the incumbent's one candidate row: when the
     alternation ends on another selection, cheapest_selection searches that
     row against the alternation's objective (+inf when it ended
-    "infeasible_selection", at switches AD1 cannot serve), and all-on is
-    returned only when it is strictly cheaper, so the reported objective
-    never exceeds the all-on one.  Its power subproblem is solved only when
-    the all-on water-filling bound does not exceed that objective.
+    "infeasible_selection", its last AD2 at switches AD1 cannot serve), and
+    all-on is returned only when it is strictly cheaper, so the reported
+    objective never exceeds the all-on one.  Its power subproblem is solved
+    only when the all-on water-filling bound does not exceed that objective.
     """
-    sol, trace = _ad_loop(prob, cfg or AdConfig(), _sbqp_ad2, "AD-SBQP")
-    # The incumbent is the alternation's own result when that ended at all-on.
-    if sol.status != "infeasible" and not (sol.x_star == 1.0).all():
+    sol, trace = _ad_loop(prob, _sbqp_ad2, "AD-SBQP")
+    # The incumbent is the alternation's own result when that ended at all-on;
+    # an infeasible_selection exit ended past its pair, which may be all-on.
+    ended_at_all_on = sol.status != "infeasible_selection" and (sol.x_star == 1.0).all()
+    if sol.status != "infeasible" and not ended_at_all_on:
         objective = math.inf if sol.status == "infeasible_selection" else sol.objective
         ones = np.ones((1, prob.n_tx))
         best = cheapest_selection(prob, ones, rate_mod.selection_bounds(ones, prob)[1], objective)
@@ -374,26 +369,24 @@ def _solution(prob: EsrProblem, P: np.ndarray, x: np.ndarray, status: str, itera
     )
 
 
-def _ad_loop(prob: EsrProblem, cfg: AdConfig,
+def _ad_loop(prob: EsrProblem,
              ad2_fn: Callable[[EsrProblem, np.ndarray, np.ndarray, float], Ad2Result], method: str):
     """The alternation from _initial_switch; returns (Solution, AdTrace),
     one trace row per AD2.
 
     Pass k solves AD1 at x_k for P_k, then AD2 from (P_k, x_k) for x_{k+1}.
-    It stops as converged before that AD2 when hypot(||P_k - P_{k-1}||,
-    ||x_k - x_{k-1}||) <= EPS_TERM (the AD2 could only confirm), and after
-    it on a repeat (x_{k+1} == x_k bit for bit) or when hypot(||P_k -
-    P_{k-1}||, ||x_{k+1} - x_k||) <= EPS_TERM.  A converged solve has the
-    last AD2's status at (ad1(x), x) for its final x: the loop holds that
-    pair after the first stop or a repeat, and a final AD1 computes it
-    otherwise.  iterations counts the passes, each begun by AD1: the trace's
-    rows, or one more when the last pass ended at AD1 (the first stop, or
-    infeasible_selection).
+    Every exit returns (P_k, x_k), the pair the last AD1 computed.  Right
+    after AD1 the loop stops as converged when hypot(||P_k - P_{k-1}||,
+    ||x_k - x_{k-1}||) <= EPS_TERM, or as max_iter after MAX_AD_ITER AD2
+    steps; after AD2 as converged on a repeat, x_{k+1} == x_k bit for bit.
+    A converged solve has the last AD2's status.  An x_{k+1} that AD1 cannot
+    serve ends it infeasible_selection, that step the trace's last row.
+    iterations counts the passes, each begun by AD1.
     """
     trace = AdTrace(method=method)
     n, k = prob.n_tx, prob.n_users
     if not prob.feasible_at_full_activation:
-        sol = Solution(
+        return Solution(
             P_star=np.zeros((n, k)),
             x_star=np.zeros(n),
             objective=np.nan,
@@ -402,42 +395,39 @@ def _ad_loop(prob: EsrProblem, cfg: AdConfig,
             row_cap_residual=0.0,
             status="infeasible",
             iterations=0,
-        )
-        return sol, trace
+        ), trace
 
-    x_bar = _initial_switch(prob)
+    x = x_bar = _initial_switch(prob)
     P_bar = np.zeros((n, k))
     dx = math.inf  # the last AD2's step; no AD1 point precedes the first
-    status = "max_iter"
     it = 0
-    held = False  # P_bar is ad1(prob, x_bar)[0]
-
-    while it < cfg.max_ad_iter:
+    while True:
         it += 1
         t0 = time.perf_counter()
         try:
-            P_star, lambda_bar = ad1(prob, x_bar)
+            P_star, lambda_bar = ad1(prob, x)
         except Ad1InfeasibleError:
             status = "infeasible_selection"
             break
         t1 = time.perf_counter()
         dp = float(np.linalg.norm(P_star - P_bar))
+        P_bar, x_bar = P_star, x
         if float(np.hypot(dp, dx)) <= EPS_TERM:
-            # This AD1 point agrees with the last one, (P_bar, the x_bar
-            # the last AD2 started from): an AD2 here could only confirm.
-            P_bar, held, status = P_star, True, "converged"
+            status = "converged"
             break
-        ad2_res = ad2_fn(prob, P_star, x_bar, lambda_bar)
+        if len(trace.rows) == MAX_AD_ITER:
+            status = "max_iter"
+            break
+        ad2_res = ad2_fn(prob, P_bar, x_bar, lambda_bar)
         t2 = time.perf_counter()
-        x_star = ad2_res.x_star
-
-        dx = float(np.linalg.norm(x_star - x_bar))
+        x = ad2_res.x_star
+        dx = float(np.linalg.norm(x - x_bar))
         trace.rows.append(
             AdIterate(
                 index=it,
-                objective=rate_mod.economic_objective(P_star, x_star, prob),
-                complementarity=penalty_phi(x_star),
-                rate_residual=rate_mod.sum_rate(P_star, x_star, prob) - prob.r_th,
+                objective=rate_mod.economic_objective(P_bar, x, prob),
+                complementarity=penalty_phi(x),
+                rate_residual=rate_mod.sum_rate(P_bar, x, prob) - prob.r_th,
                 dp_norm=dp,
                 dx_norm=dx,
                 lambda_bar=lambda_bar,
@@ -447,25 +437,13 @@ def _ad_loop(prob: EsrProblem, cfg: AdConfig,
                 ad2_trace=ad2_res.trace,
             )
         )
-        held = np.array_equal(x_star, x_bar)  # a repeat: the next iteration is a copy
-        P_bar, x_bar = P_star, x_star
-        if held or float(np.hypot(dp, dx)) <= EPS_TERM:
+        if np.array_equal(x, x_bar):  # a repeat: the next iteration is a copy
             status = "converged"
             break
-
-    # Final consistency pass: powers re-optimized at the final switches so
-    # the reported pair satisfies its own constraints.  After a repeat or
-    # the AD1 stop, P_bar already is ad1(x_bar).
-    P_final = P_bar
-    if not held and status in ("converged", "max_iter"):
-        try:
-            P_final = ad1(prob, x_bar)[0]
-        except Ad1InfeasibleError:
-            status = "infeasible_selection"
 
     # An AD2 "success" is Boolean to 2 * bqp.EPS_COMP: a snapped or
     # certified start, a completion, or phi(x) <= EPS_COMP on [0, 1]^n.
     if status == "converged":
         status = "success" if trace.rows[-1].ad2_status == "success" else "complementarity_not_met"
 
-    return _solution(prob, P_final, x_bar, status, it), trace
+    return _solution(prob, P_bar, x_bar, status, it), trace

@@ -165,6 +165,13 @@ def test_run_manifest_rejects_an_empty_or_repeated_method_list(tmp_path, methods
         RunManifest(None, methods, 0, tmp_path, ScenarioConfig(), AdConfig())
 
 
+def test_run_manifest_rejects_a_seed_the_run_does_not_use(tmp_path):
+    # manifest.json records seed, and the run solves config.seed.
+    with pytest.raises(ValueError, match="seed 5 differs from the scenario's seed 0"):
+        RunManifest(None, ["AD-SBQP"], 5, tmp_path, ScenarioConfig(seed=0), AdConfig())
+    assert RunManifest(None, ["AD-SBQP"], 5, tmp_path, ScenarioConfig(seed=5)).seed == 5
+
+
 @pytest.mark.parametrize("methods, message", [("", "no method given"), (" , ", "no method given"),
                                               ("AD-SBQP,AD-SBQP", "method 'AD-SBQP' given more than once")])
 def test_an_empty_or_repeated_methods_flag_exits_with_usage_error(tmp_path, capsys, methods, message):
@@ -286,7 +293,7 @@ def test_compare_exit_code_reflects_partial_failures(tmp_path):
 def test_compare_isolates_a_method_that_raises(tmp_path, monkeypatch, capsys):
     # A method that raises becomes an error row; the methods after it still
     # run and write their files, and the exit code is 1 without a traceback.
-    def boom(prob, ad_config):
+    def boom(prob):
         raise RuntimeError("barrier iterate left the feasible interior")
 
     monkeypatch.setitem(cli._RUNNERS, "AD-SPen", boom)
@@ -376,16 +383,14 @@ def test_non_finite_scenario_values_exit_with_usage_error(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: line 8: {key} must be finite, got {value}\n"
 
 
-def test_bad_numeric_flags_exit_with_usage_error(tmp_path, capsys):
+def test_the_iteration_cap_is_not_an_option(tmp_path, capsys):
+    # The AD iteration cap is the constant driver.MAX_AD_ITER.
     scen = write_scenario(tmp_path)
-    out = str(tmp_path / "out")
-    for argv, message in (
-        (["run", "--max-ad-iter", "0"], "max_ad_iter must be >= 1"),
-        (["compare", "--max-ad-iter", "0"], "max_ad_iter must be >= 1"),
-    ):
-        assert main(argv + ["--scenario", str(scen), "--out", out]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+    for command in ("run", "compare", "enumerate"):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--scenario", str(scen), "--out", str(tmp_path / "out"), "--max-ad-iter", "0"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --max-ad-iter" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -400,7 +405,7 @@ def test_the_complementarity_tolerance_is_not_an_option(tmp_path, capsys):
 
 
 def test_enumerate_rejects_the_ad_options(tmp_path):
-    # ENUM runs no AD loop, so the AD options are usage errors there.
+    # The module entry point reports the usage error without a traceback.
     scen = write_scenario(tmp_path, "n_tx = 4\nn_users = 2\nr_th_mode = fraction\n")
     env = dict(os.environ, PYTHONPATH=str(Path(adsbqp.__file__).parents[1]))
     proc = subprocess.run(

@@ -10,14 +10,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from adsbqp import bqp, driver, nlp
-from adsbqp.baselines import enumerate_selections
+from adsbqp.baselines import enumerate_selections, solve_ad_nspen, solve_ad_spen
 from adsbqp import rate as rate_mod
 from adsbqp.bqp import SNAP_REACH, solve_bqp
 from adsbqp.channel import ChannelMatrix, ScenarioConfig
 from adsbqp.driver import (
     HESSIAN_SHIFT_FLOOR,
     Ad1InfeasibleError,
-    AdConfig,
     _complete_boolean,
     ad1,
     build_ad2_subproblem,
@@ -298,17 +297,14 @@ def test_build_ad2_subproblem_matches_taylor_model():
     prob = scaled_problem(seed=5)
     x_bar = np.full(prob.n_tx, 0.7)
     P, lam = ad1(prob, x_bar)
-    qp, offset = build_ad2_subproblem(prob, P, x_bar, lam)
+    qp = build_ad2_subproblem(prob, P, x_bar, lam)
     f_lin = P.sum(axis=1) + prob.cfg.p_rf
-    f_center = economic_objective(P, x_bar, prob)
     rng = np.random.default_rng(5)
     for _ in range(10):
         x = rng.uniform(0.0, 1.0, size=prob.n_tx)
         d = x - x_bar
-        expected = f_center + float(f_lin @ d) + 0.5 * float(d @ qp.Q @ d)
-        assert qp.objective(x) + offset == pytest.approx(expected, abs=1e-10)
-    # Center reproduces the economic objective exactly.
-    assert qp.objective(x_bar) + offset == pytest.approx(f_center, abs=1e-12)
+        expected = float(f_lin @ d) + 0.5 * float(d @ qp.Q @ d)
+        assert qp.objective(x) - qp.objective(x_bar) == pytest.approx(expected, abs=1e-10)
     # ad1 leaves rate slack, so x_bar strictly meets the linearized rate.
     assert float(qp.A[0] @ x_bar) < float(qp.u[0])
 
@@ -317,7 +313,7 @@ def test_build_ad2_subproblem_linearizes_the_rate_constraint():
     prob = scaled_problem(seed=6)
     x_bar = np.full(prob.n_tx, 0.8)
     P, lam = ad1(prob, x_bar)
-    qp, _ = build_ad2_subproblem(prob, P, x_bar, lam)
+    qp = build_ad2_subproblem(prob, P, x_bar, lam)
     c_bar = prob.r_th - sum_rate(P, x_bar, prob)
     grad_c = -grad_rate_wrt_switch(P, x_bar, prob)
     rng = np.random.default_rng(6)
@@ -331,7 +327,7 @@ def test_build_ad2_subproblem_zero_multiplier_gives_floor_curvature():
     prob = scaled_problem(seed=7)
     x_bar = np.full(prob.n_tx, 0.7)
     P, _ = ad1(prob, x_bar)
-    qp, _ = build_ad2_subproblem(prob, P, x_bar, 0.0)
+    qp = build_ad2_subproblem(prob, P, x_bar, 0.0)
     np.testing.assert_allclose(qp.Q, HESSIAN_SHIFT_FLOOR * np.eye(prob.n_tx), atol=1e-20)
 
 
@@ -339,7 +335,7 @@ def test_build_ad2_subproblem_curvature_floor_holds():
     prob = scaled_problem(seed=8)
     x_bar = np.full(prob.n_tx, 0.6)
     P, lam = ad1(prob, x_bar)
-    qp, _ = build_ad2_subproblem(prob, P, x_bar, lam)
+    qp = build_ad2_subproblem(prob, P, x_bar, lam)
     min_eig = float(np.linalg.eigvalsh(qp.Q)[0])
     assert min_eig >= HESSIAN_SHIFT_FLOOR - 1e-12
 
@@ -387,7 +383,7 @@ def test_certified_starts_are_the_ones_solve_bqp_snaps_back(monkeypatch):
     for prob, P, x in accepted:
         P_ad1, lam = ad1(prob, x)
         assert P.tobytes() == P_ad1.tobytes()
-        res = solve_bqp(build_ad2_subproblem(prob, P, x, lam)[0])
+        res = solve_bqp(build_ad2_subproblem(prob, P, x, lam))
         assert res.status == "success" and res.x_star.tobytes() == x.tobytes()
     assert time.perf_counter() - t0 < 10.0
 
@@ -560,7 +556,7 @@ def test_every_ad2_success_is_boolean(monkeypatch):
 def test_sbqp_succeeds_at_16_antennas_and_noise_1(seed):
     # The alternation alone: solve's all-on incumbent hides its failure.
     prob = scaled_problem(seed=seed, n=16, k=16, noise=1.0)
-    sol, _ = driver._ad_loop(prob, AdConfig(), driver._sbqp_ad2, "AD-SBQP")
+    sol, _ = driver._ad_loop(prob, driver._sbqp_ad2, "AD-SBQP")
     assert sol.status == "success"
 
 
@@ -582,7 +578,7 @@ def test_the_loop_stops_before_an_ad2_once_two_ad1_points_agree(last_status):
         x, status = steps[len(calls) - 1]
         return bqp.Ad2Result(x.copy(), status, [])
 
-    sol, trace = driver._ad_loop(prob, AdConfig(), scripted, "AD-SPen")
+    sol, trace = driver._ad_loop(prob, scripted, "AD-SPen")
     assert len(calls) == len(trace.rows) == 2
     assert trace.rows[1].dx_norm <= driver.EPS_TERM < trace.rows[1].dp_norm
     assert sol.x_star.tobytes() == (x_a + 1e-9).tobytes()
@@ -591,20 +587,72 @@ def test_the_loop_stops_before_an_ad2_once_two_ad1_points_agree(last_status):
     assert (sol.status, sol.iterations) == (last_status, 3)
 
 
+def test_the_loop_ends_max_iter_after_max_ad_iter_ad2_steps(monkeypatch):
+    # A scripted AD2 that moves every step never repeats and keeps AD1's
+    # power moving, so the cap ends the loop right after the AD1 that serves
+    # the last step: MAX_AD_ITER rows and one more pass.
+    monkeypatch.setattr(driver, "MAX_AD_ITER", 2)
+    prob = scaled_problem(seed=0, n=2, k=2)
+    steps = [np.array([0.75, 0.875]), np.array([1.0, 0.5])]
+    calls = []
+
+    def scripted(prob, P_bar, x_bar, lambda_bar):
+        calls.append(x_bar)
+        return bqp.Ad2Result(steps[len(calls) - 1].copy(), "success", [])
+
+    sol, trace = driver._ad_loop(prob, scripted, "AD-SPen")
+    assert (sol.status, len(trace.rows), sol.iterations) == ("max_iter", 2, 3)
+    assert sol.x_star.tobytes() == steps[-1].tobytes()
+    assert sol.P_star.tobytes() == ad1(prob, sol.x_star)[0].tobytes()
+    assert sol.rate_residual >= 0.0
+
+
 @pytest.mark.parametrize("noise", [1e-6, 1e-3])
 def test_an_unservable_selection_falls_back_to_the_incumbent(noise):
     # The first AD2 ends at one antenna, which the next AD1 cannot serve, so
-    # the alternation ends "infeasible_selection" at an objective below
-    # ENUM's (the 0.5 * 1 start's power at the one-antenna x).  solve must
-    # return the all-on incumbent instead.
+    # the alternation ends "infeasible_selection".  It returns the pair the
+    # last AD1 served, at the 0.5 * 1 start, and the unservable step is the
+    # trace's last row.  solve must return the all-on incumbent instead.
     prob = build_esr_problem(ScenarioConfig(n_tx=7, n_users=7, seed=7, r_th_mode="fraction",
                                             r_th_value=0.15625, noise_n0b=noise))
-    loop, _ = driver._ad_loop(prob, AdConfig(), driver._sbqp_ad2, "AD-SBQP")
+    steps = []
+
+    def recorded(prob, P_bar, x_bar, lambda_bar):
+        res = driver._sbqp_ad2(prob, P_bar, x_bar, lambda_bar)
+        steps.append((x_bar, res.x_star))
+        return res
+
+    loop, trace = driver._ad_loop(prob, recorded, "AD-SBQP")
     assert loop.status == "infeasible_selection"
+    assert loop.iterations == len(trace.rows) + 1 == len(steps) + 1
+    start, unservable = steps[-1]
+    with pytest.raises(Ad1InfeasibleError):
+        ad1(prob, unservable)
+    assert trace.rows[-1].dx_norm == float(np.linalg.norm(unservable - start))
+    assert loop.x_star.tobytes() == start.tobytes()
+    assert loop.P_star.tobytes() == ad1(prob, start)[0].tobytes()
+    assert loop.rate_residual >= 0.0
     sol, _ = solve(prob)
     report, _, _ = enumerate_selections(prob)
     assert sol.status == "success"
     assert report.objective - 1e-9 <= sol.objective <= full_activation_allocation(prob)[1]
+
+
+def test_every_exit_returns_the_pair_ad1_computed():
+    # Every Solution but an "infeasible" one is (ad1(x), x) bit for bit: the
+    # pair the loop's last AD1 computed, or solve's all-on incumbent.
+    t0 = time.perf_counter()
+    runs = [solve, lambda prob: driver._ad_loop(prob, driver._sbqp_ad2, "AD-SBQP")]
+    for n in (4, 6, 8):
+        for noise in (3e-14, 1e-3, 1.0):
+            for seed in range(3):
+                prob = scaled_problem(seed=seed, n=n, k=n, noise=noise)
+                for run in runs + [solve_ad_spen, solve_ad_nspen] * (n == 4):
+                    sol, _ = run(prob)
+                    assert sol.status != "infeasible"
+                    assert sol.P_star.tobytes() == ad1(prob, sol.x_star)[0].tobytes()
+                    assert sol.rate_residual >= 0.0
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_single_antenna_scenario_keeps_it_on():
@@ -678,7 +726,7 @@ def test_incumbent_still_wins_where_its_bound_allows(monkeypatch):
     monkeypatch.setattr(driver, "ad1", recorded)
     for seed in (0, 6):
         prob = r_th_problem(seed, 0.9)
-        loop_only, _ = driver._ad_loop(prob, AdConfig(), driver._sbqp_ad2, "AD-SBQP")
+        loop_only, _ = driver._ad_loop(prob, driver._sbqp_ad2, "AD-SBQP")
         calls.clear()
         sol, _ = solve(prob)
         np.testing.assert_array_equal(calls[-1], np.ones(8))
@@ -703,7 +751,7 @@ def test_incumbent_is_not_solved_again_when_the_loop_ends_at_all_on(monkeypatch)
     ended_all_on = 0
     for seed in range(10):
         prob = r_th_problem(seed, 0.9)
-        loop_only, _ = driver._ad_loop(prob, AdConfig(), driver._sbqp_ad2, "AD-SBQP")
+        loop_only, _ = driver._ad_loop(prob, driver._sbqp_ad2, "AD-SBQP")
         if not np.array_equal(loop_only.x_star, ones):
             continue
         ended_all_on += 1
@@ -863,11 +911,6 @@ def test_termination_norm_decreases_at_convergence():
         last = np.hypot(trace.rows[-1].dp_norm, trace.rows[-1].dx_norm)
         prev = np.hypot(trace.rows[-2].dp_norm, trace.rows[-2].dx_norm)
         assert last <= prev + 1e-12
-
-
-def test_ad_config_validation():
-    with pytest.raises(ValueError):
-        AdConfig(max_ad_iter=0)
 
 
 def test_full_activation_allocation_matches_ad1():

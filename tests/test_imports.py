@@ -1,14 +1,26 @@
-"""Every name a module under src/adsbqp imports is used in that module.
+"""Every name a module under src/adsbqp imports is used in that module, and
+every parameter of a named function there is read by its body.
 
 A name counts as used when the module reads it or lists it in __all__.
 An import marked ``# noqa: F401`` on its line is exempt: it is kept for
-callers that reach the name through the importing module.
+callers that reach the name through the importing module.  A parameter
+counts as read when the function's body, nested functions and lambdas
+included, loads its name; lambdas themselves are not scanned, and
+UNREAD_ALLOWED names the parameters a callback protocol imposes.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "adsbqp"
+
+# (module file, function, parameter) -> why the body need not read it.
+UNREAD_ALLOWED = {
+    ("baselines.py", "_nspen_ad2", "lambda_bar"):
+        "every AD2 step takes (prob, P_bar, x_bar, lambda_bar); the nonlinear model needs no multiplier",
+    ("nlp.py", "aug_grad", "y"): "an NlpProblem gradient callback takes the point; this one is constant",
+    ("nlp.py", "aug_hess", "y"): "an NlpProblem Hessian callback takes the point; this one is constant",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,6 +45,21 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def unread_parameters(source: str) -> list[tuple[str, str]]:
+    """(function, parameter) for each parameter of a named function that its
+    body never loads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(node.name, p.arg) for p in params if p.arg not in read]
+    return found
+
+
 def test_no_unused_imports_in_the_package():
     found = {
         path.name: unused
@@ -52,3 +79,26 @@ def test_scan_sees_unused_names_and_honours_noqa():
         "x = np.zeros(1)\n"
     )
     assert unused_imports(source) == ["dataclass (line 1)", "field (line 1)"]
+
+
+def test_every_parameter_in_the_package_is_read():
+    found = [(path.name, func, param)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for func, param in unread_parameters(path.read_text())]
+    assert [f for f in found if f not in UNREAD_ALLOWED] == []
+    assert sorted(set(UNREAD_ALLOWED) - set(found)) == []  # no stale exemption
+
+
+def test_parameter_scan_sees_unread_names_and_skips_lambdas():
+    source = (
+        "def f(a, b, *args, c, **kwargs):\n"
+        "    def inner(d):\n"
+        "        return a\n"
+        "    b = 1\n"
+        "    return lambda e: c\n"
+        "class K:\n"
+        "    def method(self, g):\n"
+        "        return self\n"
+    )
+    assert unread_parameters(source) == [
+        ("f", "b"), ("f", "args"), ("f", "kwargs"), ("inner", "d"), ("method", "g")]
