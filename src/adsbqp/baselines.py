@@ -34,6 +34,9 @@ __all__ = [
 METHOD_NAMES = ("AD-SBQP", "AD-SPen", "AD-NSPen", "ENUM")
 # Selections bounded per batch in enumerate_selections.
 _BLOCK = 4096
+# Most antennas enumerate_selections takes, whatever its n_limit: its masks,
+# feasible rows and bounds hold about 2^N * (N + 16) bytes, 0.67 GB at 24.
+ENUM_CEILING = 24
 
 
 @dataclass
@@ -139,7 +142,7 @@ def solve_ad_nspen(prob: EsrProblem):
 
 
 class EnumerationRefused(ValueError):
-    """The instance has more antennas than enumerate_selections' n_limit."""
+    """The instance has more antennas than enumerate_selections takes."""
 
 
 def enumerate_selections(
@@ -160,13 +163,13 @@ def enumerate_selections(
     on the smaller bitmask.  It is invariant to enumeration order: the
     masks of order are sorted first.  The report's iterations count the
     feasible selections.  Returns (report, x_best, P_best); more than
-    n_limit antennas raise EnumerationRefused.
+    min(n_limit, ENUM_CEILING) antennas raise EnumerationRefused before
+    anything is allocated.
     """
     n = prob.n_tx
-    if n > n_limit:
-        raise EnumerationRefused(
-            f"enumeration refused: {n} antennas exceeds the limit of {n_limit}"
-        )
+    limit = min(n_limit, ENUM_CEILING)
+    if n > limit:
+        raise EnumerationRefused(f"enumeration refused: {n} antennas exceeds the limit of {limit}")
     t0 = time.perf_counter()
     masks = np.arange(1, 2 ** n) if order is None else np.sort(np.fromiter(order, dtype=np.int64))
     X = np.empty((masks.size, n), dtype=bool)

@@ -132,15 +132,14 @@ def solve_bqp(qp: QpProblem) -> Ad2Result:
     """Global search once, then the penalty homotopy from its minimizer
     unless that is already Boolean to EPS_COMP.
 
-    qp is the QP over the box [0, 1]^n, as driver.build_ad2_subproblem
-    builds it; any other bounds raise ValueError.  The global search
-    minimizes qp itself, complementarity ignored; each local search (round)
-    minimizes it with the linearized penalty rho * penalty_grad(x_hat)
-    folded into its linear term, and moves to that minimizer x_tilde, no
-    line search: phi(x_hat + d) = phi(x_hat) + grad phi(x_hat)'d - ||d||^2
-    exactly, and x_tilde minimizes the tilted QP over a set that holds
-    x_hat, so M(x_tilde) <= M(x_hat) - rho ||d||^2 - 0.5 d'Qd with d =
-    x_tilde - x_hat.  The global minimizer and every round's iterate are
+    qp is the QP over the box [0, 1]^n that driver.build_ad2_subproblem
+    builds.  The global search minimizes qp itself, complementarity
+    ignored; each local search (round) minimizes it with the linearized
+    penalty rho * penalty_grad(x_hat) folded into its linear term, and
+    moves to that minimizer x_tilde, no line search: phi(x_hat + d) =
+    phi(x_hat) + grad phi(x_hat)'d - ||d||^2 exactly, and x_tilde minimizes
+    the tilted QP over a set that holds x_hat, so M(x_tilde) <= M(x_hat) -
+    rho ||d||^2 - 0.5 d'Qd with d = x_tilde - x_hat.  The global minimizer and every round's iterate are
     snapped onto {0,1} when they lie within SNAP_REACH of it in every
     coordinate, so the homotopy ends at the first iterate that identifies
     the Boolean point; a round that moves x by at most STALL_TOL ends it as
@@ -149,9 +148,6 @@ def solve_bqp(qp: QpProblem) -> Ad2Result:
     factor, non-finite data) with "qp_failed": at the last iterate, or with
     x_star None when the global search raised.
     """
-    if not ((qp.lower == 0.0).all() and (qp.upper == 1.0).all()):
-        raise ValueError("solve_bqp needs a QP over the box [0, 1]^n")
-
     def step(rho, x_hat):
         # The tilted linear term grows like rho, so the subproblem tolerance
         # scales with it; the achieved x-space accuracy stays ~QP_TOL.

@@ -197,8 +197,6 @@ def build_ad2_subproblem(
         g=f_lin - Q @ x_bar,
         A=a[None, :],
         u=np.array([float(a @ x_bar + slack)]),
-        lower=np.zeros(prob.n_tx),
-        upper=np.ones(prob.n_tx),
     )
 
 

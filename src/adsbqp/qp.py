@@ -1,9 +1,9 @@
-"""Dense convex QP solver: min 0.5 x'Qx + g'x  s.t.  Ax <= u,  lo <= x <= up.
+"""Dense convex box QP solver: min 0.5 x'Qx + g'x  s.t.  Ax <= u,  0 <= x <= 1.
 
 Mehrotra's primal-dual predictor-corrector interior point (Mehrotra 1992;
 Nocedal & Wright, Numerical Optimization, sec. 16.6) with a 0.995
-fraction-to-boundary rule.  All inequalities (general rows plus finite
-bounds) are stacked into a single slack system C x + s = d, s >= 0; each
+fraction-to-boundary rule.  All inequalities (general rows plus the box)
+are stacked into a single slack system C x + s = d, s >= 0; each
 iteration factors the condensed normal matrix Q + C' diag(z/s) C once by a
 dense Cholesky and solves with that factor twice, for the affine-scaling
 predictor and for the centering corrector; a solve ends as "max_iter" after
@@ -96,19 +96,18 @@ def _least_eigenvalue(a: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class QpProblem:
-    """Dense convex QP data.  Q must be finite and symmetric PSD (up to noise).
+    """Dense convex QP data over the box [0, 1]^n, the relaxation of AD2's
+    Boolean QP.  Q must be finite and symmetric PSD (up to noise).
 
     Construction validates the data, stores Q symmetrized and stacks the
-    inequalities for solve_qp; solve_qp checks only convexity, which needs
-    the factorization it makes anyway.
+    inequalities for solve_qp; solve_qp checks only convexity, by a
+    Cholesky factor of Q.
     """
 
     Q: np.ndarray
     g: np.ndarray
     A: np.ndarray
     u: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
 
     def __post_init__(self) -> None:
         Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
@@ -116,8 +115,6 @@ class QpProblem:
         n = g.size
         A = np.asarray(self.A, dtype=float).reshape(-1, n)
         u = np.atleast_1d(np.asarray(self.u, dtype=float)).reshape(-1)
-        lower = np.broadcast_to(np.asarray(self.lower, dtype=float), (n,)).copy()
-        upper = np.broadcast_to(np.asarray(self.upper, dtype=float), (n,)).copy()
         if Q.shape != (n, n):
             raise ValueError("Q must be n x n")
         if not np.isfinite(Q).all():
@@ -126,14 +123,10 @@ class QpProblem:
             raise ValueError("Q must be symmetric within 1e-12")
         if A.shape[0] != u.size:
             raise ValueError("A and u row counts differ")
-        if (lower > upper).any():
-            raise ValueError("lower bound exceeds upper bound")
         object.__setattr__(self, "Q", 0.5 * (Q + Q.T))
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "_stacked", _stack_constraints(self))
 
     @property
@@ -149,7 +142,7 @@ class QpProblem:
 
     def with_g(self, g: np.ndarray) -> QpProblem:
         """This problem with the linear term g.  Only g is checked; the
-        validated Q, A, u, bounds and stacked inequalities are shared."""
+        validated Q, A, u and stacked inequalities are shared."""
         g = np.asarray(g, dtype=float)
         if g.shape != self.g.shape:
             raise ValueError("g must have n entries")
@@ -169,25 +162,19 @@ class QpSolution:
     kkt_residual: float
 
 
-def _psd_cholesky(Q: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor with a single 1e-12 jitter retry; loud failure otherwise."""
-    c = _cho_factor(Q)
-    if c is None:
-        c = _cho_factor(Q + 1e-12 * np.eye(Q.shape[0]))
-        if c is None:
-            raise ValueError("Q is not positive semidefinite")
-    return c
+def _check_psd(Q: np.ndarray) -> None:
+    """Raise ValueError unless Q, or Q + 1e-12 I at a single retry, has a
+    Cholesky factor."""
+    if _cho_factor(Q) is None and _cho_factor(Q + 1e-12 * np.eye(Q.shape[0])) is None:
+        raise ValueError("Q is not positive semidefinite")
 
 
 def _stack_constraints(qp: QpProblem):
-    """All inequalities as C x <= d (general rows, then upper, then lower bounds)."""
-    n = qp.n
-    eye = np.eye(n)
-    up_idx = np.flatnonzero(np.isfinite(qp.upper))
-    lo_idx = np.flatnonzero(np.isfinite(qp.lower))
-    C = np.vstack([qp.A, eye[up_idx], -eye[lo_idx]])
-    d = np.concatenate([qp.u, qp.upper[up_idx], -qp.lower[lo_idx]])
-    return C, d, up_idx, lo_idx
+    """All inequalities as C x <= d: the general rows, then x <= 1, then -x <= -0."""
+    eye = np.eye(qp.n)
+    C = np.vstack([qp.A, eye, -eye])
+    d = np.concatenate([qp.u, np.ones(qp.n), -np.zeros(qp.n)])
+    return C, d
 
 
 def _residual(qp: QpProblem, C: np.ndarray, d: np.ndarray, x: np.ndarray, z: np.ndarray) -> float:
@@ -220,34 +207,24 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10) -> QpSolution:
     NEIGHBORHOOD times their mean.  A normal matrix that is not positive
     definite raises LinAlgError at once.
 
-    Status "optimal" guarantees, when the QP has inequalities, that
-    kkt_residual <= tol: stationarity, the violation of every row and bound,
-    and every complementarity product z_i * slack_i, each within tol at the
-    returned point.  The loop stops once the residuals of its iterate (each
+    Status "optimal" guarantees kkt_residual <= tol: stationarity, the
+    violation of every row and bound, and every complementarity product
+    z_i * slack_i, each within tol at the returned point.  The loop starts
+    at the box center and stops once the residuals of its iterate (each
     s_i z_i, not their mean) are within tol and the iterate, clipped onto
-    its bounds, still has kkt_residual <= tol; the clip makes the bounds
-    exact.  Without inequalities x solves Qx = -g by the Cholesky factor of
-    Q and is reported "optimal" with its residual.  A run that ends after
-    MAX_ITER iterations or by a step below MIN_STEP ("max_iter", "stalled")
-    is reported "infeasible" when its clipped point violates a row by more
-    than max(1e-6, 1e3 * tol).  The data were validated when qp was built;
-    Q is factored once here, to check convexity and, without inequalities,
-    to solve.  A non-finite Q, normal matrix or right-hand side raises
-    ValueError, as scipy's Cholesky wrappers would.  iterations counts the
-    interior-point iterations.
+    [0, 1]^n, still has kkt_residual <= tol; the clip makes the bounds
+    exact.  A run that ends after MAX_ITER iterations or by a step below
+    MIN_STEP ("max_iter", "stalled") is reported "infeasible" when its
+    clipped point violates a row by more than max(1e-6, 1e3 * tol).  The
+    data were validated when qp was built; Q is factored once here, to
+    check convexity.  A non-finite Q, normal matrix or right-hand side
+    raises ValueError, as scipy's Cholesky wrappers would.  iterations
+    counts the interior-point iterations.
     """
-    n = qp.n
-    cf = _psd_cholesky(qp.Q)
-    C, d, up_idx, lo_idx = qp._stacked
+    _check_psd(qp.Q)
+    C, d = qp._stacked
     mt = d.size
-    if mt == 0:
-        x = _cho_solve(cf, -qp.g)
-        return QpSolution(x, np.zeros(0), np.zeros(n), np.zeros(n), "optimal", 0,
-                          _residual(qp, C, d, x, np.zeros(0)))
-
-    finite = np.isfinite(qp.lower) & np.isfinite(qp.upper)
-    x = np.clip(0.0, qp.lower, qp.upper)
-    x[finite] = 0.5 * (qp.lower[finite] + qp.upper[finite])
+    x = np.full(qp.n, 0.5)
     s = np.maximum(d - C @ x, 1.0)
     z = np.ones(mt)
     sz = s * z
@@ -259,7 +236,7 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10) -> QpSolution:
         r_d = qp.Q @ x + qp.g + C.T @ z
         r_p = C @ x + s - d
         if np.abs(r_d).max() <= tol and np.abs(r_p).max() <= tol and sz.max() <= tol:
-            x_clip = np.clip(x, qp.lower, qp.upper)
+            x_clip = np.clip(x, 0.0, 1.0)
             residual = _residual(qp, C, d, x_clip, z)
             if residual <= tol:
                 status, iterations = "optimal", it
@@ -300,30 +277,23 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10) -> QpSolution:
         x = x + alpha * dx
         s, z, sz = s_new, z_new, sz_new
 
-    m = qp.m
-    duals_ineq = z[:m].copy()
-    duals_upper = np.zeros(n)
-    duals_lower = np.zeros(n)
-    duals_upper[up_idx] = z[m : m + up_idx.size]
-    duals_lower[lo_idx] = z[m + up_idx.size :]
     if status != "optimal":
-        x_clip = np.clip(x, qp.lower, qp.upper)
+        x_clip = np.clip(x, 0.0, 1.0)
         residual = _residual(qp, C, d, x_clip, z)
-        if m and (qp.A @ x_clip - qp.u).max() > max(1e-6, 1e3 * tol):
+        if (qp.A @ x_clip - qp.u).max(initial=0.0) > max(1e-6, 1e3 * tol):
             status = "infeasible"
-    return QpSolution(x_clip, duals_ineq, duals_lower, duals_upper, status, iterations, residual)
+    m, n = qp.m, qp.n
+    return QpSolution(x_clip, z[:m], z[m + n:], z[m:m + n], status, iterations, residual)
 
 
 def kkt_residual(qp: QpProblem, sol: QpSolution) -> float:
     """Max of stationarity, primal-feasibility and complementarity residuals.
 
     Pure verification: depends only on the problem data and the candidate
-    primal-dual point, never on solver internals.  Duals of infinite bounds
-    multiply no constraint and are ignored.  solve_qp reports this value.
+    primal-dual point, never on solver internals.  solve_qp reports this
+    value.
     """
-    C, d, up_idx, lo_idx = qp._stacked
+    C, d = qp._stacked
     x = np.asarray(sol.x_star, dtype=float)
-    z = np.concatenate([np.asarray(sol.duals_ineq, dtype=float),
-                        np.asarray(sol.duals_upper, dtype=float)[up_idx],
-                        np.asarray(sol.duals_lower, dtype=float)[lo_idx]])
+    z = np.concatenate([sol.duals_ineq, sol.duals_upper, sol.duals_lower], dtype=float)
     return _residual(qp, C, d, x, z)

@@ -27,12 +27,7 @@ from adsbqp.nlp import (
     find_strictly_feasible,
     solve_barrier,
 )
-from adsbqp.qp import (
-    FRACTION_TO_BOUNDARY,
-    QpSolution,
-    _stack_constraints,
-    kkt_residual,
-)
+from adsbqp.qp import FRACTION_TO_BOUNDARY, QpSolution, kkt_residual
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -426,28 +421,20 @@ CENTERING_SIGMA = 0.1
 
 
 def solve_qp_reference(qp, tol=1e-10, max_iter=100):
-    """A plain primal-dual path-following QP loop: fixed centering
-    (CENTERING_SIGMA), one Newton solve per iteration through
+    """A plain primal-dual path-following loop for the box QP: fixed
+    centering (CENTERING_SIGMA), one Newton solve per iteration through
     scipy.linalg.cho_factor/cho_solve, and a stop on the mean
-    complementarity s'z / mt.  qp.solve_qp, a predictor-corrector, must
-    agree with it on status and solution, not on bytes.
+    complementarity s'z / mt.  It stacks the rows Ax <= u, x <= 1 and
+    -x <= 0 itself.  qp.solve_qp, a predictor-corrector, must agree with it
+    on status and solution, not on bytes.
     """
-    n = qp.n
+    n, m = qp.n, qp.m
     _psd_cholesky_reference(qp.Q)
-    C, d, up_idx, lo_idx = _stack_constraints(qp)
+    C = np.vstack([qp.A, np.eye(n), -np.eye(n)])
+    d = np.concatenate([qp.u, np.ones(n), np.zeros(n)])
     mt = d.size
-    if mt == 0:
-        cf = _psd_cholesky_reference(qp.Q)
-        x = scipy.linalg.cho_solve(cf, -qp.g)
-        sol = QpSolution(x, np.zeros(0), np.zeros(n), np.zeros(n), "optimal", 0, 0.0)
-        sol.kkt_residual = kkt_residual(qp, sol)
-        return sol
 
-    x = np.where(
-        np.isfinite(qp.lower) & np.isfinite(qp.upper),
-        0.5 * (qp.lower + qp.upper),
-        np.clip(0.0, qp.lower, qp.upper),
-    )
+    x = np.full(n, 0.5)
     s = np.maximum(d - C @ x, 1.0)
     z = np.ones(mt)
 
@@ -489,19 +476,9 @@ def solve_qp_reference(qp, tol=1e-10, max_iter=100):
         s = s + alpha * ds
         z = z + alpha * dz
 
-    x = np.clip(x, qp.lower, qp.upper)
-    m = qp.m
-    duals_ineq = z[:m].copy()
-    duals_upper = np.zeros(n)
-    duals_lower = np.zeros(n)
-    duals_upper[up_idx] = z[m : m + up_idx.size]
-    duals_lower[lo_idx] = z[m + up_idx.size :]
-    sol = QpSolution(x, duals_ineq, duals_lower, duals_upper, status, iterations, 0.0)
+    x = np.clip(x, 0.0, 1.0)
+    sol = QpSolution(x, z[:m], z[m + n:], z[m:m + n], status, iterations, 0.0)
     sol.kkt_residual = kkt_residual(qp, sol)
-    if status != "optimal":
-        violation = 0.0
-        if m:
-            violation = max(violation, float(np.max(qp.A @ x - qp.u, initial=0.0)))
-        if violation > max(1e-6, 1e3 * tol):
-            sol.status = "infeasible"
+    if status != "optimal" and float(np.max(qp.A @ x - qp.u, initial=0.0)) > max(1e-6, 1e3 * tol):
+        sol.status = "infeasible"
     return sol

@@ -9,6 +9,7 @@ explicit runtime budget.
 import time
 
 import numpy as np
+import pytest
 
 from adsbqp.baselines import enumerate_selections, solve_ad_nspen, solve_ad_spen
 from adsbqp.channel import ScenarioConfig
@@ -72,7 +73,7 @@ def test_criterion_2_qp_solver_tolerance_and_oracle_agreement():
         assert sol.status == "optimal"
         assert sol.kkt_residual <= 1e-10
         if i % 10 == 0:  # oracle spot checks keep the budget
-            x_ref = active_set_qp(qp.Q, qp.g, qp.A, qp.u, qp.lower, qp.upper)
+            x_ref = active_set_qp(qp.Q, qp.g, qp.A, qp.u, 0.0, 1.0)
             assert qp.objective(sol.x_star) <= qp.objective(x_ref) + 1e-8
     assert time.perf_counter() - t0 < 30.0
 
@@ -182,6 +183,20 @@ def test_criterion_9_never_beats_enumeration_over_seeds():
         assert report.status == "success"
         assert sol.objective >= report.objective - 1e-9 * abs(report.objective)
     assert time.perf_counter() - t0 < 60.0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "AD-SBQP starts at 0.5*1 and its first AD2 keeps about N/2 antennas on: at a low "
+    "threshold it ends 107-129% above ENUM with 3 antennas on against 1"))
+def test_matches_enumeration_at_high_snr_and_a_low_threshold():
+    t0 = time.perf_counter()
+    for seed in range(4):
+        prob = build_esr_problem(ScenarioConfig(n_tx=8, n_users=8, seed=seed, r_th_mode="fraction",
+                                                r_th_value=0.1, noise_n0b=3e-14))
+        sol, _ = solve(prob)
+        report, _, _ = enumerate_selections(prob)
+        assert abs(sol.objective - report.objective) <= 1e-9 * abs(report.objective)
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_criterion_10_homotopy_takes_few_steps():

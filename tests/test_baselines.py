@@ -41,6 +41,14 @@ def test_enumeration_refuses_large_instances():
         enumerate_selections(prob, n_limit=4)
 
 
+@pytest.mark.parametrize("n, n_limit", [(64, 64), (25, 30)])
+def test_enumeration_refuses_more_antennas_than_its_ceiling(n, n_limit):
+    # Refused before the 2^n masks are allocated, whatever n_limit allows.
+    prob = scaled_problem(seed=0, n=n, k=n)
+    with pytest.raises(baselines.EnumerationRefused, match=f"{n} antennas exceeds the limit of 24"):
+        enumerate_selections(prob, n_limit=n_limit)
+
+
 def test_enumeration_is_order_invariant():
     prob = scaled_problem(seed=1, n=4, k=2)
     rng = np.random.default_rng(0)

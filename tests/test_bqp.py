@@ -26,7 +26,7 @@ def box_qp(Q, g, A=None, u=None):
     if A is None:
         A = np.zeros((0, n))
         u = np.zeros(0)
-    return QpProblem(Q=Q, g=g, A=A, u=u, lower=0.0, upper=1.0)
+    return QpProblem(Q=Q, g=g, A=A, u=u)
 
 
 def loose_rows(rng, n, m):
@@ -100,7 +100,7 @@ def test_local_search_tilts_only_the_linear_term():
     x_hat = np.array([0.6, 0.2])
     rho = 8.0
     tilted = qp.with_g(qp.g + rho * penalty_grad(x_hat))
-    for name in ("Q", "A", "u", "lower", "upper"):
+    for name in ("Q", "A", "u"):
         assert getattr(tilted, name) is getattr(qp, name)
     sol = solve_qp(tilted, tol=QP_TOL * rho)
     assert sol.status == "optimal"
@@ -169,14 +169,6 @@ def test_trace_records_monotone_merit_progress():
     assert len(res.trace) >= 1
     comps = [it.complementarity for it in res.trace]
     assert comps[-1] <= comps[0] + 1e-12
-
-
-def test_solve_bqp_rejects_a_qp_off_the_box():
-    qp = box_qp(np.eye(2), np.array([-2.0, 0.5]))
-    for lower, upper in ((-1.0, 2.0), (0.0, 2.0), (-1.0, 1.0)):
-        with pytest.raises(ValueError, match=r"box \[0, 1\]\^n"):
-            solve_bqp(replace(qp, lower=lower, upper=upper))
-    np.testing.assert_array_equal(solve_bqp(qp).x_star, [1.0, 0.0])
 
 
 def test_each_round_lowers_the_merit_by_the_majorization_bound(monkeypatch):

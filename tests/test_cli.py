@@ -418,6 +418,16 @@ def test_enumerate_rejects_the_ad_options(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_enumerate_above_the_ceiling_exits_with_one_line():
+    # The stock 64x64 scenario: an n_limit above baselines.ENUM_CEILING is
+    # refused by the ceiling, not by 2^64 masks.
+    env = dict(os.environ, PYTHONPATH=str(Path(adsbqp.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "adsbqp.cli", "enumerate", "--n-limit", "64"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: enumeration refused: 64 antennas exceeds the limit of 24\n"
+
+
 def test_bad_scenario_path_exits_with_usage_error(tmp_path, capsys):
     code = main(["run", "--scenario", str(tmp_path / "missing.txt")])
     assert code == 2

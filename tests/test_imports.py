@@ -1,18 +1,22 @@
-"""Every name a module under src/adsbqp imports is used in that module, and
-every parameter of a named function there is read by its body.
+"""Every name a module under src/adsbqp imports is used in that module,
+every parameter of a named function there is read by its body, and the
+reference oracles in tests/_oracles.py take no private name from adsbqp.
 
 A name counts as used when the module reads it or lists it in __all__.
 An import marked ``# noqa: F401`` on its line is exempt: it is kept for
 callers that reach the name through the importing module.  A parameter
 counts as read when the function's body, nested functions and lambdas
 included, loads its name; lambdas themselves are not scanned, and
-UNREAD_ALLOWED names the parameters a callback protocol imposes.
+UNREAD_ALLOWED names the parameters a callback protocol imposes.  An
+oracle that imported a private helper would share the code it is meant to
+check.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "adsbqp"
+ORACLES = Path(__file__).resolve().parent / "_oracles.py"
 
 # (module file, function, parameter) -> why the body need not read it.
 UNREAD_ALLOWED = {
@@ -60,6 +64,29 @@ def unread_parameters(source: str) -> list[tuple[str, str]]:
     return found
 
 
+def private_package_names(source: str) -> list[str]:
+    """Underscore-prefixed names the source imports from adsbqp, or reads as
+    attributes of a name it imported from adsbqp (dunders aside)."""
+    tree = ast.parse(source)
+    roots, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots |= {alias.asname or "adsbqp" for alias in node.names if alias.name.split(".")[0] == "adsbqp"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "adsbqp":
+            for alias in node.names:
+                roots.add(alias.asname or alias.name)
+                if alias.name.startswith("_"):
+                    found.append(f"{alias.name} (line {node.lineno})")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.endswith("__"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in roots:
+                found.append(f"{ast.unparse(node)} (line {node.lineno})")
+    return found
+
+
 def test_no_unused_imports_in_the_package():
     found = {
         path.name: unused
@@ -102,3 +129,20 @@ def test_parameter_scan_sees_unread_names_and_skips_lambdas():
     )
     assert unread_parameters(source) == [
         ("f", "b"), ("f", "args"), ("f", "kwargs"), ("inner", "d"), ("method", "g")]
+
+
+def test_the_oracles_take_no_private_name_from_the_package():
+    assert private_package_names(ORACLES.read_text()) == []
+
+
+def test_private_name_scan_sees_imports_and_attributes():
+    source = (
+        "from adsbqp.qp import QpSolution, _stack_constraints\n"
+        "from adsbqp import rate as rate_mod, _hidden\n"
+        "import adsbqp.nlp\n"
+        "import numpy as np\n"
+        "x = rate_mod._snr_weights, adsbqp.nlp._helper, np._core, rate_mod.__name__, QpSolution.x\n"
+    )
+    assert sorted(private_package_names(source)) == [
+        "_hidden (line 2)", "_stack_constraints (line 1)",
+        "adsbqp.nlp._helper (line 5)", "rate_mod._snr_weights (line 5)"]

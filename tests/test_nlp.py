@@ -64,7 +64,7 @@ def convex_qp():
     B = rng.normal(size=(n, n)) / np.sqrt(n)
     Q = B @ B.T + np.eye(n)
     g = rng.normal(size=n)
-    return QpProblem(Q=Q, g=g, A=np.zeros((0, n)), u=np.zeros(0), lower=0.0, upper=1.0)
+    return QpProblem(Q=Q, g=g, A=np.zeros((0, n)), u=np.zeros(0))
 
 
 def convex_qp_problem():

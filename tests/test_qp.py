@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from adsbqp import bqp
+from adsbqp import qp as qp_mod
 from adsbqp.channel import ScenarioConfig
 from adsbqp.driver import solve
 from adsbqp.qp import QpProblem, QpSolution, kkt_residual, solve_qp
@@ -15,12 +16,12 @@ from adsbqp.rate import build_esr_problem
 from _oracles import active_set_qp, solve_qp_reference
 
 
-def box_qp(Q, g, A=None, u=None, lower=0.0, upper=1.0):
+def box_qp(Q, g, A=None, u=None):
     n = np.asarray(g).size
     if A is None:
         A = np.zeros((0, n))
         u = np.zeros(0)
-    return QpProblem(Q=Q, g=g, A=A, u=u, lower=lower, upper=upper)
+    return QpProblem(Q=Q, g=g, A=A, u=u)
 
 
 def random_convex_qp(rng, n_max=10, m_max=6):
@@ -33,17 +34,6 @@ def random_convex_qp(rng, n_max=10, m_max=6):
     # Anchor the rows around an interior point so the feasible set is fat.
     u = A @ np.full(n, 0.5) + rng.uniform(0.2, 1.5, size=m)
     return box_qp(Q, g, A, u)
-
-
-def unconstrained_qp():
-    return QpProblem(
-        Q=np.diag([2.0, 4.0]),
-        g=np.array([-2.0, -4.0]),
-        A=np.zeros((0, 2)),
-        u=np.zeros(0),
-        lower=-np.inf,
-        upper=np.inf,
-    )
 
 
 def clipped_qp():
@@ -76,12 +66,6 @@ def random_qps():
 def oracle_qps():
     rng = np.random.default_rng(7)
     return [random_convex_qp(rng, n_max=5, m_max=3) for _ in range(5)]
-
-
-def test_unconstrained_quadratic_hits_the_analytic_minimum():
-    sol = solve_qp(unconstrained_qp())
-    assert sol.status == "optimal"
-    np.testing.assert_allclose(sol.x_star, [1.0, 1.0], atol=1e-9)
 
 
 def test_box_clipping_is_exact_at_termination():
@@ -127,7 +111,7 @@ def test_agreement_with_the_active_set_oracle():
     for qp in oracle_qps():
         sol = solve_qp(qp)
         assert sol.status == "optimal"
-        x_ref = active_set_qp(qp.Q, qp.g, qp.A, qp.u, qp.lower, qp.upper)
+        x_ref = active_set_qp(qp.Q, qp.g, qp.A, qp.u, 0.0, 1.0)
         assert qp.objective(sol.x_star) <= qp.objective(x_ref) + 1e-8
 
 
@@ -194,22 +178,10 @@ def test_degenerate_qp_is_solved(make, x, atol):
     np.testing.assert_allclose(sol.x_star, x, atol=atol)
 
 
-def test_start_point_with_an_unbounded_coordinate_does_not_warn():
-    # One row and a coordinate with no finite bound: the start point takes
-    # the box midpoint only where both bounds are finite.
-    qp = QpProblem(Q=np.eye(2), g=np.array([-3.0, 0.0]), A=np.array([[1.0, 1.0]]), u=np.array([0.0]),
-                   lower=np.array([0.0, -np.inf]), upper=np.array([1.0, np.inf]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        sol = solve_qp(qp)
-    assert sol.status == "optimal" and sol.kkt_residual <= 1e-10
-    np.testing.assert_allclose(sol.x_star, [1.0, -1.0], atol=1e-9)
-
-
 def test_with_g_shares_all_but_the_linear_term():
     qp = active_row_qp()
     tilted = qp.with_g(np.array([-2.0, 0.0]))
-    for name in ("Q", "A", "u", "lower", "upper"):
+    for name in ("Q", "A", "u"):
         assert getattr(tilted, name) is getattr(qp, name)
     np.testing.assert_array_equal(qp.g, -np.ones(2))
     want = solve_qp(box_qp(np.eye(2), np.array([-2.0, 0.0]), A=qp.A, u=qp.u))
@@ -226,19 +198,13 @@ def test_validation_rejects_bad_data():
             g=np.zeros(2),
             A=np.zeros((0, 2)),
             u=np.zeros(0),
-            lower=0.0,
-            upper=1.0,
         )
-    with pytest.raises(ValueError):
-        box_qp(np.eye(2), np.zeros(2), lower=1.0, upper=0.0)
     with pytest.raises(ValueError):
         QpProblem(
             Q=np.eye(2),
             g=np.zeros(2),
             A=np.ones((2, 2)),
             u=np.ones(1),
-            lower=0.0,
-            upper=1.0,
         )
 
 
@@ -260,20 +226,28 @@ def test_equalities_of_scale_one_preserved_with_jitter():
     assert sol.kkt_residual <= 1e-8
 
 
-def test_a_singular_normal_matrix_raises_at_once():
-    # x2 has no curvature and appears in no inequality, so the normal matrix
-    # Q + C' diag(z/s) C is singular at every iterate.  solve_qp raises;
-    # solve_bqp reports that as "qp_failed".  Box QPs never get here: their
-    # bound rows give C full column rank.
-    qp = box_qp(np.zeros((2, 2)), np.array([1.0, 0.0]), A=np.array([[-1.0, 0.0]]), u=np.array([1.0]),
-                lower=-np.inf, upper=np.inf)
+def test_a_singular_normal_matrix_raises_at_once(monkeypatch):
+    # The bound rows give C full column rank, so the normal matrix
+    # Q + C' diag(z/s) C of a box QP is positive definite in exact
+    # arithmetic; here its factor fails as potrf fails on a singular one.
+    # solve_qp raises in its first iteration, after factoring Q and the
+    # normal matrix once each; solve_bqp reports that as "qp_failed".
+    qp = interior_qp()
+    factor = qp_mod._cho_factor
+    factored = []
+
+    def failing(a):
+        factored.append(a)
+        return factor(a) if a is qp.Q else None
+
+    monkeypatch.setattr(qp_mod, "_cho_factor", failing)
     with pytest.raises(np.linalg.LinAlgError):
         solve_qp(qp)
+    assert len(factored) == 2 and factored[0] is qp.Q
 
 
 # Every problem above, by the name the reference test reports.
 PROBLEMS = {
-    "unconstrained": unconstrained_qp,
     "clipped": clipped_qp,
     "active_row": active_row_qp,
     "interior": interior_qp,
@@ -290,7 +264,7 @@ def assert_agrees(qp, got, want, tol=1e-10):
     (relative above 1): each stops with a duality gap s'z of at most mt * tol."""
     assert got.status == want.status
     if want.status == "optimal":
-        mt = want.duals_ineq.size + np.isfinite(qp.lower).sum() + np.isfinite(qp.upper).sum()
+        mt = qp.m + 2 * qp.n
         f_want = qp.objective(want.x_star)
         assert abs(qp.objective(got.x_star) - f_want) <= 2 * mt * tol * max(1.0, abs(f_want))
 
