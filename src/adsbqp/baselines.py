@@ -10,7 +10,6 @@ exhaustive enumeration oracle provides ground truth at desk scale.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 import numpy as np
 
@@ -134,22 +133,18 @@ def _nspen_ad2(prob, P_star, x_bar, lambda_bar) -> Ad2Result:
 
 
 def solve_ad_spen(prob: EsrProblem):
-    return _ad_loop(prob, _spen_ad2, "AD-SPen")
+    return _ad_loop(prob, _spen_ad2)
 
 
 def solve_ad_nspen(prob: EsrProblem):
-    return _ad_loop(prob, _nspen_ad2, "AD-NSPen")
+    return _ad_loop(prob, _nspen_ad2)
 
 
 class EnumerationRefused(ValueError):
     """The instance has more antennas than enumerate_selections takes."""
 
 
-def enumerate_selections(
-    prob: EsrProblem,
-    n_limit: int = 16,
-    order=None,
-):
+def enumerate_selections(prob: EsrProblem, n_limit: int = 16):
     """Ground truth: the cheapest of every Boolean switch vector, by branch and bound.
 
     Pass 1 decides every selection (bitmask) with the exact water-filling
@@ -160,18 +155,16 @@ def enumerate_selections(
     driver.cheapest_selection, which solves the power subproblem in
     ascending bound and stops at the first bound above the cheapest
     objective found, so the result is the exhaustive one with ties broken
-    on the smaller bitmask.  It is invariant to enumeration order: the
-    masks of order are sorted first.  The report's iterations count the
-    feasible selections.  Returns (report, x_best, P_best); more than
-    min(n_limit, ENUM_CEILING) antennas raise EnumerationRefused before
-    anything is allocated.
+    on the smaller bitmask.  The report's iterations count the feasible
+    selections; its wall_time is 0.0, for the caller to fill in.  Returns
+    (report, x_best, P_best); more than min(n_limit, ENUM_CEILING) antennas
+    raise EnumerationRefused before anything is allocated.
     """
     n = prob.n_tx
     limit = min(n_limit, ENUM_CEILING)
     if n > limit:
         raise EnumerationRefused(f"enumeration refused: {n} antennas exceeds the limit of {limit}")
-    t0 = time.perf_counter()
-    masks = np.arange(1, 2 ** n) if order is None else np.sort(np.fromiter(order, dtype=np.int64))
+    masks = np.arange(1, 2 ** n)
     X = np.empty((masks.size, n), dtype=bool)
     bounds = np.empty(masks.size)
     count = 0  # feasible rows so far, packed at the front of X and bounds
@@ -182,10 +175,7 @@ def enumerate_selections(
         X[count:end], bounds[count:end] = rows[feasible], bound[feasible]
         count = end
     best = cheapest_selection(prob, X[:count], bounds[:count])
-    wall = time.perf_counter() - t0
     if best is None:
-        report = MethodReport("ENUM", float("nan"), float("nan"), count, wall, "infeasible")
-        return report, None, None
+        return MethodReport("ENUM", float("nan"), float("nan"), count, 0.0, "infeasible"), None, None
     obj, x_best, P_best = best
-    report = MethodReport("ENUM", obj, penalty_phi(x_best), count, wall, "success")
-    return report, x_best, P_best
+    return MethodReport("ENUM", obj, penalty_phi(x_best), count, 0.0, "success"), x_best, P_best

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from numbers import Integral
 import numpy as np
 
 __all__ = [
@@ -52,9 +53,13 @@ class ScenarioConfig:
             parts = value if isinstance(value, (tuple, list)) else (value,)
             if any(isinstance(v, (int, float)) and not np.isfinite(v) for v in parts):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if int(self.n_tx) < 1:
+        for name in ("n_tx", "n_users", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.n_tx < 1:
             raise ValueError("n_tx must be >= 1")
-        if int(self.n_users) < 1:
+        if self.n_users < 1:
             raise ValueError("n_users must be >= 1")
         if not self.bandwidth_b > 0:
             raise ValueError("bandwidth_b must be > 0")

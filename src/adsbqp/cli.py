@@ -33,7 +33,7 @@ from .baselines import (
     solve_ad_spen,
 )
 from .channel import ScenarioConfig
-from .driver import AdConfig, AdTrace, Solution, solve
+from .driver import AdConfig, AdIterate, Solution, solve
 from .rate import EsrProblem, build_esr_problem
 
 __all__ = [
@@ -150,7 +150,7 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_trace(out_dir: Path, method: str, trace: AdTrace) -> None:
+def _write_trace(out_dir: Path, method: str, trace: list[AdIterate]) -> None:
     columns = [
         "iter",
         "objective",
@@ -174,7 +174,7 @@ def _write_trace(out_dir: Path, method: str, trace: AdTrace) -> None:
             len(row.ad2_trace),
             row.ad2_status,
         ]
-        for row in trace.rows
+        for row in trace
     ]
     csv_path = out_dir / f"trace_{method}.csv"
     with csv_path.open("w", newline="") as fh:
@@ -261,12 +261,14 @@ def run_compare(manifest: RunManifest):
     A method that raises gets a status "error" row with NaN values and its
     traceback in error_<method>.txt (an ENUM refused for size is no error:
     its row has the status "too_large"); the other methods still run and write
-    their files.  Returns (reports, all_success).
+    their files.  Returns (reports, all_success).  A scenario that yields no
+    valid channel raises build_esr_problem's ValueError before any file is
+    written.
     """
-    out = manifest.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     cfg = manifest.config
     prob = build_esr_problem(cfg)
+    out = manifest.out_dir
+    out.mkdir(parents=True, exist_ok=True)
     sh = scenario_hash(cfg)
     _write_json(
         out / "manifest.json",
@@ -300,8 +302,8 @@ def run_compare(manifest: RunManifest):
         timings[method] = {"total": wall}
         all_success &= report.status == "success"
         if trace is not None:
-            timings[method]["ad1"] = [r.ad1_time for r in trace.rows]
-            timings[method]["ad2"] = [r.ad2_time for r in trace.rows]
+            timings[method]["ad1"] = [r.ad1_time for r in trace]
+            timings[method]["ad2"] = [r.ad2_time for r in trace]
             _write_trace(out, method, trace)
         if solution is not None and solution.status == "success":
             text, payload = emit_selection_report(solution, prob)
@@ -384,10 +386,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.command == "enumerate":
-        prob = build_esr_problem(cfg)
         try:
-            report, x_best, _ = enumerate_selections(prob, n_limit=args.n_limit)
-        except EnumerationRefused as exc:
+            report, x_best, _ = enumerate_selections(build_esr_problem(cfg), n_limit=args.n_limit)
+        except ValueError as exc:  # no valid channel, or too many antennas (EnumerationRefused)
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if report.status != "success":
@@ -418,6 +419,9 @@ def main(argv=None) -> int:
         reports, all_success = run_compare(manifest)
     except OSError as exc:  # --out names a file, or the outputs cannot be written
         print(f"error: cannot write the outputs: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # build_esr_problem: the scenario yields no valid channel
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     for r in reports:
         print(

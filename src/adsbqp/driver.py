@@ -49,7 +49,6 @@ from .rate import EsrProblem
 __all__ = [
     "AdConfig",
     "AdIterate",
-    "AdTrace",
     "Solution",
     "ad1",
     "bit_rows",
@@ -87,12 +86,6 @@ class AdIterate:
     ad2_time: float
     ad2_status: str
     ad2_trace: list = field(default_factory=list)
-
-
-@dataclass
-class AdTrace:
-    method: str
-    rows: list[AdIterate] = field(default_factory=list)
 
 
 @dataclass
@@ -316,21 +309,23 @@ def _sbqp_ad2(prob, P_star, x_bar, lambda_bar) -> Ad2Result:
     return res
 
 
-def _initial_switch(prob: EsrProblem) -> np.ndarray:
-    """Uniform fractional start 0.5*1, scaled up just enough to keep the
-    power subproblem feasible at the initial switches; all-on, which
-    _ad_loop has proven feasible, when no fractional scale is."""
+def _initial_switch(prob: EsrProblem):
+    """Uniform fractional start 0.5*1, scaled up just enough that ad1 can
+    serve it: (x, ad1(prob, x)).  (all-on, None) when ad1 can serve no
+    fractional scale; _ad_loop has proven all-on feasible."""
     n = prob.n_tx
     for s in (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.9999):
         x = np.full(n, s)
-        g = (x ** 2) @ prob.gains / prob.sigma
-        if rate_mod.rate_reachable(g, prob.cfg.p_th * float(x.sum()), prob.r_th, prob.bandwidth):
-            return x
-    return np.ones(n)
+        try:
+            return x, ad1(prob, x)
+        except Ad1InfeasibleError:
+            pass
+    return np.ones(n), None
 
 
 def solve(prob: EsrProblem):
-    """Full alternating-direction solve; returns (Solution, AdTrace).
+    """Full alternating-direction solve; returns (Solution, rows), the
+    alternation's AdIterate rows.
 
     The all-on selection is the incumbent's one candidate row: when the
     alternation ends on another selection, cheapest_selection searches that
@@ -340,7 +335,7 @@ def solve(prob: EsrProblem):
     objective never exceeds the all-on one.  Its power subproblem is solved
     only when the all-on water-filling bound does not exceed that objective.
     """
-    sol, trace = _ad_loop(prob, _sbqp_ad2, "AD-SBQP")
+    sol, rows = _ad_loop(prob, _sbqp_ad2)
     # The incumbent is the alternation's own result when that ended at all-on;
     # an infeasible_selection exit ended past its pair, which may be all-on.
     ended_at_all_on = sol.status != "infeasible_selection" and (sol.x_star == 1.0).all()
@@ -350,7 +345,7 @@ def solve(prob: EsrProblem):
         best = cheapest_selection(prob, ones, rate_mod.selection_bounds(ones, prob)[1], objective)
         if best is not None:
             sol = _solution(prob, best[2], best[1], "success", sol.iterations)
-    return sol, trace
+    return sol, rows
 
 
 def _solution(prob: EsrProblem, P: np.ndarray, x: np.ndarray, status: str, iterations: int) -> Solution:
@@ -367,21 +362,21 @@ def _solution(prob: EsrProblem, P: np.ndarray, x: np.ndarray, status: str, itera
     )
 
 
-def _ad_loop(prob: EsrProblem,
-             ad2_fn: Callable[[EsrProblem, np.ndarray, np.ndarray, float], Ad2Result], method: str):
-    """The alternation from _initial_switch; returns (Solution, AdTrace),
-    one trace row per AD2.
+def _ad_loop(prob: EsrProblem, ad2_fn: Callable[[EsrProblem, np.ndarray, np.ndarray, float], Ad2Result]):
+    """The alternation from _initial_switch; returns (Solution, rows), rows
+    the list of AdIterate, one per AD2.
 
-    Pass k solves AD1 at x_k for P_k, then AD2 from (P_k, x_k) for x_{k+1}.
+    Pass k solves AD1 at x_k for P_k, then AD2 from (P_k, x_k) for x_{k+1};
+    the first pass takes the AD1 point the start's scan already solved.
     Every exit returns (P_k, x_k), the pair the last AD1 computed.  Right
     after AD1 the loop stops as converged when hypot(||P_k - P_{k-1}||,
     ||x_k - x_{k-1}||) <= EPS_TERM, or as max_iter after MAX_AD_ITER AD2
     steps; after AD2 as converged on a repeat, x_{k+1} == x_k bit for bit.
     A converged solve has the last AD2's status.  An x_{k+1} that AD1 cannot
-    serve ends it infeasible_selection, that step the trace's last row.
-    iterations counts the passes, each begun by AD1.
+    serve ends it infeasible_selection, that step the last row.  iterations
+    counts the passes, each begun by AD1.
     """
-    trace = AdTrace(method=method)
+    rows: list[AdIterate] = []
     n, k = prob.n_tx, prob.n_users
     if not prob.feasible_at_full_activation:
         return Solution(
@@ -393,17 +388,18 @@ def _ad_loop(prob: EsrProblem,
             row_cap_residual=0.0,
             status="infeasible",
             iterations=0,
-        ), trace
+        ), rows
 
-    x = x_bar = _initial_switch(prob)
+    t0 = time.perf_counter()  # the first pass's AD1 time includes the scan
+    x, start_power = _initial_switch(prob)
+    x_bar = x
     P_bar = np.zeros((n, k))
     dx = math.inf  # the last AD2's step; no AD1 point precedes the first
     it = 0
     while True:
         it += 1
-        t0 = time.perf_counter()
         try:
-            P_star, lambda_bar = ad1(prob, x)
+            P_star, lambda_bar = start_power or ad1(prob, x)
         except Ad1InfeasibleError:
             status = "infeasible_selection"
             break
@@ -413,14 +409,14 @@ def _ad_loop(prob: EsrProblem,
         if float(np.hypot(dp, dx)) <= EPS_TERM:
             status = "converged"
             break
-        if len(trace.rows) == MAX_AD_ITER:
+        if len(rows) == MAX_AD_ITER:
             status = "max_iter"
             break
         ad2_res = ad2_fn(prob, P_bar, x_bar, lambda_bar)
         t2 = time.perf_counter()
         x = ad2_res.x_star
         dx = float(np.linalg.norm(x - x_bar))
-        trace.rows.append(
+        rows.append(
             AdIterate(
                 index=it,
                 objective=rate_mod.economic_objective(P_bar, x, prob),
@@ -438,10 +434,11 @@ def _ad_loop(prob: EsrProblem,
         if np.array_equal(x, x_bar):  # a repeat: the next iteration is a copy
             status = "converged"
             break
+        start_power, t0 = None, time.perf_counter()
 
     # An AD2 "success" is Boolean to 2 * bqp.EPS_COMP: a snapped or
     # certified start, a completion, or phi(x) <= EPS_COMP on [0, 1]^n.
     if status == "converged":
-        status = "success" if trace.rows[-1].ad2_status == "success" else "complementarity_not_met"
+        status = "success" if rows[-1].ad2_status == "success" else "complementarity_not_met"
 
-    return _solution(prob, P_bar, x_bar, status, it), trace
+    return _solution(prob, P_bar, x_bar, status, it), rows

@@ -1,6 +1,6 @@
 """Log-barrier interior-point solver for smooth inequality-constrained NLPs.
 
-Problem form: min f(z)  s.t.  c(z) <= 0 (m general constraints), lo <= z <= up.
+Problem form: min f(z)  s.t.  c(z) <= 0 (m >= 1 general constraints), lo <= z <= up.
 The barrier subproblems are minimized by Newton's method with Armijo
 backtracking; an eigenvalue shift keeps the Newton system positive definite
 so descent also holds for nonconvex penalized instances.  The barrier weight
@@ -63,6 +63,7 @@ class InfeasibleProblemError(RuntimeError):
 class NlpProblem:
     """Callback bundle for one NLP instance.
 
+    Every problem has m >= 1 constraints; m < 1 raises ValueError.
     constraints_hess(z, w) must return sum_i w_i * hess(c_i)(z); it may be
     None when all constraints are affine.  finite_lower and finite_upper
     select the finite bounds, once per problem: a full slice when all are
@@ -75,9 +76,9 @@ class NlpProblem:
     hessian: Callable[[np.ndarray], np.ndarray]
     lower: np.ndarray
     upper: np.ndarray
-    m: int = 0
-    constraints: Callable[[np.ndarray], np.ndarray] | None = None
-    constraints_jac: Callable[[np.ndarray], np.ndarray] | None = None
+    m: int
+    constraints: Callable[[np.ndarray], np.ndarray]
+    constraints_jac: Callable[[np.ndarray], np.ndarray]
     constraints_hess: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     finite_lower: np.ndarray | slice = field(init=False, repr=False, compare=False)
     finite_upper: np.ndarray | slice = field(init=False, repr=False, compare=False)
@@ -88,12 +89,10 @@ class NlpProblem:
         lo, up = np.isfinite(self.lower), np.isfinite(self.upper)
         self.finite_lower = slice(None) if lo.all() else lo
         self.finite_upper = slice(None) if up.all() else up
-        if self.m > 0 and (self.constraints is None or self.constraints_jac is None):
-            raise ValueError("m > 0 requires constraint value and Jacobian callbacks")
+        if self.m < 1:
+            raise ValueError(f"an NLP needs m >= 1 constraints, got m = {self.m}")
 
     def cons(self, z: np.ndarray) -> np.ndarray:
-        if self.m == 0:
-            return np.zeros(0)
         return np.atleast_1d(np.asarray(self.constraints(z), dtype=float))
 
 
@@ -131,8 +130,6 @@ def find_strictly_feasible(prob: NlpProblem, z0: np.ndarray | None = None) -> np
         if _evaluate(prob, z0) is not None:
             return z0
     mid = _interior_midpoint(prob.lower, prob.upper)
-    if prob.m == 0:
-        return mid
     if _evaluate(prob, mid) is not None:
         return mid
 
@@ -195,9 +192,9 @@ def _evaluate(prob: NlpProblem, z: np.ndarray):
     outside the open feasible region.
 
     Returns (sums, lo_gap, up_gap, slack): sums holds sum(log(gap)) over the
-    finite lower gaps, over the finite upper gaps and, when m > 0, over the
-    constraint slacks, in the order _barrier_value weights them.  An empty
-    group sums to 0.0, which leaves the barrier value unchanged.  A gap to
+    finite lower gaps, over the finite upper gaps and over the constraint
+    slacks, in the order _barrier_value weights them.  An empty group sums
+    to 0.0, which leaves the barrier value unchanged.  A gap to
     an infinite bound is +inf at a finite z, so the least gap decides the
     box test whatever the bounds (and n = 0 has no box).
     """
@@ -207,12 +204,10 @@ def _evaluate(prob: NlpProblem, z: np.ndarray):
         return None
     sums = [float(np.log(lo_gap[prob.finite_lower]).sum()),
             float(np.log(up_gap[prob.finite_upper]).sum())]
-    slack = None
-    if prob.m:
-        slack = -prob.cons(z)
-        if slack.min() <= 0.0:
-            return None
-        sums.append(float(np.log(slack).sum()))
+    slack = -prob.cons(z)
+    if slack.min() <= 0.0:
+        return None
+    sums.append(float(np.log(slack).sum()))
     return sums, lo_gap, up_gap, slack
 
 
@@ -262,8 +257,10 @@ def solve_barrier(prob: NlpProblem, z0: np.ndarray | None = None) -> NlpSolution
     Stage k runs at mu = max(MU0 / MU_FACTOR**k, MU_MIN), computed from k so
     that no rounding error accumulates into an extra stage, and a stage that
     does not converge within MAX_NEWTON_PER_MU Newton steps ends the solve as
-    "max_iter".  A point is evaluated once: a line-search trial computes only
-    the barrier value and the constraint slack, and the accepted trial's
+    "max_iter".  No point is evaluated twice: a line-search trial computes
+    only the objective value, the log sums and the constraint slack, which
+    the solve keeps by the point's bytes (a step can round back to z, and a
+    later step can retry a rejected trial), and the accepted trial's
     objective value, log sums and slack carry over to the next Newton step
     (and, with the gradient and constraint Jacobian there, to the next mu
     stage); the barrier gradient and Hessian diagonal are built once per step,
@@ -286,6 +283,8 @@ def solve_barrier(prob: NlpProblem, z0: np.ndarray | None = None) -> NlpSolution
         if here is None:
             raise RuntimeError("barrier iterate left the feasible interior")
     f = prob.objective(z)
+    # Every point evaluated so far, by its bytes: (_evaluate there, objective).
+    evaluated = {z.tobytes(): (here, f)}
     stage = 0
     mu = max(MU0, MU_MIN)
     total_iters = 0
@@ -303,35 +302,29 @@ def solve_barrier(prob: NlpProblem, z0: np.ndarray | None = None) -> NlpSolution
             # and adds exactly 0.0, and (0 - a) + b == b - a, so no masked
             # update onto zeros is needed for the same bits; likewise for
             # the Hessian diagonal below.
-            grad = fgrad + (mu / up_gap - mu / lo_gap)
-            if prob.m:
-                weights = mu / slack
-                grad = grad + J.T @ weights
+            weights = mu / slack
+            grad = fgrad + (mu / up_gap - mu / lo_gap) + J.T @ weights
             if np.abs(grad).max() <= max(mu, TOL):
                 converged_inner = True
                 break
             H = prob.hessian(z) + np.diag(mu / lo_gap ** 2 + mu / up_gap ** 2)
-            if prob.m:
-                H = H + (J.T * (mu / slack ** 2)) @ J
-                if prob.constraints_hess is not None:
-                    H = H + prob.constraints_hess(z, weights)
+            H = H + (J.T * (mu / slack ** 2)) @ J
+            if prob.constraints_hess is not None:
+                H = H + prob.constraints_hess(z, weights)
             step = _newton_step(0.5 * (H + H.T), grad)
             base = _barrier_value(f, sums, mu)
             slope = float(grad @ step)
             alpha = 1.0
             accepted = False
-            # The last point evaluated, starting at z.  Trials move
-            # monotonically with alpha, so one that equals an evaluated point
-            # (a step below the resolution of z) equals the last one.
-            tried, point, f_trial, value = z.tobytes(), here, f, base
             while alpha >= MIN_STEP:
                 trial = z + alpha * step
-                if trial.tobytes() != tried:
-                    tried, point = trial.tobytes(), _evaluate(prob, trial)
-                    if point is not None:
-                        f_trial = prob.objective(trial)
-                        value = _barrier_value(f_trial, point[0], mu)
-                if point is not None and value <= base + ARMIJO_C1 * alpha * slope:
+                key = trial.tobytes()
+                if key not in evaluated:
+                    point = _evaluate(prob, trial)
+                    evaluated[key] = point, None if point is None else prob.objective(trial)
+                point, f_trial = evaluated[key]
+                armijo = base + ARMIJO_C1 * alpha * slope
+                if point is not None and _barrier_value(f_trial, point[0], mu) <= armijo:
                     if point is not here:  # else the trial rounded to z
                         derivatives = None
                     z, f, here = trial, f_trial, point
@@ -357,10 +350,7 @@ def solve_barrier(prob: NlpProblem, z0: np.ndarray | None = None) -> NlpSolution
         stage += 1
         mu = max(MU0 / MU_FACTOR ** stage, MU_MIN)
 
-    if prob.m:
-        duals = mu / np.maximum(here[3], np.finfo(float).tiny)
-    else:
-        duals = np.zeros(0)
+    duals = mu / np.maximum(here[3], np.finfo(float).tiny)
     if derivatives is None:
         derivatives = _derivatives(prob, z)
     kkt = _kkt_residual(prob, z, here[3], derivatives, duals, mu)
@@ -368,14 +358,12 @@ def solve_barrier(prob: NlpProblem, z0: np.ndarray | None = None) -> NlpSolution
 
 
 def _derivatives(prob: NlpProblem, z: np.ndarray):
-    """Objective gradient and constraint Jacobian (None when m = 0) at z."""
-    J = None
-    if prob.m:
-        J = np.asarray(prob.constraints_jac(z), dtype=float).reshape(prob.m, prob.n)
+    """Objective gradient and constraint Jacobian at z."""
+    J = np.asarray(prob.constraints_jac(z), dtype=float).reshape(prob.m, prob.n)
     return prob.gradient(z), J
 
 
-def _kkt_residual(prob: NlpProblem, z: np.ndarray, slack: np.ndarray | None, derivatives: tuple,
+def _kkt_residual(prob: NlpProblem, z: np.ndarray, slack: np.ndarray, derivatives: tuple,
                   duals: np.ndarray, mu: float) -> float:
     """Stationarity of the original problem with barrier-recovered bound duals.
 
@@ -383,13 +371,10 @@ def _kkt_residual(prob: NlpProblem, z: np.ndarray, slack: np.ndarray | None, der
     solve already holds them at z.
     """
     grad, J = derivatives
-    if prob.m:
-        grad = grad + J.T @ duals
+    grad = grad + J.T @ duals
     lo_fin = np.isfinite(prob.lower)
     up_fin = np.isfinite(prob.upper)
     nu_lo = np.where(lo_fin, mu / np.maximum(z - prob.lower, np.finfo(float).tiny), 0.0)
     nu_up = np.where(up_fin, mu / np.maximum(prob.upper - z, np.finfo(float).tiny), 0.0)
     res = float(np.max(np.abs(grad - nu_lo + nu_up), initial=0.0))
-    if prob.m:
-        res = max(res, float(np.max(-slack, initial=0.0)))
-    return res
+    return max(res, float(np.max(-slack, initial=0.0)))

@@ -25,7 +25,6 @@ __all__ = [
     "EsrProblem",
     "build_esr_problem",
     "water_filling",
-    "rate_reachable",
     "selection_bounds",
     "sum_rate",
     "economic_objective",
@@ -117,15 +116,6 @@ def water_filling(snr_gain: np.ndarray, budget, r_th: float, bandwidth: float):
     return feasible, least_total, log_top, served
 
 
-def rate_reachable(snr_gain: np.ndarray, budget: float, r_th: float, bandwidth: float) -> bool:
-    """Exact feasibility of the power subproblem: True when totals a >= 0
-    with sum(a) < budget reach B sum_j log2(1 + g_j a_j) >= r_th.
-
-    The one-row case of water_filling.
-    """
-    return bool(water_filling(snr_gain, budget, r_th, bandwidth)[0][0])
-
-
 def selection_bounds(X: np.ndarray, prob: EsrProblem):
     """Exact feasibility and a lower bound on the objective of each 0/1 row of X.
 
@@ -142,10 +132,12 @@ def selection_bounds(X: np.ndarray, prob: EsrProblem):
 
 
 def build_esr_problem(cfg: ScenarioConfig, channel: ChannelMatrix | None = None) -> EsrProblem:
-    """Resolve the rate threshold; rate_reachable decides feasibility at full activation.
+    """Resolve the rate threshold and decide feasibility at full activation.
 
     The capacity reference is the full-activation rate at the uniform
     per-antenna power cap; a fractional threshold resolves against it.
+    feasible_at_full_activation is water_filling's exact test on the
+    all-on selection: some power within the budget p_th * n_tx reaches r_th.
     """
     if channel is None:
         channel = generate_channel(cfg)
@@ -166,9 +158,9 @@ def build_esr_problem(cfg: ScenarioConfig, channel: ChannelMatrix | None = None)
         cfg=cfg,
         r_th=r_th,
         full_capacity=full_cap,
-        feasible_at_full_activation=rate_reachable(
+        feasible_at_full_activation=bool(water_filling(
             ones @ gains / cfg.noise_n0b, cfg.p_th * cfg.n_tx, r_th, cfg.bandwidth_b
-        ),
+        )[0][0]),
     )
 
 

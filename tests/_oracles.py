@@ -138,7 +138,7 @@ def barrier_ad1(prob, x_bar):
     active row and P >= 0.  It starts from the uniform allocation just
     inside the row caps; when that misses the rate, the barrier solver's
     phase 1 looks for a strictly feasible point on its own, so feasibility
-    is decided independently of ``rate.rate_reachable``.  A failed phase 1
+    is decided independently of ``rate.water_filling``.  A failed phase 1
     raises ``Ad1InfeasibleError``, as ``driver.ad1`` does.  Returns
     (P_star, lambda_bar) with lambda_bar the rate-constraint multiplier.
     """

@@ -49,18 +49,6 @@ def test_enumeration_refuses_more_antennas_than_its_ceiling(n, n_limit):
         enumerate_selections(prob, n_limit=n_limit)
 
 
-def test_enumeration_is_order_invariant():
-    prob = scaled_problem(seed=1, n=4, k=2)
-    rng = np.random.default_rng(0)
-    report_a, x_a, P_a = enumerate_selections(prob)
-    order = list(range(1, 2 ** prob.n_tx))
-    rng.shuffle(order)
-    report_b, x_b, P_b = enumerate_selections(prob, order=order)
-    assert report_a.objective == report_b.objective
-    np.testing.assert_array_equal(x_a, x_b)
-    np.testing.assert_allclose(P_a, P_b, atol=1e-12)
-
-
 def test_enumeration_result_is_feasible_and_not_worse_than_any_solver():
     prob = scaled_problem(seed=1, n=4, k=2)
     report, x_best, P_best = enumerate_selections(prob)
@@ -157,12 +145,11 @@ def test_penalty_baselines_stall_with_residual_complementarity():
     assert sbqp.status == "success"
     assert abs(sbqp.complementarity) <= 1e-12
     for solver in (solve_ad_spen, solve_ad_nspen):
-        sol, trace = solver(prob)
+        sol, _ = solver(prob)
         assert sol.status in ("complementarity_not_met", "max_iter")
         assert sol.complementarity >= 1e-9
         assert sol.complementarity > sbqp.complementarity
         assert sbqp.objective <= sol.objective + 1e-12
-        assert trace.method in METHOD_NAMES
 
 
 def test_baselines_share_the_infeasibility_branch():
@@ -171,7 +158,7 @@ def test_baselines_share_the_infeasibility_branch():
         sol, trace = solver(prob)
         assert sol.status == "infeasible"
         assert sol.iterations == 0
-        assert trace.rows == []
+        assert trace == []
 
 
 def test_baseline_solutions_respect_problem_constraints():
@@ -193,9 +180,9 @@ def test_baselines_follow_the_shared_rho_schedule():
     prob = scaled_problem(seed=0, n=2, k=2)
     for solver in (solve_ad_spen, solve_ad_nspen):
         _, trace = solver(prob)
-        assert trace.rows
-        assert len(trace.rows[0].ad2_trace) >= 2
-        for row in trace.rows:
+        assert trace
+        assert len(trace[0].ad2_trace) >= 2
+        for row in trace:
             rhos = [it.rho for it in row.ad2_trace]
             assert rhos == [RHO0 * BETA ** i for i in range(len(rhos))]
             if len(rhos) == 1:
@@ -287,6 +274,6 @@ def test_a_failed_switch_nlp_ends_the_homotopy_with_its_status(monkeypatch, outc
     prob = scaled_problem(seed=0, n=2, k=2)
     for solver in (solve_ad_spen, solve_ad_nspen):
         sol, trace = solver(prob)
-        row = trace.rows[0]
+        row = trace[0]
         assert row.ad2_status == status and row.ad2_trace == []
         assert sol.status == "complementarity_not_met"

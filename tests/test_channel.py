@@ -11,6 +11,15 @@ from adsbqp.channel import (
 )
 
 
+@pytest.mark.parametrize("field", ["n_tx", "n_users", "seed"])
+@pytest.mark.parametrize("value", [2.7, 3.0, True, "3"])
+def test_counts_and_seed_must_be_integers(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        ScenarioConfig(**{field: value})
+    cfg = ScenarioConfig(**{field: np.int64(3)})  # numpy integers are integers
+    assert getattr(cfg, field) == 3 and type(getattr(cfg, field)) is int
+
+
 def test_make_rng_is_deterministic():
     a = make_rng(7).random(5)
     b = make_rng(7).random(5)

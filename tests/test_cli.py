@@ -237,11 +237,11 @@ def test_trace_files_count_the_rounds_of_each_ad2(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 0
     _, trace = solve(build_esr_problem(load_scenario(scen)))
-    rounds = [len(row.ad2_trace) for row in trace.rows]
+    rounds = [len(row.ad2_trace) for row in trace]
     payload = json.loads((out / "trace_AD-SBQP.json").read_text())
     assert payload["schema"] == "adsbqp-trace-v3"
     assert [row["ad2_rounds"] for row in payload["rows"]] == rounds
-    assert [row["ad2_status"] for row in payload["rows"]] == [row.ad2_status for row in trace.rows]
+    assert [row["ad2_status"] for row in payload["rows"]] == [row.ad2_status for row in trace]
     lines = (out / "trace_AD-SBQP.csv").read_text().splitlines()
     assert lines[1].split(",")[-2:] == ["ad2_rounds", "ad2_status"]
     assert [int(line.split(",")[-2]) for line in lines[2:]] == rounds
@@ -432,6 +432,29 @@ def test_bad_scenario_path_exits_with_usage_error(tmp_path, capsys):
     code = main(["run", "--scenario", str(tmp_path / "missing.txt")])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+# Scenarios that parse but yield no valid channel: every user sits on the
+# base station, or so far away that the path loss underflows to 0.
+NO_CHANNEL = {
+    "users at the base station": (
+        "n_tx = 4\nn_users = 4\ncell_radius = 0\ncell_center = (0, 0)\nbs_position = (0, 0)\n",
+        "error: path_loss requires strictly positive distances\n"),
+    "path loss underflows": (
+        "n_tx = 4\nn_users = 4\ncell_center = (1e300, 0)\n",
+        "error: zero channel column: beamforming direction undefined\n"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "enumerate"])
+@pytest.mark.parametrize("case", sorted(NO_CHANNEL))
+def test_a_scenario_without_a_valid_channel_exits_with_one_line(tmp_path, capsys, command, case):
+    text, message = NO_CHANNEL[case]
+    out = tmp_path / "out"
+    code = main([command, "--scenario", str(write_scenario(tmp_path, text)), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()  # refused before any output is written
 
 
 def test_run_compare_shares_one_channel_draw(tmp_path):

@@ -403,7 +403,7 @@ def recorded_qp_solves(monkeypatch):
 def ad_rows(trace):
     """Every field of every AD row but the wall times, exactly."""
     return repr([{k: v for k, v in vars(r).items() if k not in ("ad1_time", "ad2_time")}
-                 for r in trace.rows])
+                 for r in trace])
 
 
 def test_solve_is_byte_identical_without_the_certificate(monkeypatch):
@@ -483,7 +483,7 @@ def test_the_last_ad_iteration_solves_no_qp(monkeypatch):
     for seed in range(5):
         events.clear()
         sol, trace = solve(scaled_problem(seed=seed, n=16, k=16))
-        assert sol.status == "success" and events.count("ad2") == len(trace.rows) >= 2
+        assert sol.status == "success" and events.count("ad2") == len(trace) >= 2
         last = len(events) - 1 - events[::-1].index("ad2")
         assert "qp" in events[:last] and "qp" not in events[last:]
     assert time.perf_counter() - t0 < 5.0
@@ -499,9 +499,9 @@ def test_a_qp_that_raises_ends_ad2_as_qp_failed(monkeypatch, error):
     prob = scaled_problem(seed=1)
     sol, trace = solve(prob)
     assert isinstance(sol, driver.Solution)
-    assert trace.rows[-1].ad2_status == "qp_failed"
+    assert trace[-1].ad2_status == "qp_failed"
     # AD2 keeps its fractional start, so the loop stops after one iteration.
-    assert len(trace.rows) == 1 and trace.rows[0].dx_norm == 0.0
+    assert len(trace) == 1 and trace[0].dx_norm == 0.0
 
 
 @pytest.mark.parametrize("n, noise, r_th_value", [(4, 1.0, 0.5), (8, 3e-14, 0.99999)])
@@ -556,7 +556,7 @@ def test_every_ad2_success_is_boolean(monkeypatch):
 def test_sbqp_succeeds_at_16_antennas_and_noise_1(seed):
     # The alternation alone: solve's all-on incumbent hides its failure.
     prob = scaled_problem(seed=seed, n=16, k=16, noise=1.0)
-    sol, _ = driver._ad_loop(prob, driver._sbqp_ad2, "AD-SBQP")
+    sol, _ = driver._ad_loop(prob, driver._sbqp_ad2)
     assert sol.status == "success"
 
 
@@ -578,9 +578,9 @@ def test_the_loop_stops_before_an_ad2_once_two_ad1_points_agree(last_status):
         x, status = steps[len(calls) - 1]
         return bqp.Ad2Result(x.copy(), status, [])
 
-    sol, trace = driver._ad_loop(prob, scripted, "AD-SPen")
-    assert len(calls) == len(trace.rows) == 2
-    assert trace.rows[1].dx_norm <= driver.EPS_TERM < trace.rows[1].dp_norm
+    sol, trace = driver._ad_loop(prob, scripted)
+    assert len(calls) == len(trace) == 2
+    assert trace[1].dx_norm <= driver.EPS_TERM < trace[1].dp_norm
     assert sol.x_star.tobytes() == (x_a + 1e-9).tobytes()
     assert sol.P_star.tobytes() == ad1(prob, sol.x_star)[0].tobytes()
     assert np.linalg.norm(sol.P_star - ad1(prob, x_a)[0]) <= driver.EPS_TERM
@@ -600,8 +600,8 @@ def test_the_loop_ends_max_iter_after_max_ad_iter_ad2_steps(monkeypatch):
         calls.append(x_bar)
         return bqp.Ad2Result(steps[len(calls) - 1].copy(), "success", [])
 
-    sol, trace = driver._ad_loop(prob, scripted, "AD-SPen")
-    assert (sol.status, len(trace.rows), sol.iterations) == ("max_iter", 2, 3)
+    sol, trace = driver._ad_loop(prob, scripted)
+    assert (sol.status, len(trace), sol.iterations) == ("max_iter", 2, 3)
     assert sol.x_star.tobytes() == steps[-1].tobytes()
     assert sol.P_star.tobytes() == ad1(prob, sol.x_star)[0].tobytes()
     assert sol.rate_residual >= 0.0
@@ -622,13 +622,13 @@ def test_an_unservable_selection_falls_back_to_the_incumbent(noise):
         steps.append((x_bar, res.x_star))
         return res
 
-    loop, trace = driver._ad_loop(prob, recorded, "AD-SBQP")
+    loop, trace = driver._ad_loop(prob, recorded)
     assert loop.status == "infeasible_selection"
-    assert loop.iterations == len(trace.rows) + 1 == len(steps) + 1
+    assert loop.iterations == len(trace) + 1 == len(steps) + 1
     start, unservable = steps[-1]
     with pytest.raises(Ad1InfeasibleError):
         ad1(prob, unservable)
-    assert trace.rows[-1].dx_norm == float(np.linalg.norm(unservable - start))
+    assert trace[-1].dx_norm == float(np.linalg.norm(unservable - start))
     assert loop.x_star.tobytes() == start.tobytes()
     assert loop.P_star.tobytes() == ad1(prob, start)[0].tobytes()
     assert loop.rate_residual >= 0.0
@@ -642,7 +642,7 @@ def test_every_exit_returns_the_pair_ad1_computed():
     # Every Solution but an "infeasible" one is (ad1(x), x) bit for bit: the
     # pair the loop's last AD1 computed, or solve's all-on incumbent.
     t0 = time.perf_counter()
-    runs = [solve, lambda prob: driver._ad_loop(prob, driver._sbqp_ad2, "AD-SBQP")]
+    runs = [solve, lambda prob: driver._ad_loop(prob, driver._sbqp_ad2)]
     for n in (4, 6, 8):
         for noise in (3e-14, 1e-3, 1.0):
             for seed in range(3):
@@ -657,11 +657,10 @@ def test_every_exit_returns_the_pair_ad1_computed():
 
 def test_single_antenna_scenario_keeps_it_on():
     prob = unit_channel_problem(r_th=1.0)
-    sol, trace = solve(prob)
+    sol, _ = solve(prob)
     assert sol.status == "success"
     np.testing.assert_array_equal(sol.x_star, np.ones(1))
     assert sol.P_star[0, 0] == pytest.approx(1.0, abs=1e-5)
-    assert trace.method == "AD-SBQP"
 
 
 def test_end_to_end_scaled_scenario_properties():
@@ -672,7 +671,7 @@ def test_end_to_end_scaled_scenario_properties():
     assert abs(sol.complementarity) <= 1e-12
     assert sol.rate_residual >= -1e-6
     assert sol.row_cap_residual <= 1e-8
-    assert len(trace.rows) == sol.iterations
+    assert len(trace) == sol.iterations
     _, obj_full = full_activation_allocation(prob)
     assert sol.objective < obj_full
 
@@ -702,9 +701,9 @@ def test_solve_reuses_the_last_power_solve_after_a_repeat(monkeypatch):
         calls.clear()
         prob = scaled_problem(seed=seed)
         sol, trace = solve(prob)
-        assert sol.status == "success" and trace.rows[-1].dx_norm == 0.0
+        assert sol.status == "success" and trace[-1].dx_norm == 0.0
         assert selection_bounds(np.ones((1, 8)), prob)[1][0] > sol.objective
-        assert len(calls) == len(trace.rows)
+        assert len(calls) == len(trace)
         np.testing.assert_array_equal(calls[-1], sol.x_star)
 
 
@@ -726,7 +725,7 @@ def test_incumbent_still_wins_where_its_bound_allows(monkeypatch):
     monkeypatch.setattr(driver, "ad1", recorded)
     for seed in (0, 6):
         prob = r_th_problem(seed, 0.9)
-        loop_only, _ = driver._ad_loop(prob, driver._sbqp_ad2, "AD-SBQP")
+        loop_only, _ = driver._ad_loop(prob, driver._sbqp_ad2)
         calls.clear()
         sol, _ = solve(prob)
         np.testing.assert_array_equal(calls[-1], np.ones(8))
@@ -751,7 +750,7 @@ def test_incumbent_is_not_solved_again_when_the_loop_ends_at_all_on(monkeypatch)
     ended_all_on = 0
     for seed in range(10):
         prob = r_th_problem(seed, 0.9)
-        loop_only, _ = driver._ad_loop(prob, driver._sbqp_ad2, "AD-SBQP")
+        loop_only, _ = driver._ad_loop(prob, driver._sbqp_ad2)
         if not np.array_equal(loop_only.x_star, ones):
             continue
         ended_all_on += 1
@@ -789,8 +788,8 @@ def test_solve_matches_an_unpruned_incumbent(monkeypatch):
             for name in ("P_star", "x_star", "objective", "complementarity", "rate_residual",
                          "row_cap_residual"):
                 assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(want, name)).tobytes()
-            assert [(r.objective, r.dx_norm, r.lambda_bar, r.ad2_status) for r in got_trace.rows] == [
-                (r.objective, r.dx_norm, r.lambda_bar, r.ad2_status) for r in want_trace.rows
+            assert [(r.objective, r.dx_norm, r.lambda_bar, r.ad2_status) for r in got_trace] == [
+                (r.objective, r.dx_norm, r.lambda_bar, r.ad2_status) for r in want_trace
             ]
 
 
@@ -900,16 +899,16 @@ def test_infeasible_scenario_is_reported_without_iterating():
     sol, trace = solve(prob)
     assert sol.status == "infeasible"
     assert sol.iterations == 0
-    assert trace.rows == []
+    assert trace == []
 
 
 def test_termination_norm_decreases_at_convergence():
     prob = scaled_problem(seed=4)
     sol, trace = solve(prob)
     assert sol.status == "success"
-    if len(trace.rows) >= 2:
-        last = np.hypot(trace.rows[-1].dp_norm, trace.rows[-1].dx_norm)
-        prev = np.hypot(trace.rows[-2].dp_norm, trace.rows[-2].dx_norm)
+    if len(trace) >= 2:
+        last = np.hypot(trace[-1].dp_norm, trace[-1].dx_norm)
+        prev = np.hypot(trace[-2].dp_norm, trace[-2].dx_norm)
         assert last <= prev + 1e-12
 
 

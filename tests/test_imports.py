@@ -1,6 +1,7 @@
 """Every name a module under src/adsbqp imports is used in that module,
-every parameter of a named function there is read by its body, and the
-reference oracles in tests/_oracles.py take no private name from adsbqp.
+every name its __all__ lists is bound in it, every parameter of a named
+function there is read by its body, and the reference oracles in
+tests/_oracles.py take no private name from adsbqp.
 
 A name counts as used when the module reads it or lists it in __all__.
 An import marked ``# noqa: F401`` on its line is exempt: it is kept for
@@ -47,6 +48,23 @@ def unused_imports(source: str) -> list[str]:
         ):
             used |= set(ast.literal_eval(node.value))
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def unbound_exports(source: str) -> list[str]:
+    """Names the source's __all__ lists that its top level never binds (by
+    def, class, import or assignment)."""
+    bound, exported = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                bound |= {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+                if isinstance(target, ast.Name) and target.id == "__all__":
+                    exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
 
 
 def unread_parameters(source: str) -> list[tuple[str, str]]:
@@ -106,6 +124,28 @@ def test_scan_sees_unused_names_and_honours_noqa():
         "x = np.zeros(1)\n"
     )
     assert unused_imports(source) == ["dataclass (line 1)", "field (line 1)"]
+
+
+def test_every_exported_name_in_the_package_is_bound():
+    # __init__.py included: adsbqp.__all__ as well as each module's.
+    found = {path.name: unbound for path in sorted(PACKAGE.glob("*.py"))
+             if (unbound := unbound_exports(path.read_text()))}
+    assert found == {}
+
+
+def test_export_scan_sees_a_stale_name():
+    source = (
+        "from json import dumps\n"
+        "import os.path\n"
+        "__all__ = ['dumps', 'os', 'AdTrace', 'K', 'f', 'X', 'Y', 'rate_reachable']\n"
+        "class K:\n"
+        "    AdTrace = 1\n"
+        "def f():\n"
+        "    rate_reachable = 2\n"
+        "X: int = 1\n"
+        "Y, Z = 1, 2\n"
+    )
+    assert unbound_exports(source) == ["AdTrace", "rate_reachable"]
 
 
 def test_every_parameter_in_the_package_is_read():

@@ -10,7 +10,6 @@ from adsbqp.rate import (
     grad_rate_wrt_power,
     grad_rate_wrt_switch,
     hess_rate_wrt_switch,
-    rate_reachable,
     sum_rate,
     water_filling,
 )
@@ -170,31 +169,31 @@ def test_build_esr_problem_fraction_resolution():
 
 def test_rate_reachable_is_the_water_filling_bound():
     # One user, g = 4: 2 bits need a = (2^2 - 1) / 4 = 0.75.
-    assert rate_reachable(np.array([4.0]), 0.75 + 1e-9, 2.0, 1.0)
-    assert not rate_reachable(np.array([4.0]), 0.75 - 1e-9, 2.0, 1.0)
+    assert water_filling(np.array([4.0]), 0.75 + 1e-9, 2.0, 1.0)[0][0]
+    assert not water_filling(np.array([4.0]), 0.75 - 1e-9, 2.0, 1.0)[0][0]
     assert water_filling(np.array([4.0]), 1.0, 2.0, 1.0)[1][0] == pytest.approx(0.75, rel=1e-14)
     # Gains (4, 1, 0), 4 bits: the level nu = 2 serves both users with
     # positive gain, a = (1.75, 1), rate log2(8) + log2(2); least total 2.75.
     g = np.array([4.0, 1.0, 0.0])
-    assert rate_reachable(g, 2.75 + 1e-9, 4.0, 1.0)
-    assert not rate_reachable(g, 2.75 - 1e-9, 4.0, 1.0)
+    assert water_filling(g, 2.75 + 1e-9, 4.0, 1.0)[0][0]
+    assert not water_filling(g, 2.75 - 1e-9, 4.0, 1.0)[0][0]
     assert water_filling(g, 3.0, 4.0, 1.0)[1][0] == pytest.approx(2.75, rel=1e-14)
     # At low SNR the level nu ~1e10 dwarfs the least total; one user is
     # served and needs (2^1e-9 - 1) / g_1 ~ 6.93, to all its digits.
     g = np.array([1e-10, 0.5e-10])
     want = math.expm1(1e-9 * math.log(2.0)) / 1e-10
     assert water_filling(g, 10.0, 1e-9, 1.0)[1][0] == pytest.approx(want, rel=1e-14)
-    assert rate_reachable(g, want * (1.0 + 1e-12), 1e-9, 1.0)
-    assert not rate_reachable(g, want * (1.0 - 1e-12), 1e-9, 1.0)
+    assert water_filling(g, want * (1.0 + 1e-12), 1e-9, 1.0)[0][0]
+    assert not water_filling(g, want * (1.0 - 1e-12), 1e-9, 1.0)[0][0]
     # A threshold far out of reach is decided without overflow.
     with np.errstate(all="raise"):
-        assert not rate_reachable(g, 1.0, 1e6, 1.0)
-    assert not rate_reachable(np.zeros(3), 1.0, 1.0, 1.0)
+        assert not water_filling(g, 1.0, 1e6, 1.0)[0][0]
+    assert not water_filling(np.zeros(3), 1.0, 1.0, 1.0)[0][0]
 
 
 def test_water_filling_rows_match_the_one_row_test_and_bisection():
     # Rows with zero-gain users, all-zero rows and single users: each row's
-    # feasibility is rate_reachable's, and its least total is the one found
+    # feasibility is the one-row call's, and its least total is the one found
     # by bisection on the water level, below the budget exactly when feasible.
     rng = np.random.default_rng(7)
     for k in (1, 6):
@@ -205,7 +204,7 @@ def test_water_filling_rows_match_the_one_row_test_and_bisection():
         feasible, least = water_filling(G, budget, 5.0, 1.0)[:2]
         assert 0 < feasible.sum() < 300
         for row, b, f, t in zip(G, budget, feasible, least):
-            assert f == rate_reachable(row, b, 5.0, 1.0)
+            assert f == water_filling(row, b, 5.0, 1.0)[0][0]
             ref = water_filling_by_bisection(row, 5.0, 1.0)
             if f:
                 assert t == pytest.approx(ref, rel=1e-9) and t < b
