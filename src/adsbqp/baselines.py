@@ -96,7 +96,7 @@ def _penalized_barrier_ad2(x_bar: np.ndarray, f, grad_f, hess_f, *,
         if sol.status != "optimal":
             return sol.status
         x = sol.z_star
-        return x, f(x) + rho * penalty_phi(x), sol.iterations
+        return x, f(x) + rho * penalty_phi(x), sol.iterations, "barrier"
 
     return penalty_homotopy(step, x_bar)
 

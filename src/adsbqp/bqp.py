@@ -11,7 +11,13 @@ moves to that minimizer x_tilde, snapped onto {0,1} when it is within
 SNAP_REACH.  phi is concave, so the tilted QP majorizes the merit M = q +
 rho * phi (the concave-convex procedure, Yuille & Rangarajan 2003; DCA, Le
 Thi & Pham Dinh 2018): M(x_tilde) <= M(x_hat) - rho ||d||^2 - 0.5 d'Qd with
-d = x_tilde - x_hat, and the full step needs no line search.  The smooth
+d = x_tilde - x_hat, and the full step needs no line search.  Each QP
+gets a start: AD2's x_bar for the global search, and for each round its
+x_hat, the last QP's answer as snapped.  The rounds' QPs differ only in
+their linear term, so qp.solve_qp's active set resumes from the face the
+last one ended on, and a round that only confirms a stall is certified in
+one iteration.  qp.solve_qp decides whether the active set or its
+interior point answers, and BqpIterate records which.  The smooth
 baselines run their penalized barrier solves on the same schedule.  AD-SBQP
 calls solve_bqp only when its driver cannot prove in closed form that the
 QP's minimizer lies within SNAP_REACH / 2 of a Boolean start
@@ -64,7 +70,8 @@ class BqpIterate:
     rho: float
     objective: float
     complementarity: float
-    qp_iterations: int
+    qp_iterations: int  # of the path below
+    qp_path: str  # solve_qp's path, "active_set" | "interior_point"; "barrier" in the baselines
 
 
 @dataclass
@@ -103,9 +110,9 @@ def penalty_homotopy(step, x0: np.ndarray) -> Ad2Result:
     """The rho schedule shared by AD-SBQP and the smooth baselines.
 
     step(rho, x_hat) runs one round from x_hat at penalty weight rho and
-    returns (x, objective, iterations), or a status string when the round
-    fails, which ends the homotopy at x_hat.  Returns Ad2Result(x, status,
-    trace) with status "success" once phi(x) <= EPS_COMP and
+    returns (x, objective, iterations, path), or a status string when the
+    round fails, which ends the homotopy at x_hat.  Returns Ad2Result(x,
+    status, trace) with status "success" once phi(x) <= EPS_COMP and
     "complementarity_not_met" when a round moves x by at most STALL_TOL or
     the schedule runs out first; the stalled round is recorded.
     """
@@ -116,9 +123,9 @@ def penalty_homotopy(step, x0: np.ndarray) -> Ad2Result:
         result = step(rho, x_hat)
         if isinstance(result, str):
             return Ad2Result(x_hat, result, trace)
-        x_new, objective, iterations = result
+        x_new, objective, iterations, path = result
         comp = penalty_phi(x_new)
-        trace.append(BqpIterate(rho, objective, comp, iterations))
+        trace.append(BqpIterate(rho, objective, comp, iterations, path))
         moved = np.max(np.abs(x_new - x_hat), initial=0.0)
         x_hat = x_new
         if comp <= EPS_COMP:
@@ -128,14 +135,18 @@ def penalty_homotopy(step, x0: np.ndarray) -> Ad2Result:
         rho *= BETA
 
 
-def solve_bqp(qp: QpProblem) -> Ad2Result:
+def solve_bqp(qp: QpProblem, start: np.ndarray | None = None) -> Ad2Result:
     """Global search once, then the penalty homotopy from its minimizer
     unless that is already Boolean to EPS_COMP.
 
     qp is the QP over the box [0, 1]^n that driver.build_ad2_subproblem
-    builds.  The global search minimizes qp itself, complementarity
-    ignored; each local search (round) minimizes it with the linearized
-    penalty rho * penalty_grad(x_hat) folded into its linear term, and
+    builds, and start a point that meets its row, x_bar for AD2 (None
+    gives none).  The global search minimizes qp itself from start,
+    complementarity ignored, and each round's QP starts at the last
+    iterate x_hat, so solve_qp's active set resumes from the face the last
+    QP ended on; solve_qp decides which path answers.  Each local search
+    (round) minimizes it with the linearized penalty rho *
+    penalty_grad(x_hat) folded into its linear term, and
     moves to that minimizer x_tilde, no line search: phi(x_hat + d) =
     phi(x_hat) + grad phi(x_hat)'d - ||d||^2 exactly, and x_tilde minimizes
     the tilted QP over a set that holds x_hat, so M(x_tilde) <= M(x_hat) -
@@ -152,16 +163,17 @@ def solve_bqp(qp: QpProblem) -> Ad2Result:
         # The tilted linear term grows like rho, so the subproblem tolerance
         # scales with it; the achieved x-space accuracy stays ~QP_TOL.
         try:
-            sol = solve_qp(qp.with_g(qp.g + rho * penalty_grad(x_hat)), tol=QP_TOL * max(1.0, rho))
+            sol = solve_qp(qp.with_g(qp.g + rho * penalty_grad(x_hat)), tol=QP_TOL * max(1.0, rho),
+                           start=x_hat)
         except _QP_ERRORS:
             return "qp_failed"
         if sol.status != "optimal":
             return sol.status
         x_new = _snap_boolean(qp, sol.x_star)
-        return x_new, qp.objective(x_new), sol.iterations
+        return x_new, qp.objective(x_new), sol.iterations, sol.path
 
     try:
-        sol = solve_qp(qp, tol=QP_TOL)
+        sol = solve_qp(qp, tol=QP_TOL, start=start)
     except _QP_ERRORS:
         return Ad2Result(None, "qp_failed", [])
     if sol.status != "optimal":

@@ -6,7 +6,9 @@ decides its feasibility exactly, at a level raised to keep the rate slack
 a barrier solve ends with.  AD2 is one pure step ad2(prob, P_bar, x_bar,
 lambda_bar) -> bqp.Ad2Result from the AD1 point: it minimizes a convex
 quadratic model of the Lagrangian in x over the linearized rate constraint
-via the penalty-homotopy Boolean QP.  At a Boolean start x_bar
+via the penalty-homotopy Boolean QP, whose QPs start at x_bar (it meets
+the row with slack mu / lambda) so that qp.solve_qp's active set can
+answer them.  At a Boolean start x_bar
 AD-SBQP first tries a closed-form certificate (_step_bound): a multiplier
 nu >= 0 whose reduced costs f + nu a are positive where x_bar is 0 and
 negative where it is 1 bounds the QP's step by ||x - x_bar||_1 <= nu slack
@@ -286,7 +288,10 @@ def _returns_start(prob: EsrProblem, P_star: np.ndarray, x_bar: np.ndarray) -> b
 
 
 def _sbqp_ad2(prob, P_star, x_bar, lambda_bar) -> Ad2Result:
-    """AD2 of AD-SBQP: solve_bqp on build_ad2_subproblem's QP.
+    """AD2 of AD-SBQP: solve_bqp on build_ad2_subproblem's QP, from x_bar.
+
+    x_bar meets the QP's linearized rate row with slack mu / lambda, so it
+    is the global search's start for qp.solve_qp's active set.
 
     At a Boolean x_bar whose QP minimizer _step_bound places within half of
     bqp.SNAP_REACH of it (in the 1-norm), the QP is not built: solve_bqp
@@ -299,7 +304,7 @@ def _sbqp_ad2(prob, P_star, x_bar, lambda_bar) -> Ad2Result:
     """
     if _returns_start(prob, P_star, x_bar):
         return Ad2Result(x_bar.copy(), "success", [])
-    res = solve_bqp(build_ad2_subproblem(prob, P_star, x_bar, lambda_bar))
+    res = solve_bqp(build_ad2_subproblem(prob, P_star, x_bar, lambda_bar), x_bar)
     if res.x_star is None:
         return Ad2Result(x_bar.copy(), res.status, res.trace)
     if res.status not in ("success", "qp_failed"):

@@ -1,18 +1,26 @@
 """Dense convex box QP solver: min 0.5 x'Qx + g'x  s.t.  Ax <= u,  0 <= x <= 1.
 
-Mehrotra's primal-dual predictor-corrector interior point (Mehrotra 1992;
-Nocedal & Wright, Numerical Optimization, sec. 16.6) with a 0.995
-fraction-to-boundary rule.  All inequalities (general rows plus the box)
-are stacked into a single slack system C x + s = d, s >= 0; each
-iteration factors the condensed normal matrix Q + C' diag(z/s) C once by a
-dense Cholesky and solves with that factor twice, for the affine-scaling
-predictor and for the centering corrector; a solve ends as "max_iter" after
-MAX_ITER iterations.  A QpProblem is validated and
-stacked once, when it is built, and QpProblem.with_g shares all of it but
-the linear term.  The Cholesky factor and solve go to LAPACK's potrf/potrs
-directly, behind the finiteness checks scipy.linalg.cho_factor/cho_solve
-would make; nlp's Newton system uses the same routines, and nlp and driver
-take a least eigenvalue from syevr as scipy.linalg.eigvalsh would.
+solve_qp has two paths.  The default is Mehrotra's primal-dual
+predictor-corrector interior point (Mehrotra 1992; Nocedal & Wright,
+Numerical Optimization, sec. 16.6) with a 0.995 fraction-to-boundary rule.
+All inequalities (general rows plus the box) are stacked into a single
+slack system C x + s = d, s >= 0; each iteration factors the condensed
+normal matrix Q + C' diag(z/s) C once by a dense Cholesky and solves with
+that factor twice, for the affine-scaling predictor and for the centering
+corrector; a solve ends as "max_iter" after MAX_ITER iterations.  The
+other is a primal active-set method (Nocedal & Wright, Algorithm 16.3)
+for a QP with one general row, run from a feasible start the caller
+supplies: AD2's homotopy solves QPs that differ only in their linear term,
+and an active set resumes from the face the last one ended on, where the
+interior point must start again from the box center.  Its answer is
+returned only with a KKT certificate; otherwise the interior point solves
+the QP from scratch (see solve_qp for the routing rule).  A QpProblem is
+validated and stacked once, when it is built, and QpProblem.with_g shares
+all of it but the linear term.  The Cholesky factor and solve go to
+LAPACK's potrf/potrs directly, behind the finiteness checks
+scipy.linalg.cho_factor/cho_solve would make; nlp's Newton system uses the
+same routines, and nlp and driver take a least eigenvalue from syevr as
+scipy.linalg.eigvalsh would.
 """
 
 from __future__ import annotations
@@ -41,6 +49,19 @@ NEIGHBORHOOD = 1e-3
 MIN_STEP = 1e-8
 # Interior-point iterations before a solve ends as "max_iter".
 MAX_ITER = 100
+# Active-set iterations per variable before the interior point takes over.
+# Each iteration adds or drops one bound or the row.  AD-SBQP's QPs take at
+# most one per variable, random convex one-row QPs up to 3.5 (7 at n = 2).
+ACTIVE_SET_ITER_PER_VARIABLE = 4
+# The active set serves a QP only when the row's tolerance band, tol /
+# max|a| in x, is at most ROW_REACH, 1e-3 times bqp.SNAP_REACH.  The
+# interior point may end anywhere in that band, and bqp snaps a coordinate
+# within SNAP_REACH of {0, 1} onto it; with the band far narrower than that
+# reach, both paths' answers snap alike.  AD2's rate row is not scaled: its
+# band is at most 6.2e-11 at noise 3e-14 and at least 8.5e-8 at noise >=
+# 1e-6, where the exact answer moved 9 of 320 selections of a seed grid.
+# Any value from 1e-10 to 1e-8 splits that grid's QPs the same way.
+ROW_REACH = 1e-9
 
 # The double-precision routines scipy.linalg.cho_factor/cho_solve and
 # eigvalsh call; on the 16x16 systems of AD-SBQP and the 2-4 variable ones of
@@ -158,8 +179,9 @@ class QpSolution:
     duals_lower: np.ndarray
     duals_upper: np.ndarray
     status: str  # "optimal" | "infeasible" | "stalled" | "max_iter"
-    iterations: int
+    iterations: int  # of the path that produced the solution
     kkt_residual: float
+    path: str = "interior_point"  # | "active_set"
 
 
 def _check_psd(Q: np.ndarray) -> None:
@@ -194,15 +216,135 @@ def _step_to_boundary(s, ds, z, dz, fraction):
     return min(1.0, fraction / t) if t > 0.0 else 1.0
 
 
-def solve_qp(qp: QpProblem, tol: float = 1e-10) -> QpSolution:
-    """Solve the QP by an infeasible-start Mehrotra predictor-corrector.
+def _takes_active_set(qp: QpProblem, start: np.ndarray | None, tol: float) -> bool:
+    """True when solve_qp tries the active set: a start is given, the QP has
+    one general row, the start lies in the box and meets the row within
+    tol, and the row's tolerance band tol / max|a| is at most ROW_REACH."""
+    if start is None or qp.m != 1:
+        return False
+    a = qp.A[0]
+    return bool(0.0 <= start.min() and start.max() <= 1.0 and a @ start - qp.u[0] <= tol
+                and tol <= ROW_REACH * np.abs(a).max())
 
-    Each iteration factors the normal matrix once, by LAPACK's potrf, and
-    solves with the factor twice (potrs): the predictor is the
-    affine-scaling step, whose complementarity after the longest step to
-    the boundary, mu_aff, sets sigma = min(1, mu_aff/mu)^3; the corrector
-    targets max(sigma*mu, CENTERING_FLOOR*tol) and adds the predictor's
-    second-order term ds_aff*dz_aff.  The step goes 0.995 of the way to the
+
+def _active_set(qp: QpProblem, start: np.ndarray, tol: float) -> QpSolution | None:
+    """Primal active-set method for the box QP with one row a'x <= u, from
+    a feasible start (Nocedal & Wright, Algorithm 16.3); None when it gives
+    no certified answer.
+
+    The working set fixes each coordinate that sits at 0 or 1, and holds the
+    row when it is tight; the start's working set is its coordinates at 0 or
+    1 and the row when its slack is at most tol.  Each iteration factors the
+    free block Q_FF (potrf) and solves once with the two right-hand sides
+    [grad_F, a_F]: with the row in the working set, the step p and the row
+    multiplier nu follow by Schur complement.  A ratio test over the free
+    coordinates and the row adds the first constraint that blocks; a full
+    step lands on the face minimizer, where the bound multipliers are read
+    off the gradient and the most negative multiplier, if below -tol, is
+    dropped.  Every constraint added blocks a step that the working set
+    allows, so the working set stays linearly independent.  The answer is
+    returned only when every multiplier is >= 0 and its KKT residual is at
+    most tol; a non-finite g, a free block that fails its factor, a
+    degenerate row, or ACTIVE_SET_ITER_PER_VARIABLE iterations per
+    variable also give None.
+    iterations counts the face solves.
+    """
+    Q, g = qp.Q, qp.g
+    a, u = qp.A[0], float(qp.u[0])
+    # Q is finite (_check_psd factored it) and so, checked here, is g: the
+    # loop calls LAPACK without _cho_factor's and _cho_solve's checks.
+    if not np.isfinite(g).all():
+        return None
+    x = start.copy()
+    free = (x > 0.0) & (x < 1.0)
+    on_row = u - a @ x <= tol and bool(a[free].any())
+    for it in range(1, ACTIVE_SET_ITER_PER_VARIABLE * qp.n + 1):
+        F = np.flatnonzero(free)
+        nu = 0.0
+        if F.size:
+            Q_F = Q[F]
+            c, info = _POTRF(Q_F[:, F], lower=True, clean=False)
+            if info:
+                return None
+            grad, a_F = Q_F @ x + g[F], a[F]
+            if on_row:
+                y, v = _POTRS(c, np.array((grad, a_F)).T, lower=True)[0].T
+                curvature = float(a_F @ v)
+                if not curvature > 0.0:
+                    return None
+                nu = -float(a_F @ y) / curvature
+                p = -(y + nu * v)
+            else:
+                p = -_POTRS(c, grad, lower=True)[0]
+            x_F = x[F]
+            # The distance to the bound each coordinate heads for; only a
+            # bound nearer than |p| blocks, so no ratio overflows.
+            room, speed = np.where(p < 0.0, x_F, 1.0 - x_F), np.abs(p)
+            ratios = np.divide(room, speed, out=np.ones(F.size), where=room < speed)
+            k = int(ratios.argmin())
+            alpha = float(ratios[k])
+            blocks_row = False
+            if not on_row:
+                rise = float(a_F @ p)
+                row_slack = u - float(a @ x)
+                blocks_row = rise > 0.0 and row_slack < alpha * rise
+                if blocks_row:
+                    alpha = max(0.0, row_slack / rise)
+            if alpha < 1.0:
+                x[F] = x_F + alpha * p
+                if blocks_row:
+                    on_row = True
+                else:
+                    x[F[k]] = 0.0 if p[k] < 0.0 else 1.0
+                    free[F[k]] = False
+                continue
+            x[F] = np.clip(x_F + p, 0.0, 1.0)
+        # x minimizes the QP over the face the working set fixes.
+        r = Q @ x + g + nu * a
+        fixed = ~free
+        z_upper = np.where(fixed & (x == 1.0), -r, 0.0)
+        z_lower = np.where(fixed & (x == 0.0), r, 0.0)
+        bound = z_upper + z_lower
+        i = int(bound.argmin())
+        if min(bound[i], nu) < -tol:
+            if nu < bound[i]:
+                on_row = False
+            else:
+                free[i] = True
+            continue
+        # A multiplier in [-tol, 0) is a zero one plus rounding: dropping
+        # its constraint only cycles through steps of zero length.  It is
+        # reported as 0, and the residual check below decides.
+        nu = max(nu, 0.0)
+        z_upper, z_lower = np.maximum(z_upper, 0.0), np.maximum(z_lower, 0.0)
+        z = np.concatenate(([nu], z_upper, z_lower))
+        C, d = qp._stacked
+        residual = _residual(qp, C, d, x, z)
+        if not residual <= tol:  # NaN data fail here too
+            return None
+        return QpSolution(x, z[:1], z_lower, z_upper, "optimal", it, residual, "active_set")
+    return None
+
+
+def solve_qp(qp: QpProblem, tol: float = 1e-10, start: np.ndarray | None = None) -> QpSolution:
+    """Solve the QP, by the active set from start where it applies and
+    otherwise by an infeasible-start Mehrotra predictor-corrector.
+
+    The active set (_active_set) runs when a start is given, the QP has one
+    general row, the start lies in the box and meets the row within tol,
+    and the row's scale is far above the tolerance: tol / max|a| <=
+    ROW_REACH.  Its answer, with path "active_set", is returned only when
+    every multiplier is >= 0 and its KKT residual is at most tol, the
+    guarantee below; otherwise the interior point solves the QP from
+    scratch, as it does without a start, and returns what it would have
+    returned then, with path "interior_point".
+
+    Each interior-point iteration factors the normal matrix once, by
+    LAPACK's potrf, and solves with the factor twice (potrs): the predictor
+    is the affine-scaling step, whose complementarity after the longest
+    step to the boundary, mu_aff, sets sigma = min(1, mu_aff/mu)^3; the
+    corrector targets max(sigma*mu, CENTERING_FLOOR*tol) and adds the
+    predictor's second-order term ds_aff*dz_aff.  The step goes 0.995 of the way to the
     boundary and is halved until every product s_i z_i stays at least
     NEIGHBORHOOD times their mean.  A normal matrix that is not positive
     definite raises LinAlgError at once.
@@ -219,9 +361,15 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10) -> QpSolution:
     data were validated when qp was built; Q is factored once here, to
     check convexity.  A non-finite Q, normal matrix or right-hand side
     raises ValueError, as scipy's Cholesky wrappers would.  iterations
-    counts the interior-point iterations.
+    counts the iterations of the path that answered.
     """
     _check_psd(qp.Q)
+    if start is not None:
+        start = np.asarray(start, dtype=float).reshape(qp.n)
+    if _takes_active_set(qp, start, tol):
+        sol = _active_set(qp, start, tol)
+        if sol is not None:
+            return sol
     C, d = qp._stacked
     mt = d.size
     x = np.full(qp.n, 0.5)
@@ -268,7 +416,7 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10) -> QpSolution:
         while True:
             s_new, z_new = s + alpha * ds, z + alpha * dz
             sz_new = s_new * z_new
-            if alpha < MIN_STEP or sz_new.min() >= NEIGHBORHOOD * sz_new.mean():
+            if alpha < MIN_STEP or sz_new.min() >= NEIGHBORHOOD * (sz_new.sum() / mt):
                 break
             alpha *= 0.5
         if alpha < MIN_STEP:

@@ -178,8 +178,8 @@ def test_each_round_lowers_the_merit_by_the_majorization_bound(monkeypatch):
     t0 = time.perf_counter()
     solves = []  # (qp, tol, x_star) of every QP solve_bqp solves
 
-    def recording(qp, tol):
-        sol = solve_qp(qp, tol=tol)
+    def recording(qp, tol, start=None):
+        sol = solve_qp(qp, tol=tol, start=start)
         solves.append((qp, tol, sol.x_star))
         return sol
 

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from adsbqp import bqp, driver, nlp
+from adsbqp import qp as qp_mod
 from adsbqp.baselines import enumerate_selections, solve_ad_nspen, solve_ad_spen
 from adsbqp import rate as rate_mod
 from adsbqp.bqp import SNAP_REACH, solve_bqp
@@ -426,6 +427,42 @@ def test_solve_is_byte_identical_without_the_certificate(monkeypatch):
                 assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(want, name)).tobytes()
             assert ad_rows(got_trace) == ad_rows(want_trace)
     assert time.perf_counter() - t0 < 10.0
+
+
+def solution_bytes(sol):
+    """Every field of a Solution, exactly."""
+    return [np.asarray(getattr(sol, f.name)).tobytes() for f in dataclasses.fields(sol)]
+
+
+def test_the_active_set_serves_the_benchmark_and_moves_no_selection(monkeypatch):
+    # At the benchmark's scenario (16x16, noise 3e-14) every AD2 QP is
+    # solved by qp's active set, and its exact answers leave every Solution
+    # as the interior point alone makes it; at low SNR, where the routing
+    # rule sends the rate row to the interior point, too.  Without that
+    # rule, seed 2 at noise 1e-3 and r_th_value 0.1 ends at another selection.
+    t0 = time.perf_counter()
+    paths = []
+
+    def recorded(*args, **kwargs):
+        sol = solve_qp(*args, **kwargs)
+        paths.append(sol.path)
+        return sol
+
+    monkeypatch.setattr(bqp, "solve_qp", recorded)
+    cases = [(16, 3e-14, 0.5, seed) for seed in range(4)]
+    cases += [(8, noise, r_th, seed) for noise in (1e-6, 1e-3, 1.0) for r_th in (0.1, 0.5) for seed in range(3)]
+    for n, noise, r_th, seed in cases:
+        prob = build_esr_problem(ScenarioConfig(n_tx=n, n_users=n, seed=seed, r_th_mode="fraction",
+                                                r_th_value=r_th, noise_n0b=noise))
+        paths.clear()
+        got = solve(prob)[0]
+        if noise == 3e-14:
+            assert paths and set(paths) == {"active_set"}
+        with monkeypatch.context() as patch:
+            patch.setattr(qp_mod, "_takes_active_set", lambda *args: False)
+            want = solve(prob)[0]
+        assert solution_bytes(got) == solution_bytes(want)
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_uncertified_starts_go_to_the_qp(monkeypatch):

@@ -280,34 +280,43 @@ def test_solve_matches_the_reference_loop_bit_for_bit(name):
 
 def test_ad2_qps_match_the_reference_loop_bit_for_bit(monkeypatch):
     # Every box QP of AD-SBQP at 16x16, the global search and each tilted
-    # round, at the tolerance the homotopy gives it: the same status and
-    # objective, and the same point once bqp._snap_boolean has rounded it
-    # (bit for bit where it snaps to {0,1}, within its 1e-6 reach where it
-    # leaves a fractional point alone).
+    # round, at the tolerance the homotopy gives it, solved by the interior
+    # point (no start) and from the start the homotopy gives it (the
+    # active set): the same status and objective, and the same point once
+    # bqp._snap_boolean has rounded it (bit for bit where it snaps to
+    # {0,1}, within its 1e-6 reach where it leaves a fractional point alone).
     calls = []
 
-    def recorded(qp, tol=1e-10):
-        calls.append((qp, tol))
-        return solve_qp(qp, tol=tol)
+    def recorded(qp, tol=1e-10, start=None):
+        calls.append((qp, tol, start))
+        return solve_qp(qp, tol=tol, start=start)
 
     monkeypatch.setattr(bqp, "solve_qp", recorded)
     for seed in range(4):
         cfg = ScenarioConfig(n_tx=16, n_users=16, seed=seed, r_th_mode="fraction",
                              r_th_value=0.5, noise_n0b=3e-14)
         solve(build_esr_problem(cfg))
-    assert {tol > 1e-10 for _, tol in calls} == {False, True}
-    snapped = 0
-    for qp, tol in calls:
-        got, want = solve_qp(qp, tol=tol), solve_qp_reference(qp, tol=tol)
+    assert {tol > 1e-10 for _, tol, _ in calls} == {False, True}
+
+    def snaps_alike(qp, tol, got, want):
+        """Whether the answers snap to a Boolean point, which must be the same."""
         assert_agrees(qp, got, want, tol)
         x_got, x_want = bqp._snap_boolean(qp, got.x_star), bqp._snap_boolean(qp, want.x_star)
         boolean = np.array_equal(x_got, np.round(x_got))
         assert boolean == np.array_equal(x_want, np.round(x_want))
         if boolean:
-            snapped += 1
             assert x_got.tobytes() == x_want.tobytes()
         else:
             np.testing.assert_allclose(x_got, x_want, rtol=0, atol=1e-6)
+        return boolean
+
+    snapped = 0
+    for qp, tol, start in calls:
+        want = solve_qp_reference(qp, tol=tol)
+        snapped += snaps_alike(qp, tol, solve_qp(qp, tol=tol), want)
+        from_start = solve_qp(qp, tol=tol, start=start)
+        assert from_start.path == "active_set"
+        snaps_alike(qp, tol, from_start, want)
     assert 0 < snapped < len(calls)
 
 
@@ -374,3 +383,85 @@ def test_random_convex_box_qps_are_solved():
     t0 = time.perf_counter()
     check_random_convex_box_qp()
     assert time.perf_counter() - t0 < 20.0
+
+
+@st.composite
+def one_row_box_qps(draw):
+    """Random convex QPs over [0, 1]^n with one row of scale >= 0.1, and a
+    start in the box that meets the row with slack (it may sit on bounds)."""
+    n = draw(st.integers(1, 8))
+    B = draw(_unit_floats((n, n)))
+    g = 10.0 * draw(_unit_floats(n))
+    a = draw(_unit_floats(n).filter(lambda a: np.abs(a).max() >= 0.1))
+    start = draw(arrays(np.float64, n, elements=st.floats(0.0, 1.0)))
+    slack = draw(st.floats(1e-6, 2.0))
+    return box_qp(B @ B.T + np.eye(n), g, a[None, :], np.array([a @ start + slack])), start
+
+
+ACTIVE_SET_PATHS = []  # the path of each check_active_set_from_a_start draw
+
+
+@settings(max_examples=200, deadline=None, database=None, print_blob=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(one_row_box_qps())
+def check_active_set_from_a_start(case):
+    qp, start = case
+    sol = solve_qp(qp, start=start)
+    # The certificate: "optimal" with every multiplier >= 0 and
+    # kkt_residual <= tol, at an objective the interior point agrees with.
+    assert sol.status == "optimal"
+    assert sol.kkt_residual == kkt_residual(qp, sol) <= 1e-10
+    for duals in (sol.duals_ineq, sol.duals_lower, sol.duals_upper):
+        assert (duals >= 0.0).all()
+    assert_agrees(qp, sol, solve_qp(qp))
+    ACTIVE_SET_PATHS.append(sol.path)
+
+
+def test_active_set_answers_are_certified():
+    # A draw whose certificate fails (about 1 in 5,000: rows with entries
+    # 1e6 times apart) goes to the interior point; nearly all are served.
+    t0 = time.perf_counter()
+    ACTIVE_SET_PATHS.clear()
+    check_active_set_from_a_start()
+    assert ACTIVE_SET_PATHS.count("active_set") >= 0.9 * len(ACTIVE_SET_PATHS) > 0
+    assert time.perf_counter() - t0 < 20.0
+
+
+def assert_same_solution(got, want):
+    """Every field of two QpSolutions, bit for bit."""
+    for name in ("x_star", "duals_ineq", "duals_lower", "duals_upper"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert (got.status, got.iterations, got.path) == (want.status, want.iterations, want.path)
+    assert np.float64(got.kkt_residual).tobytes() == np.float64(want.kkt_residual).tobytes()
+
+
+def first_call_fails(monkeypatch):
+    """Make the first _residual call (the active set's certificate) fail."""
+    calls, residual = [], qp_mod._residual
+
+    def failing_once(*args):
+        calls.append(None)
+        return np.inf if len(calls) == 1 else residual(*args)
+
+    monkeypatch.setattr(qp_mod, "_residual", failing_once)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["no_start", "infeasible_start", "two_rows", "row_below_tolerance",
+                                  "certificate_fails"])
+def test_each_fallback_returns_the_interior_point_result(monkeypatch, case):
+    # The QP below is one the active set certifies from x0 (first assert);
+    # each case breaks one condition of the routing rule or the certificate.
+    qp, x0 = active_row_qp(), np.array([0.25, 0.25])
+    assert solve_qp(qp, start=x0).path == "active_set"
+    start = {"no_start": None, "infeasible_start": np.array([0.75, 0.75])}.get(case, x0)
+    if case == "two_rows":
+        qp = box_qp(qp.Q, qp.g, A=np.vstack([qp.A, [1.0, -1.0]]), u=np.append(qp.u, 1.0))
+    elif case == "row_below_tolerance":
+        qp = box_qp(qp.Q, qp.g, A=1e-10 * qp.A, u=1e-10 * qp.u)
+    want = solve_qp(qp)
+    assert want.path == "interior_point"
+    calls = first_call_fails(monkeypatch) if case == "certificate_fails" else []
+    assert_same_solution(solve_qp(qp, start=start), want)
+    if case == "certificate_fails":
+        assert len(calls) == 2  # the failed certificate, then the interior point's check
