@@ -12,19 +12,21 @@ SNAP_REACH.  phi is concave, so the tilted QP majorizes the merit M = q +
 rho * phi (the concave-convex procedure, Yuille & Rangarajan 2003; DCA, Le
 Thi & Pham Dinh 2018): M(x_tilde) <= M(x_hat) - rho ||d||^2 - 0.5 d'Qd with
 d = x_tilde - x_hat, and the full step needs no line search.  Each QP
-gets a start: AD2's x_bar for the global search, and for each round its
-x_hat, the last QP's answer as snapped.  The rounds' QPs differ only in
-their linear term, so qp.solve_qp's active set resumes from the face the
-last one ended on, and a round that only confirms a stall is certified in
-one iteration.  qp.solve_qp decides whether the active set or its
-interior point answers, and BqpIterate records which.  The smooth
-baselines run their penalized barrier solves on the same schedule.  AD-SBQP
-calls solve_bqp only when its driver cannot prove in closed form that the
-QP's minimizer lies within SNAP_REACH / 2 of a Boolean start
-(driver._step_bound bounds the 1-norm of that step), since the snap would
-return the start then.  The complementarity tolerance EPS_COMP is a
-constant: phi(x) <= EPS_COMP puts every coordinate of x in [0, 1] within
-2 * EPS_COMP of {0, 1}, so a "success" is Boolean to that accuracy.
+gets a start: AD2's x_bar for the global search, and for each round a
+rounding of its x_hat, the last QP's answer as snapped, that meets the
+row (_rounded_start).  The tilted QP's answer sits next to a vertex; from
+x_hat, qp.solve_qp's active set would fix one bound per iteration to get
+there.  Its certificate makes the answer independent of the start (Nocedal
+& Wright, Numerical Optimization, sec. 16.5).  qp.solve_qp decides
+whether the active set or its interior point answers, and BqpIterate
+records which.  The smooth baselines run their penalized barrier solves
+on the same schedule.  AD-SBQP calls solve_bqp only when its driver
+cannot prove in closed form that the QP's minimizer lies within
+SNAP_REACH / 2 of a Boolean start (driver._step_bound bounds the 1-norm
+of that step), since the snap would return the start then.  The
+complementarity tolerance EPS_COMP is a constant: phi(x) <= EPS_COMP puts
+every coordinate of x in [0, 1] within 2 * EPS_COMP of {0, 1}, so a
+"success" is Boolean to that accuracy.
 penalty_homotopy and solve_bqp return Ad2Result, the one result type of an
 AD2 step, AD-SBQP's and the baselines' alike.
 """
@@ -106,6 +108,32 @@ def _snap_boolean(qp: QpProblem, x: np.ndarray) -> np.ndarray:
     return snapped
 
 
+def _rounded_start(qp: QpProblem, x_hat: np.ndarray) -> np.ndarray:
+    """A start for a round's QP: round(x_hat) when it meets the QP's one
+    row; otherwise that rounding with the least decided coordinates
+    (|x_hat_i - 1/2| ascending) moved to the bound that lowers a'x, the
+    last one only part of the way, so that the row holds with equality.
+    x_hat itself for a QP without exactly one row, or when the moves run
+    out."""
+    if qp.m != 1:
+        return x_hat
+    a, v = qp.A[0], np.round(x_hat)
+    excess = float(a @ v - qp.u[0])
+    if excess <= 0.0:
+        return v
+    for i in np.argsort(np.abs(x_hat - 0.5), kind="stable"):
+        bound = 0.0 if a[i] > 0.0 else 1.0
+        drop = a[i] * (v[i] - bound)
+        if drop <= 0.0:  # v_i is at that bound already, or a_i = 0
+            continue
+        if drop >= excess:
+            v[i] -= excess / a[i]
+            return v
+        v[i] = bound
+        excess -= drop
+    return x_hat
+
+
 def penalty_homotopy(step, x0: np.ndarray) -> Ad2Result:
     """The rho schedule shared by AD-SBQP and the smooth baselines.
 
@@ -142,9 +170,9 @@ def solve_bqp(qp: QpProblem, start: np.ndarray | None = None) -> Ad2Result:
     qp is the QP over the box [0, 1]^n that driver.build_ad2_subproblem
     builds, and start a point that meets its row, x_bar for AD2 (None
     gives none).  The global search minimizes qp itself from start,
-    complementarity ignored, and each round's QP starts at the last
-    iterate x_hat, so solve_qp's active set resumes from the face the last
-    QP ended on; solve_qp decides which path answers.  Each local search
+    complementarity ignored, and each round's QP starts at
+    _rounded_start(qp, x_hat), next to the vertex the tilted QP's answer
+    sits at; solve_qp decides which path answers.  Each local search
     (round) minimizes it with the linearized penalty rho *
     penalty_grad(x_hat) folded into its linear term, and
     moves to that minimizer x_tilde, no line search: phi(x_hat + d) =
@@ -164,7 +192,7 @@ def solve_bqp(qp: QpProblem, start: np.ndarray | None = None) -> Ad2Result:
         # scales with it; the achieved x-space accuracy stays ~QP_TOL.
         try:
             sol = solve_qp(qp.with_g(qp.g + rho * penalty_grad(x_hat)), tol=QP_TOL * max(1.0, rho),
-                           start=x_hat)
+                           start=_rounded_start(qp, x_hat))
         except _QP_ERRORS:
             return "qp_failed"
         if sol.status != "optimal":

@@ -50,8 +50,10 @@ MIN_STEP = 1e-8
 # Interior-point iterations before a solve ends as "max_iter".
 MAX_ITER = 100
 # Active-set iterations per variable before the interior point takes over.
-# Each iteration adds or drops one bound or the row.  AD-SBQP's QPs take at
-# most one per variable, random convex one-row QPs up to 3.5 (7 at n = 2).
+# Each iteration adds or drops one bound or the row.  On seed grids of 4 to
+# 64 antennas AD-SBQP's QPs take at most 2 per variable (a global search at
+# n = 4), a homotopy round at most 1 (at most 5 iterations from n = 20);
+# random convex one-row QPs up to 3.5 (7 at n = 2).
 ACTIVE_SET_ITER_PER_VARIABLE = 4
 # The active set serves a QP only when the row's tolerance band, tol /
 # max|a| in x, is at most ROW_REACH, 1e-3 times bqp.SNAP_REACH.  The

@@ -4,8 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from adsbqp import bqp
+from adsbqp import qp as qp_mod
 from adsbqp.bqp import (
     BETA,
     QP_TOL,
@@ -218,4 +222,63 @@ def test_each_round_lowers_the_merit_by_the_majorization_bound(monkeypatch):
         merit_change = (qp.objective(x_tilde) + rho * penalty_phi(x_tilde)
                         - qp.objective(x_hat) - rho * penalty_phi(x_hat))
         assert merit_change <= -(rho * d @ d + 0.5 * d @ qp.Q @ d) + (2 * qp.n + qp.m) * tol
+    assert time.perf_counter() - t0 < 10.0
+
+
+def test_rowless_and_multi_row_rounds_start_at_x_hat(monkeypatch):
+    # Only a QP with one row gets a rounded start; every other round starts
+    # at the snapped last iterate, as it is.
+    solves = []  # (start, x_star) of every QP solve_bqp solves
+
+    def recording(qp, tol, start=None):
+        sol = solve_qp(qp, tol=tol, start=start)
+        solves.append((start, sol.x_star))
+        return sol
+
+    monkeypatch.setattr(bqp, "solve_qp", recording)
+    rng = np.random.default_rng(4)
+    # The global minimizer (0.7, 0.45, 0) is fractional, so the homotopy runs.
+    qp = box_qp(np.eye(3), np.array([-0.7, -0.45, 0.2]))
+    for rows in (0, 2):
+        rowed = box_qp(qp.Q, qp.g, *loose_rows(rng, 3, rows))
+        solves.clear()
+        assert solve_bqp(rowed).status == "success"
+        assert len(solves) >= 2
+        for (_, x_star), (start, _) in zip(solves, solves[1:]):
+            assert start.tobytes() == bqp._snap_boolean(rowed, x_star).tobytes()
+
+
+@st.composite
+def one_row_rounds(draw):
+    """A one-row box QP whose row has mixed signs and zero entries, of scale
+    at most 100, and an x_hat in the box that meets the row."""
+    n = draw(st.integers(1, 12))
+    entry = st.one_of(st.just(0.0), st.floats(-100.0, 100.0, allow_nan=False))
+    a = draw(arrays(np.float64, n, elements=entry))
+    x_hat = draw(arrays(np.float64, n, elements=st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                                                          st.floats(0.0, 1.0))))
+    slack = draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
+    return box_qp(np.eye(n), np.zeros(n), a[None, :], np.array([a @ x_hat + slack])), x_hat
+
+
+@settings(max_examples=300, deadline=None, database=None, print_blob=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(one_row_rounds())
+def check_rounded_start(case):
+    qp, x_hat = case
+    a, u = qp.A[0], qp.u[0]
+    start = bqp._rounded_start(qp, x_hat)
+    assert ((0.0 <= start) & (start <= 1.0)).all()
+    assert a @ start - u <= QP_TOL
+    if QP_TOL <= qp_mod.ROW_REACH * np.abs(a).max():
+        assert qp_mod._takes_active_set(qp, start, QP_TOL)
+    if start is not x_hat:
+        assert ((start > 0.0) & (start < 1.0)).sum() <= 1
+    if a @ np.round(x_hat) <= u:
+        assert start.tobytes() == np.round(x_hat).tobytes()
+
+
+def test_each_one_row_round_starts_in_the_box_on_the_row():
+    t0 = time.perf_counter()
+    check_rounded_start()
     assert time.perf_counter() - t0 < 10.0

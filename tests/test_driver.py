@@ -465,6 +465,30 @@ def test_the_active_set_serves_the_benchmark_and_moves_no_selection(monkeypatch)
     assert time.perf_counter() - t0 < 5.0
 
 
+def test_first_rounds_start_next_to_their_answer(monkeypatch):
+    # The first homotopy round's QP (rho = 1) has its answer next to a
+    # vertex.  Started at the rounding of x_hat, the active set reaches it in
+    # a few iterations, where from x_hat it fixes one bound per iteration
+    # (10-58 at these sizes); the start changes no Solution.
+    t0 = time.perf_counter()
+    sizes = [(16, seed) for seed in range(4)] + [(n, seed) for n in (32, 64) for seed in range(3)]
+    cases = [(n, 3e-14, 0.5, seed) for n, seed in sizes]
+    cases += [(8, noise, r_th, seed) for noise in (3e-14, 1e-6, 1e-3, 1.0) for r_th in (0.1, 0.5)
+              for seed in range(3)]
+    for n, noise, r_th, seed in cases:
+        prob = build_esr_problem(ScenarioConfig(n_tx=n, n_users=n, seed=seed, r_th_mode="fraction",
+                                                r_th_value=r_th, noise_n0b=noise))
+        got, rows = solve(prob)
+        if n >= 16:
+            first = [it for row in rows for it in row.ad2_trace if it.rho == bqp.RHO0]
+            assert first and all(it.qp_path == "active_set" and it.qp_iterations <= 6 for it in first)
+        with monkeypatch.context() as patch:
+            patch.setattr(bqp, "_rounded_start", lambda qp, x_hat: x_hat)
+            want = solve(prob)[0]
+        assert solution_bytes(got) == solution_bytes(want)
+    assert time.perf_counter() - t0 < 2.0
+
+
 def test_uncertified_starts_go_to_the_qp(monkeypatch):
     t0 = time.perf_counter()
     calls = recorded_qp_solves(monkeypatch)
