@@ -112,7 +112,7 @@ class ChannelMatrix:
     user_positions: np.ndarray
 
     def __post_init__(self) -> None:
-        H = np.asarray(self.entries, dtype=complex)
+        H = np.ascontiguousarray(self.entries, dtype=complex)
         d = np.asarray(self.user_distances, dtype=float)
         object.__setattr__(self, "entries", H)
         object.__setattr__(self, "user_distances", d)
@@ -121,7 +121,7 @@ class ChannelMatrix:
             raise ValueError("channel entries must be a 2-D matrix")
         if d.shape != (H.shape[1],):
             raise ValueError("one distance per user is required")
-        if not np.all(np.isfinite(H.view(float))):
+        if not np.isfinite(H).all():
             raise ValueError("channel entries must be finite")
         norms = np.linalg.norm(H, axis=0)
         if np.any(norms <= 0):

@@ -3,7 +3,7 @@
 solve_qp has two paths.  The default is Mehrotra's primal-dual
 predictor-corrector interior point (Mehrotra 1992; Nocedal & Wright,
 Numerical Optimization, sec. 16.6) with a 0.995 fraction-to-boundary rule.
-All inequalities (general rows plus the box) are stacked into a single
+Each call stacks all inequalities (general rows plus the box) into a single
 slack system C x + s = d, s >= 0; each iteration factors the condensed
 normal matrix Q + C' diag(z/s) C once by a dense Cholesky and solves with
 that factor twice, for the affine-scaling predictor and for the centering
@@ -14,13 +14,14 @@ supplies: AD2's homotopy solves QPs that differ only in their linear term,
 and an active set resumes from the face the last one ended on, where the
 interior point must start again from the box center.  Its answer is
 returned only with a KKT certificate; otherwise the interior point solves
-the QP from scratch (see solve_qp for the routing rule).  A QpProblem is
-validated and stacked once, when it is built, and QpProblem.with_g shares
-all of it but the linear term.  The Cholesky factor and solve go to
-LAPACK's potrf/potrs directly, behind the finiteness checks
-scipy.linalg.cho_factor/cho_solve would make; nlp's Newton system uses the
-same routines, and nlp and driver take a least eigenvalue from syevr as
-scipy.linalg.eigvalsh would.
+the QP from scratch (see solve_qp for the routing rule).  Both paths and
+kkt_residual take the KKT residual on the general rows and the box
+(_residual).  A QpProblem is validated once, when it is built, convexity
+included, and QpProblem.with_g shares all of it but the linear term.  The
+Cholesky factor and solve go to LAPACK's potrf/potrs directly, behind the
+finiteness checks scipy.linalg.cho_factor/cho_solve would make; nlp's
+Newton system uses the same routines, and nlp and driver take a least
+eigenvalue from syevr as scipy.linalg.eigvalsh would.
 """
 
 from __future__ import annotations
@@ -122,9 +123,8 @@ class QpProblem:
     """Dense convex QP data over the box [0, 1]^n, the relaxation of AD2's
     Boolean QP.  Q must be finite and symmetric PSD (up to noise).
 
-    Construction validates the data, stores Q symmetrized and stacks the
-    inequalities for solve_qp; solve_qp checks only convexity, by a
-    Cholesky factor of Q.
+    Construction validates the data, convexity included (by a Cholesky
+    factor of Q), and stores Q symmetrized; solve_qp checks nothing more.
     """
 
     Q: np.ndarray
@@ -146,11 +146,12 @@ class QpProblem:
             raise ValueError("Q must be symmetric within 1e-12")
         if A.shape[0] != u.size:
             raise ValueError("A and u row counts differ")
-        object.__setattr__(self, "Q", 0.5 * (Q + Q.T))
+        Q = 0.5 * (Q + Q.T)
+        _check_psd(Q)
+        object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "_stacked", _stack_constraints(self))
 
     @property
     def n(self) -> int:
@@ -164,8 +165,9 @@ class QpProblem:
         return float(0.5 * x @ self.Q @ x + self.g @ x)
 
     def with_g(self, g: np.ndarray) -> QpProblem:
-        """This problem with the linear term g.  Only g is checked; the
-        validated Q, A, u and stacked inequalities are shared."""
+        """This problem with the linear term g.  Only g is checked; Q, A and
+        u, validated when this problem was built, are shared, so the QPs of
+        a homotopy factor their Q once."""
         g = np.asarray(g, dtype=float)
         if g.shape != self.g.shape:
             raise ValueError("g must have n entries")
@@ -193,19 +195,14 @@ def _check_psd(Q: np.ndarray) -> None:
         raise ValueError("Q is not positive semidefinite")
 
 
-def _stack_constraints(qp: QpProblem):
-    """All inequalities as C x <= d: the general rows, then x <= 1, then -x <= -0."""
-    eye = np.eye(qp.n)
-    C = np.vstack([qp.A, eye, -eye])
-    d = np.concatenate([qp.u, np.ones(qp.n), -np.zeros(qp.n)])
-    return C, d
-
-
-def _residual(qp: QpProblem, C: np.ndarray, d: np.ndarray, x: np.ndarray, z: np.ndarray) -> float:
-    """Max of |Qx + g + C'z|, of the violations of C x <= d and of
-    |z_i (d - C x)_i|: the KKT residual of (x, z)."""
-    slack = d - C @ x
-    return max(float(np.abs(qp.Q @ x + qp.g + C.T @ z).max()),
+def _residual(qp: QpProblem, x: np.ndarray, z_row: np.ndarray, z_lower: np.ndarray,
+              z_upper: np.ndarray) -> float:
+    """The KKT residual of (x, z) on the general rows and the box: the max
+    of |Qx + g + A'z_row + z_upper - z_lower|, of the violations of Ax <= u
+    and 0 <= x <= 1, and of each multiplier times its slack."""
+    slack = np.concatenate((qp.u - qp.A @ x, 1.0 - x, x))
+    z = np.concatenate((z_row, z_upper, z_lower))
+    return max(float(np.abs(qp.Q @ x + qp.g + (qp.A.T @ z_row + z_upper - z_lower)).max()),
                float((-slack).max(initial=0.0)),
                float(np.abs(z * slack).max(initial=0.0)))
 
@@ -253,7 +250,7 @@ def _active_set(qp: QpProblem, start: np.ndarray, tol: float) -> QpSolution | No
     """
     Q, g = qp.Q, qp.g
     a, u = qp.A[0], float(qp.u[0])
-    # Q is finite (_check_psd factored it) and so, checked here, is g: the
+    # Q is finite (checked when qp was built) and so, checked here, is g: the
     # loop calls LAPACK without _cho_factor's and _cho_solve's checks.
     if not np.isfinite(g).all():
         return None
@@ -319,12 +316,11 @@ def _active_set(qp: QpProblem, start: np.ndarray, tol: float) -> QpSolution | No
         # reported as 0, and the residual check below decides.
         nu = max(nu, 0.0)
         z_upper, z_lower = np.maximum(z_upper, 0.0), np.maximum(z_lower, 0.0)
-        z = np.concatenate(([nu], z_upper, z_lower))
-        C, d = qp._stacked
-        residual = _residual(qp, C, d, x, z)
+        z_row = np.array([nu])
+        residual = _residual(qp, x, z_row, z_lower, z_upper)
         if not residual <= tol:  # NaN data fail here too
             return None
-        return QpSolution(x, z[:1], z_lower, z_upper, "optimal", it, residual, "active_set")
+        return QpSolution(x, z_row, z_lower, z_upper, "optimal", it, residual, "active_set")
     return None
 
 
@@ -360,21 +356,23 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, start: np.ndarray | None = None)
     exact.  A run that ends after MAX_ITER iterations or by a step below
     MIN_STEP ("max_iter", "stalled") is reported "infeasible" when its
     clipped point violates a row by more than max(1e-6, 1e3 * tol).  The
-    data were validated when qp was built; Q is factored once here, to
-    check convexity.  A non-finite Q, normal matrix or right-hand side
-    raises ValueError, as scipy's Cholesky wrappers would.  iterations
-    counts the iterations of the path that answered.
+    data, convexity included, were checked when qp was built.  A non-finite
+    normal matrix or right-hand side raises ValueError, as scipy's Cholesky
+    wrappers would.  iterations counts the iterations of the path that
+    answered.
     """
-    _check_psd(qp.Q)
     if start is not None:
         start = np.asarray(start, dtype=float).reshape(qp.n)
     if _takes_active_set(qp, start, tol):
         sol = _active_set(qp, start, tol)
         if sol is not None:
             return sol
-    C, d = qp._stacked
+    m, n = qp.m, qp.n
+    eye = np.eye(n)
+    C = np.vstack([qp.A, eye, -eye])
+    d = np.concatenate([qp.u, np.ones(n), -np.zeros(n)])
     mt = d.size
-    x = np.full(qp.n, 0.5)
+    x = np.full(n, 0.5)
     s = np.maximum(d - C @ x, 1.0)
     z = np.ones(mt)
     sz = s * z
@@ -387,7 +385,7 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, start: np.ndarray | None = None)
         r_p = C @ x + s - d
         if np.abs(r_d).max() <= tol and np.abs(r_p).max() <= tol and sz.max() <= tol:
             x_clip = np.clip(x, 0.0, 1.0)
-            residual = _residual(qp, C, d, x_clip, z)
+            residual = _residual(qp, x_clip, z[:m], z[m + n:], z[m:m + n])
             if residual <= tol:
                 status, iterations = "optimal", it
                 break
@@ -429,10 +427,9 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, start: np.ndarray | None = None)
 
     if status != "optimal":
         x_clip = np.clip(x, 0.0, 1.0)
-        residual = _residual(qp, C, d, x_clip, z)
+        residual = _residual(qp, x_clip, z[:m], z[m + n:], z[m:m + n])
         if (qp.A @ x_clip - qp.u).max(initial=0.0) > max(1e-6, 1e3 * tol):
             status = "infeasible"
-    m, n = qp.m, qp.n
     return QpSolution(x_clip, z[:m], z[m + n:], z[m:m + n], status, iterations, residual)
 
 
@@ -443,7 +440,5 @@ def kkt_residual(qp: QpProblem, sol: QpSolution) -> float:
     primal-dual point, never on solver internals.  solve_qp reports this
     value.
     """
-    C, d = qp._stacked
     x = np.asarray(sol.x_star, dtype=float)
-    z = np.concatenate([sol.duals_ineq, sol.duals_upper, sol.duals_lower], dtype=float)
-    return _residual(qp, C, d, x, z)
+    return _residual(qp, x, sol.duals_ineq, sol.duals_lower, sol.duals_upper)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from adsbqp.channel import (
     path_loss,
     sample_user_positions,
 )
+from adsbqp.driver import solve
+from adsbqp.rate import build_esr_problem
 
 
 @pytest.mark.parametrize("field", ["n_tx", "n_users", "seed"])
@@ -98,6 +102,42 @@ def test_channel_matrix_validation():
     nan[0, 0] = np.nan
     with pytest.raises(ValueError):
         ChannelMatrix(entries=nan, user_distances=np.ones(2), user_positions=np.zeros((2, 2)))
+
+
+def strided_layouts(H):
+    """H in four memory layouts that are not C-contiguous, each with H's entries."""
+    wide = np.zeros((H.shape[0], 2 * H.shape[1]), dtype=complex)
+    wide[:, ::2] = H
+    return {
+        "column_permuted": H[:, np.arange(H.shape[1])],
+        "transposed": np.ascontiguousarray(H.T).T,
+        "fortran": np.asfortranarray(H),
+        "strided": wide[:, ::2],
+    }
+
+
+@pytest.mark.parametrize("layout", ["column_permuted", "transposed", "fortran", "strided"])
+def test_channel_matrix_accepts_any_memory_layout(layout):
+    cfg = ScenarioConfig(n_tx=4, n_users=4, seed=3, r_th_mode="fraction", r_th_value=0.5, noise_n0b=3e-14)
+    want = generate_channel(cfg)
+    entries = strided_layouts(want.entries)[layout]
+    assert not entries.flags.c_contiguous
+    got = ChannelMatrix(entries=entries, user_distances=want.user_distances,
+                        user_positions=want.user_positions)
+    assert got.gains().tobytes() == want.gains().tobytes()
+    got_sol, want_sol = (solve(build_esr_problem(cfg, ch))[0] for ch in (got, want))
+    for f in dataclasses.fields(want_sol):
+        got_field, want_field = (np.asarray(getattr(sol, f.name)) for sol in (got_sol, want_sol))
+        assert got_field.tobytes() == want_field.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan), complex(0.0, -np.inf)])
+def test_channel_matrix_rejects_a_non_finite_part(bad):
+    H = np.ones((2, 2), dtype=complex)
+    H[1, 0] = bad
+    for entries in (H, np.asfortranarray(H)):
+        with pytest.raises(ValueError, match="channel entries must be finite"):
+            ChannelMatrix(entries=entries, user_distances=np.ones(2), user_positions=np.zeros((2, 2)))
 
 
 def test_scenario_config_defaults_and_validation():

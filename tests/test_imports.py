@@ -177,12 +177,12 @@ def test_the_oracles_take_no_private_name_from_the_package():
 
 def test_private_name_scan_sees_imports_and_attributes():
     source = (
-        "from adsbqp.qp import QpSolution, _stack_constraints\n"
+        "from adsbqp.qp import QpSolution, _residual\n"
         "from adsbqp import rate as rate_mod, _hidden\n"
         "import adsbqp.nlp\n"
         "import numpy as np\n"
         "x = rate_mod._snr_weights, adsbqp.nlp._helper, np._core, rate_mod.__name__, QpSolution.x\n"
     )
     assert sorted(private_package_names(source)) == [
-        "_hidden (line 2)", "_stack_constraints (line 1)",
+        "_hidden (line 2)", "_residual (line 1)",
         "adsbqp.nlp._helper (line 5)", "rate_mod._snr_weights (line 5)"]

@@ -215,9 +215,31 @@ def test_symmetry_is_checked_to_1e_12():
 
 
 def test_indefinite_matrix_is_rejected_loudly():
-    qp = box_qp(np.diag([1.0, -1.0]), np.zeros(2))
-    with pytest.raises(ValueError):
-        solve_qp(qp)
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        box_qp(np.diag([1.0, -1.0]), np.zeros(2))
+
+
+def test_each_qp_is_checked_convex_once_when_built(monkeypatch):
+    # A homotopy's QPs share one Q: with_g copies skip the check, and
+    # solve_qp makes none, so AD-SBQP factors each Q it builds once.
+    checked, built, solved = [], [], []
+    check_psd, post_init = qp_mod._check_psd, QpProblem.__post_init__
+
+    def counted_post_init(qp):
+        built.append(qp)
+        post_init(qp)
+
+    def counted_solve(*args, **kwargs):
+        solved.append(args)
+        return solve_qp(*args, **kwargs)
+
+    monkeypatch.setattr(qp_mod, "_check_psd", lambda Q: checked.append(Q) or check_psd(Q))
+    monkeypatch.setattr(QpProblem, "__post_init__", counted_post_init)
+    monkeypatch.setattr(bqp, "solve_qp", counted_solve)
+    for seed in range(4):
+        solve(build_esr_problem(ScenarioConfig(n_tx=16, n_users=16, seed=seed, r_th_mode="fraction",
+                                               r_th_value=0.5, noise_n0b=3e-14)))
+    assert 0 < len(checked) == len(built) < len(solved)
 
 
 def test_equalities_of_scale_one_preserved_with_jitter():
@@ -230,20 +252,20 @@ def test_a_singular_normal_matrix_raises_at_once(monkeypatch):
     # The bound rows give C full column rank, so the normal matrix
     # Q + C' diag(z/s) C of a box QP is positive definite in exact
     # arithmetic; here its factor fails as potrf fails on a singular one.
-    # solve_qp raises in its first iteration, after factoring Q and the
-    # normal matrix once each; solve_bqp reports that as "qp_failed".
+    # solve_qp raises in its first iteration, after factoring the normal
+    # matrix once (Q was factored when qp was built); solve_bqp reports
+    # that as "qp_failed".
     qp = interior_qp()
-    factor = qp_mod._cho_factor
     factored = []
 
     def failing(a):
         factored.append(a)
-        return factor(a) if a is qp.Q else None
+        return None
 
     monkeypatch.setattr(qp_mod, "_cho_factor", failing)
     with pytest.raises(np.linalg.LinAlgError):
         solve_qp(qp)
-    assert len(factored) == 2 and factored[0] is qp.Q
+    assert len(factored) == 1 and factored[0].shape == qp.Q.shape
 
 
 # Every problem above, by the name the reference test reports.
