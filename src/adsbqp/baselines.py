@@ -104,10 +104,9 @@ def _penalized_barrier_ad2(x_bar: np.ndarray, f, grad_f, hess_f, *,
 def _spen_ad2(prob, P_star, x_bar, lambda_bar) -> Ad2Result:
     """Quadratic switch model plus the exact quadratic penalty rho*x'(1-x)."""
     qp = build_ad2_subproblem(prob, P_star, x_bar, lambda_bar)
-    a, u = qp.A[0], float(qp.u[0])
     return _penalized_barrier_ad2(
         x_bar, qp.objective, lambda x: qp.Q @ x + qp.g, lambda x: qp.Q,
-        constraints=lambda x: np.array([a @ x - u]), constraints_jac=lambda x: a[None, :])
+        constraints=lambda x: np.array([qp.a @ x - qp.u]), constraints_jac=lambda x: qp.a[None, :])
 
 
 def _nspen_ad2(prob, P_star, x_bar, lambda_bar) -> Ad2Result:

@@ -57,8 +57,7 @@ EPS_COMP = 1e-10
 # Box QP tolerance at rho <= 1; it scales with rho above that.
 QP_TOL = 1e-10
 # An iterate within SNAP_REACH of a Boolean point in every coordinate is
-# rounded onto it, unless that violates a general row by more than
-# SNAP_ROW_TOL.
+# rounded onto it, unless that violates the row by more than SNAP_ROW_TOL.
 SNAP_REACH = 1e-6
 SNAP_ROW_TOL = 1e-8
 # What solve_qp raises on a normal matrix that fails its factor
@@ -97,28 +96,25 @@ def penalty_grad(x: np.ndarray) -> np.ndarray:
 
 
 def _snap_boolean(qp: QpProblem, x: np.ndarray) -> np.ndarray:
-    """Round near-Boolean coordinates exactly onto {0,1} when the general
-    inequality rows stay satisfied; mirrors the exact-bound activity an
-    active-set solver would report."""
+    """Round near-Boolean coordinates exactly onto {0,1} when the row stays
+    satisfied; mirrors the exact-bound activity an active-set solver would
+    report."""
     snapped = np.round(x)
     if np.max(np.abs(snapped - x), initial=0.0) > SNAP_REACH:
         return x
-    if qp.m and np.any(qp.A @ snapped - qp.u > SNAP_ROW_TOL):
+    if qp.a @ snapped - qp.u > SNAP_ROW_TOL:
         return x
     return snapped
 
 
 def _rounded_start(qp: QpProblem, x_hat: np.ndarray) -> np.ndarray:
-    """A start for a round's QP: round(x_hat) when it meets the QP's one
-    row; otherwise that rounding with the least decided coordinates
-    (|x_hat_i - 1/2| ascending) moved to the bound that lowers a'x, the
-    last one only part of the way, so that the row holds with equality.
-    x_hat itself for a QP without exactly one row, or when the moves run
-    out."""
-    if qp.m != 1:
-        return x_hat
-    a, v = qp.A[0], np.round(x_hat)
-    excess = float(a @ v - qp.u[0])
+    """A start for a round's QP: round(x_hat) when it meets the row;
+    otherwise that rounding with the least decided coordinates (|x_hat_i -
+    1/2| ascending) moved to the bound that lowers a'x, the last one only
+    part of the way, so that the row holds with equality.  x_hat itself
+    when the moves run out."""
+    a, v = qp.a, np.round(x_hat)
+    excess = float(a @ v - qp.u)
     if excess <= 0.0:
         return v
     for i in np.argsort(np.abs(x_hat - 0.5), kind="stable"):

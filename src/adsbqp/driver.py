@@ -190,8 +190,8 @@ def build_ad2_subproblem(
     return QpProblem(
         Q=Q,
         g=f_lin - Q @ x_bar,
-        A=a[None, :],
-        u=np.array([float(a @ x_bar + slack)]),
+        a=a,
+        u=float(a @ x_bar + slack),
     )
 
 

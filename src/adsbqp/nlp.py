@@ -123,7 +123,8 @@ def find_strictly_feasible(prob: NlpProblem, z0: np.ndarray | None = None) -> np
     A supplied z0 is used when it is already strictly feasible.  Otherwise a
     phase-1 slack minimization (min s s.t. c_i(z) - s <= 0) runs from the box
     midpoint, which is strictly feasible for the augmented problem by
-    construction.
+    construction; the point it ends at is returned when _evaluate finds it
+    strictly feasible, whatever its slack s.
     """
     if z0 is not None:
         z0 = np.asarray(z0, dtype=float)
@@ -175,8 +176,8 @@ def find_strictly_feasible(prob: NlpProblem, z0: np.ndarray | None = None) -> np
         constraints_hess=aug_chess,
     )
     sol = solve_barrier(aug, z0=np.concatenate((mid, [s0])))
-    z, s = sol.z_star[:n], float(sol.z_star[prob.n])
-    if s < -1e-10 and _evaluate(prob, z) is not None:
+    z = sol.z_star[:n]
+    if _evaluate(prob, z) is not None:
         return z
     values = prob.cons(z)
     worst = int(np.argmax(values))

@@ -1,27 +1,27 @@
-"""Dense convex box QP solver: min 0.5 x'Qx + g'x  s.t.  Ax <= u,  0 <= x <= 1.
+"""Dense convex box QP solver: min 0.5 x'Qx + g'x  s.t.  a'x <= u,  0 <= x <= 1.
 
 solve_qp has two paths.  The default is Mehrotra's primal-dual
 predictor-corrector interior point (Mehrotra 1992; Nocedal & Wright,
 Numerical Optimization, sec. 16.6) with a 0.995 fraction-to-boundary rule.
-Each call stacks all inequalities (general rows plus the box) into a single
+Each call stacks all inequalities (the row plus the box) into a single
 slack system C x + s = d, s >= 0; each iteration factors the condensed
 normal matrix Q + C' diag(z/s) C once by a dense Cholesky and solves with
 that factor twice, for the affine-scaling predictor and for the centering
 corrector; a solve ends as "max_iter" after MAX_ITER iterations.  The
 other is a primal active-set method (Nocedal & Wright, Algorithm 16.3)
-for a QP with one general row, run from a feasible start the caller
-supplies: AD2's homotopy solves QPs that differ only in their linear term,
-and an active set resumes from the face the last one ended on, where the
-interior point must start again from the box center.  Its answer is
-returned only with a KKT certificate; otherwise the interior point solves
-the QP from scratch (see solve_qp for the routing rule).  Both paths and
-kkt_residual take the KKT residual on the general rows and the box
-(_residual).  A QpProblem is validated once, when it is built, convexity
-included, and QpProblem.with_g shares all of it but the linear term.  The
-Cholesky factor and solve go to LAPACK's potrf/potrs directly, behind the
-finiteness checks scipy.linalg.cho_factor/cho_solve would make; nlp's
-Newton system uses the same routines, and nlp and driver take a least
-eigenvalue from syevr as scipy.linalg.eigvalsh would.
+run from a feasible start the caller supplies: AD2's homotopy solves QPs
+that differ only in their linear term, and an active set resumes from the
+face the last one ended on, where the interior point must start again
+from the box center.  Its answer is returned only with a KKT certificate;
+otherwise the interior point solves the QP from scratch (see solve_qp for
+the routing rule).  Both paths and kkt_residual take the KKT residual on
+the row and the box (_residual).  A QpProblem is validated once, when it
+is built, convexity included, and QpProblem.with_g shares all of it but
+the linear term.  The Cholesky factor and solve go to LAPACK's
+potrf/potrs directly, behind the finiteness checks
+scipy.linalg.cho_factor/cho_solve would make; nlp's Newton system uses
+the same routines, and nlp and driver take a least eigenvalue from syevr
+as scipy.linalg.eigvalsh would.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ FRACTION_TO_BOUNDARY = 0.995
 # centering target never drops below CENTERING_FLOOR * tol.  A step is halved
 # until every product s_i z_i is at least NEIGHBORHOOD times their mean (the
 # wide neighborhood of long-step path following, Nocedal & Wright sec.
-# 14.1): uncentered iterates made Mehrotra's steps cycle with mu stuck
-# between 0.01 and 0.3 on QPs with repeated or nearly parallel rows.  A step shorter than
-# MIN_STEP cannot reduce the residuals (the iterates of an infeasible QP run
-# to the boundary this way), so the loop ends there.
+# 14.1): uncentered iterates made Mehrotra's steps cycle until MAX_ITER, as
+# on tests/test_qp.py's cycling_qp.  A step shorter than MIN_STEP cannot
+# reduce the residuals (the iterates of an infeasible QP run to the
+# boundary this way), so the loop ends there.
 CENTERING_FLOOR = 1e-2
 NEIGHBORHOOD = 1e-3
 MIN_STEP = 1e-8
@@ -120,8 +120,9 @@ def _least_eigenvalue(a: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class QpProblem:
-    """Dense convex QP data over the box [0, 1]^n, the relaxation of AD2's
-    Boolean QP.  Q must be finite and symmetric PSD (up to noise).
+    """Dense convex QP data over the box [0, 1]^n with the one row a'x <= u,
+    the relaxation of AD2's Boolean QP.  Q must be finite and symmetric PSD
+    (up to noise), and a must have n entries.
 
     Construction validates the data, convexity included (by a Cholesky
     factor of Q), and stores Q symmetrized; solve_qp checks nothing more.
@@ -129,43 +130,38 @@ class QpProblem:
 
     Q: np.ndarray
     g: np.ndarray
-    A: np.ndarray
-    u: np.ndarray
+    a: np.ndarray
+    u: float
 
     def __post_init__(self) -> None:
         Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
         g = np.atleast_1d(np.asarray(self.g, dtype=float))
         n = g.size
-        A = np.asarray(self.A, dtype=float).reshape(-1, n)
-        u = np.atleast_1d(np.asarray(self.u, dtype=float)).reshape(-1)
+        a = np.asarray(self.a, dtype=float)
         if Q.shape != (n, n):
             raise ValueError("Q must be n x n")
         if not np.isfinite(Q).all():
             raise ValueError("Q must be finite")
         if np.abs(Q - Q.T).max(initial=0.0) > 1e-12:
             raise ValueError("Q must be symmetric within 1e-12")
-        if A.shape[0] != u.size:
-            raise ValueError("A and u row counts differ")
+        if a.shape != (n,):
+            raise ValueError("a must have n entries")
         Q = 0.5 * (Q + Q.T)
         _check_psd(Q)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "u", float(self.u))
 
     @property
     def n(self) -> int:
         return self.g.size
 
-    @property
-    def m(self) -> int:
-        return self.u.size
-
     def objective(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.Q @ x + self.g @ x)
 
     def with_g(self, g: np.ndarray) -> QpProblem:
-        """This problem with the linear term g.  Only g is checked; Q, A and
+        """This problem with the linear term g.  Only g is checked; Q, a and
         u, validated when this problem was built, are shared, so the QPs of
         a homotopy factor their Q once."""
         g = np.asarray(g, dtype=float)
@@ -179,7 +175,7 @@ class QpProblem:
 @dataclass
 class QpSolution:
     x_star: np.ndarray
-    duals_ineq: np.ndarray
+    dual_row: float
     duals_lower: np.ndarray
     duals_upper: np.ndarray
     status: str  # "optimal" | "infeasible" | "stalled" | "max_iter"
@@ -195,16 +191,15 @@ def _check_psd(Q: np.ndarray) -> None:
         raise ValueError("Q is not positive semidefinite")
 
 
-def _residual(qp: QpProblem, x: np.ndarray, z_row: np.ndarray, z_lower: np.ndarray,
+def _residual(qp: QpProblem, x: np.ndarray, z_row: float, z_lower: np.ndarray,
               z_upper: np.ndarray) -> float:
-    """The KKT residual of (x, z) on the general rows and the box: the max
-    of |Qx + g + A'z_row + z_upper - z_lower|, of the violations of Ax <= u
-    and 0 <= x <= 1, and of each multiplier times its slack."""
-    slack = np.concatenate((qp.u - qp.A @ x, 1.0 - x, x))
-    z = np.concatenate((z_row, z_upper, z_lower))
-    return max(float(np.abs(qp.Q @ x + qp.g + (qp.A.T @ z_row + z_upper - z_lower)).max()),
-               float((-slack).max(initial=0.0)),
-               float(np.abs(z * slack).max(initial=0.0)))
+    """The KKT residual of (x, z) on the row and the box: the max of |Qx + g
+    + a z_row + z_upper - z_lower|, of the violations of a'x <= u and 0 <= x
+    <= 1, and of each multiplier times its slack."""
+    slack = float(qp.u - qp.a @ x)
+    return float(max(np.abs(qp.Q @ x + qp.g + (qp.a * z_row + z_upper - z_lower)).max(),
+                     -slack, x.max() - 1.0, -x.min(), 0.0,
+                     abs(z_row * slack), np.abs(z_upper * (1.0 - x)).max(), np.abs(z_lower * x).max()))
 
 
 def _step_to_boundary(s, ds, z, dz, fraction):
@@ -216,14 +211,13 @@ def _step_to_boundary(s, ds, z, dz, fraction):
 
 
 def _takes_active_set(qp: QpProblem, start: np.ndarray | None, tol: float) -> bool:
-    """True when solve_qp tries the active set: a start is given, the QP has
-    one general row, the start lies in the box and meets the row within
-    tol, and the row's tolerance band tol / max|a| is at most ROW_REACH."""
-    if start is None or qp.m != 1:
+    """True when solve_qp tries the active set: a start is given, it lies in
+    the box and meets the row within tol, and the row's tolerance band tol
+    / max|a| is at most ROW_REACH."""
+    if start is None:
         return False
-    a = qp.A[0]
-    return bool(0.0 <= start.min() and start.max() <= 1.0 and a @ start - qp.u[0] <= tol
-                and tol <= ROW_REACH * np.abs(a).max())
+    return bool(0.0 <= start.min() and start.max() <= 1.0 and qp.a @ start - qp.u <= tol
+                and tol <= ROW_REACH * np.abs(qp.a).max())
 
 
 def _active_set(qp: QpProblem, start: np.ndarray, tol: float) -> QpSolution | None:
@@ -248,8 +242,7 @@ def _active_set(qp: QpProblem, start: np.ndarray, tol: float) -> QpSolution | No
     variable also give None.
     iterations counts the face solves.
     """
-    Q, g = qp.Q, qp.g
-    a, u = qp.A[0], float(qp.u[0])
+    Q, g, a, u = qp.Q, qp.g, qp.a, qp.u
     # Q is finite (checked when qp was built) and so, checked here, is g: the
     # loop calls LAPACK without _cho_factor's and _cho_solve's checks.
     if not np.isfinite(g).all():
@@ -316,11 +309,10 @@ def _active_set(qp: QpProblem, start: np.ndarray, tol: float) -> QpSolution | No
         # reported as 0, and the residual check below decides.
         nu = max(nu, 0.0)
         z_upper, z_lower = np.maximum(z_upper, 0.0), np.maximum(z_lower, 0.0)
-        z_row = np.array([nu])
-        residual = _residual(qp, x, z_row, z_lower, z_upper)
+        residual = _residual(qp, x, nu, z_lower, z_upper)
         if not residual <= tol:  # NaN data fail here too
             return None
-        return QpSolution(x, z_row, z_lower, z_upper, "optimal", it, residual, "active_set")
+        return QpSolution(x, nu, z_lower, z_upper, "optimal", it, residual, "active_set")
     return None
 
 
@@ -328,9 +320,8 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, start: np.ndarray | None = None)
     """Solve the QP, by the active set from start where it applies and
     otherwise by an infeasible-start Mehrotra predictor-corrector.
 
-    The active set (_active_set) runs when a start is given, the QP has one
-    general row, the start lies in the box and meets the row within tol,
-    and the row's scale is far above the tolerance: tol / max|a| <=
+    The active set (_active_set) runs when a start is given, the start lies
+    in the box and meets the row within tol, and the row's scale is far above the tolerance: tol / max|a| <=
     ROW_REACH.  Its answer, with path "active_set", is returned only when
     every multiplier is >= 0 and its KKT residual is at most tol, the
     guarantee below; otherwise the interior point solves the QP from
@@ -348,14 +339,14 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, start: np.ndarray | None = None)
     definite raises LinAlgError at once.
 
     Status "optimal" guarantees kkt_residual <= tol: stationarity, the
-    violation of every row and bound, and every complementarity product
+    violation of the row and every bound, and every complementarity product
     z_i * slack_i, each within tol at the returned point.  The loop starts
     at the box center and stops once the residuals of its iterate (each
     s_i z_i, not their mean) are within tol and the iterate, clipped onto
     [0, 1]^n, still has kkt_residual <= tol; the clip makes the bounds
     exact.  A run that ends after MAX_ITER iterations or by a step below
     MIN_STEP ("max_iter", "stalled") is reported "infeasible" when its
-    clipped point violates a row by more than max(1e-6, 1e3 * tol).  The
+    clipped point violates the row by more than max(1e-6, 1e3 * tol).  The
     data, convexity included, were checked when qp was built.  A non-finite
     normal matrix or right-hand side raises ValueError, as scipy's Cholesky
     wrappers would.  iterations counts the iterations of the path that
@@ -367,10 +358,10 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, start: np.ndarray | None = None)
         sol = _active_set(qp, start, tol)
         if sol is not None:
             return sol
-    m, n = qp.m, qp.n
+    n = qp.n
     eye = np.eye(n)
-    C = np.vstack([qp.A, eye, -eye])
-    d = np.concatenate([qp.u, np.ones(n), -np.zeros(n)])
+    C = np.vstack([qp.a, eye, -eye])
+    d = np.concatenate([[qp.u], np.ones(n), -np.zeros(n)])
     mt = d.size
     x = np.full(n, 0.5)
     s = np.maximum(d - C @ x, 1.0)
@@ -385,7 +376,7 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, start: np.ndarray | None = None)
         r_p = C @ x + s - d
         if np.abs(r_d).max() <= tol and np.abs(r_p).max() <= tol and sz.max() <= tol:
             x_clip = np.clip(x, 0.0, 1.0)
-            residual = _residual(qp, x_clip, z[:m], z[m + n:], z[m:m + n])
+            residual = _residual(qp, x_clip, z[0], z[n + 1:], z[1:n + 1])
             if residual <= tol:
                 status, iterations = "optimal", it
                 break
@@ -427,10 +418,10 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, start: np.ndarray | None = None)
 
     if status != "optimal":
         x_clip = np.clip(x, 0.0, 1.0)
-        residual = _residual(qp, x_clip, z[:m], z[m + n:], z[m:m + n])
-        if (qp.A @ x_clip - qp.u).max(initial=0.0) > max(1e-6, 1e3 * tol):
+        residual = _residual(qp, x_clip, z[0], z[n + 1:], z[1:n + 1])
+        if qp.a @ x_clip - qp.u > max(1e-6, 1e3 * tol):
             status = "infeasible"
-    return QpSolution(x_clip, z[:m], z[m + n:], z[m:m + n], status, iterations, residual)
+    return QpSolution(x_clip, float(z[0]), z[n + 1:], z[1:n + 1], status, iterations, residual)
 
 
 def kkt_residual(qp: QpProblem, sol: QpSolution) -> float:
@@ -441,4 +432,4 @@ def kkt_residual(qp: QpProblem, sol: QpSolution) -> float:
     value.
     """
     x = np.asarray(sol.x_star, dtype=float)
-    return _residual(qp, x, sol.duals_ineq, sol.duals_lower, sol.duals_upper)
+    return _residual(qp, x, sol.dual_row, sol.duals_lower, sol.duals_upper)

@@ -100,13 +100,13 @@ def active_set_qp(Q, g, C, d, lower, upper):
     return best
 
 
-def enumerate_boolean_qp(Q, g, C, d):
-    """Best Boolean point of the QP objective subject to Cx <= d."""
+def enumerate_boolean_qp(Q, g, a, u):
+    """Best Boolean point of the QP objective subject to a'x <= u."""
     n = np.asarray(g).size
     best_obj, best_x = np.inf, None
     for mask in range(2 ** n):
         x = np.array([(mask >> i) & 1 for i in range(n)], dtype=float)
-        if C.shape[0] and np.any(C @ x - d > 1e-9):
+        if a @ x - u > 1e-9:
             continue
         obj = float(0.5 * x @ Q @ x + g @ x)
         if obj < best_obj:
@@ -424,14 +424,14 @@ def solve_qp_reference(qp, tol=1e-10, max_iter=100):
     """A plain primal-dual path-following loop for the box QP: fixed
     centering (CENTERING_SIGMA), one Newton solve per iteration through
     scipy.linalg.cho_factor/cho_solve, and a stop on the mean
-    complementarity s'z / mt.  It stacks the rows Ax <= u, x <= 1 and
+    complementarity s'z / mt.  It stacks the rows a'x <= u, x <= 1 and
     -x <= 0 itself.  qp.solve_qp, a predictor-corrector, must agree with it
     on status and solution, not on bytes.
     """
-    n, m = qp.n, qp.m
+    n = qp.n
     _psd_cholesky_reference(qp.Q)
-    C = np.vstack([qp.A, np.eye(n), -np.eye(n)])
-    d = np.concatenate([qp.u, np.ones(n), np.zeros(n)])
+    C = np.vstack([qp.a, np.eye(n), -np.eye(n)])
+    d = np.concatenate([[qp.u], np.ones(n), np.zeros(n)])
     mt = d.size
 
     x = np.full(n, 0.5)
@@ -477,8 +477,8 @@ def solve_qp_reference(qp, tol=1e-10, max_iter=100):
         z = z + alpha * dz
 
     x = np.clip(x, 0.0, 1.0)
-    sol = QpSolution(x, z[:m], z[m + n:], z[m:m + n], status, iterations, 0.0)
+    sol = QpSolution(x, float(z[0]), z[n + 1:], z[1:n + 1], status, iterations, 0.0)
     sol.kkt_residual = kkt_residual(qp, sol)
-    if status != "optimal" and float(np.max(qp.A @ x - qp.u, initial=0.0)) > max(1e-6, 1e3 * tol):
+    if status != "optimal" and qp.a @ x - qp.u > max(1e-6, 1e3 * tol):
         sol.status = "infeasible"
     return sol

@@ -25,7 +25,7 @@ from adsbqp.rate import (
     sum_rate,
 )
 from _oracles import active_set_qp, enumerate_boolean_qp, fd_gradient, fd_jacobian, full_activation_allocation
-from test_bqp import box_qp, loose_rows
+from test_bqp import box_qp, loose_row
 from test_qp import random_convex_qp
 
 SELECTION_SCENARIO = dict(r_th_mode="fraction", r_th_value=0.5, noise_n0b=3e-14)
@@ -68,12 +68,12 @@ def test_criterion_2_qp_solver_tolerance_and_oracle_agreement():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
     for i in range(100):
-        qp = random_convex_qp(rng, n_max=10, m_max=6)
+        qp = random_convex_qp(rng, n_max=10)
         sol = solve_qp(qp)
         assert sol.status == "optimal"
         assert sol.kkt_residual <= 1e-10
         if i % 10 == 0:  # oracle spot checks keep the budget
-            x_ref = active_set_qp(qp.Q, qp.g, qp.A, qp.u, 0.0, 1.0)
+            x_ref = active_set_qp(qp.Q, qp.g, qp.a, qp.u, 0.0, 1.0)
             assert qp.objective(sol.x_star) <= qp.objective(x_ref) + 1e-8
     assert time.perf_counter() - t0 < 30.0
 
@@ -87,15 +87,13 @@ def test_criterion_3_boolean_qp_reaches_exact_lattice_points():
         B = rng.normal(size=(n, n)) / np.sqrt(n)
         Q = B @ B.T + np.eye(n)
         g = rng.normal(size=n)
-        m = int(rng.integers(0, 4))
-        A, u = loose_rows(rng, n, m)
-        qp = box_qp(Q, g, A, u)
+        qp = box_qp(Q, g, *loose_row(rng, n))
         res = solve_bqp(qp)
         assert res.status == "success"
         assert np.max(np.abs(res.x_star - np.round(res.x_star))) <= 1e-9
         assert abs(penalty_phi(res.x_star)) <= 1e-10
         if n <= 10:
-            best_obj, _ = enumerate_boolean_qp(qp.Q, qp.g, qp.A, qp.u)
+            best_obj, _ = enumerate_boolean_qp(qp.Q, qp.g, qp.a, qp.u)
             gaps.append(qp.objective(res.x_star) - best_obj)
             assert gaps[-1] >= -1e-9
     assert all(np.isfinite(gaps))

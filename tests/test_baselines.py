@@ -258,6 +258,20 @@ def test_switch_nlp_rounds_start_at_the_last_iterate(monkeypatch):
     assert starts == [(2, x_hat) for x_hat in rounds]
 
 
+def test_phase_one_start_from_all_on_runs_the_homotopy():
+    # At 2x2 and r_th_value 0.99999 the all-on switch vector is not strictly
+    # feasible for either switch NLP, so phase 1 finds the start.  Phase 1
+    # ends at a strictly feasible point whose slack s is not below -1e-10;
+    # that point is kept, and the homotopy runs from it.
+    prob = build_esr_problem(ScenarioConfig(n_tx=2, n_users=2, seed=0, r_th_mode="fraction",
+                                            r_th_value=0.99999, noise_n0b=3e-14))
+    x_on = np.ones(2)
+    P_on, lam_on = ad1(prob, x_on)
+    for ad2 in (baselines._spen_ad2, baselines._nspen_ad2):
+        res = ad2(prob, P_on, x_on, lam_on)
+        assert res.trace and res.status != "stalled"
+
+
 @pytest.mark.parametrize("outcome, status", [("stalled", "stalled"), ("max_iter", "max_iter"),
                                              (RuntimeError("left the interior"), "barrier_failed"),
                                              (InfeasibleProblemError("no start"), "stalled")])

@@ -1,5 +1,4 @@
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,19 +24,19 @@ from adsbqp.rate import build_esr_problem
 from _oracles import enumerate_boolean_qp
 
 
-def box_qp(Q, g, A=None, u=None):
+def box_qp(Q, g, a=None, u=None):
+    """The box QP with the row a'x <= u; by default the row sum(x) <= n + 1,
+    which no point of the box violates."""
     n = np.asarray(g).size
-    if A is None:
-        A = np.zeros((0, n))
-        u = np.zeros(0)
-    return QpProblem(Q=Q, g=g, A=A, u=u)
+    if a is None:
+        a, u = np.ones(n), n + 1.0
+    return QpProblem(Q=Q, g=g, a=a, u=u)
 
 
-def loose_rows(rng, n, m):
-    """Rows that no box point can activate, so they never pin iterates."""
-    A = rng.normal(size=(m, n))
-    u = np.maximum(A, 0.0).sum(axis=1) + rng.uniform(0.1, 1.0, size=m)
-    return A, u
+def loose_row(rng, n):
+    """A random row that no box point can activate, so it never pins iterates."""
+    a = rng.normal(size=n)
+    return a, np.maximum(a, 0.0).sum() + rng.uniform(0.1, 1.0)
 
 
 def test_penalty_phi_values():
@@ -104,7 +103,7 @@ def test_local_search_tilts_only_the_linear_term():
     x_hat = np.array([0.6, 0.2])
     rho = 8.0
     tilted = qp.with_g(qp.g + rho * penalty_grad(x_hat))
-    for name in ("Q", "A", "u"):
+    for name in ("Q", "a", "u"):
         assert getattr(tilted, name) is getattr(qp, name)
     sol = solve_qp(tilted, tol=QP_TOL * rho)
     assert sol.status == "optimal"
@@ -120,9 +119,7 @@ def test_random_instances_reach_exact_boolean_points():
         B = rng.normal(size=(n, n)) / np.sqrt(n)
         Q = B @ B.T + np.eye(n)
         g = rng.normal(size=n)
-        m = int(rng.integers(0, 3))
-        A, u = loose_rows(rng, n, m)
-        qp = box_qp(Q, g, A, u)
+        qp = box_qp(Q, g, *loose_row(rng, n))
         res = solve_bqp(qp)
         assert res.status == "success"
         assert np.max(np.abs(res.x_star - np.round(res.x_star))) <= 1e-9
@@ -141,7 +138,7 @@ def test_objective_gap_to_enumeration_is_logged_not_asserted():
         qp = box_qp(Q, g)
         res = solve_bqp(qp)
         assert res.status == "success"
-        best_obj, _ = enumerate_boolean_qp(qp.Q, qp.g, qp.A, qp.u)
+        best_obj, _ = enumerate_boolean_qp(qp.Q, qp.g, qp.a, qp.u)
         gaps.append(qp.objective(res.x_star) - best_obj)
         assert gaps[-1] >= -1e-9
     assert all(np.isfinite(gaps))
@@ -189,15 +186,13 @@ def test_each_round_lowers_the_merit_by_the_majorization_bound(monkeypatch):
 
     monkeypatch.setattr(bqp, "solve_qp", recording)
     rng = np.random.default_rng(30)
-    for i in range(100):  # criterion 3's generator; odd draws add a row through the box centre
+    for i in range(100):  # criterion 3's generator; odd draws move the row through the box centre
         n = int(rng.integers(2, 13))
         B = rng.normal(size=(n, n)) / np.sqrt(n)
-        A, u = loose_rows(rng, n, int(rng.integers(0, 4)))
-        qp = box_qp(B @ B.T + np.eye(n), rng.normal(size=n), A, u)
+        a, u = loose_row(rng, n)
         if i % 2:
-            a = rng.normal(size=n)
-            qp = replace(qp, A=np.vstack([qp.A, a]), u=np.append(qp.u, 0.5 * a.sum()))
-        solve_bqp(qp)
+            u = 0.5 * a.sum()
+        solve_bqp(box_qp(B @ B.T + np.eye(n), rng.normal(size=n), a, u))
     for seed in range(4):
         solve(build_esr_problem(ScenarioConfig(n_tx=16, n_users=16, seed=seed, r_th_mode="fraction",
                                                r_th_value=0.5, noise_n0b=3e-14)))
@@ -221,31 +216,8 @@ def test_each_round_lowers_the_merit_by_the_majorization_bound(monkeypatch):
         d = x_tilde - x_hat
         merit_change = (qp.objective(x_tilde) + rho * penalty_phi(x_tilde)
                         - qp.objective(x_hat) - rho * penalty_phi(x_hat))
-        assert merit_change <= -(rho * d @ d + 0.5 * d @ qp.Q @ d) + (2 * qp.n + qp.m) * tol
+        assert merit_change <= -(rho * d @ d + 0.5 * d @ qp.Q @ d) + (2 * qp.n + 1) * tol
     assert time.perf_counter() - t0 < 10.0
-
-
-def test_rowless_and_multi_row_rounds_start_at_x_hat(monkeypatch):
-    # Only a QP with one row gets a rounded start; every other round starts
-    # at the snapped last iterate, as it is.
-    solves = []  # (start, x_star) of every QP solve_bqp solves
-
-    def recording(qp, tol, start=None):
-        sol = solve_qp(qp, tol=tol, start=start)
-        solves.append((start, sol.x_star))
-        return sol
-
-    monkeypatch.setattr(bqp, "solve_qp", recording)
-    rng = np.random.default_rng(4)
-    # The global minimizer (0.7, 0.45, 0) is fractional, so the homotopy runs.
-    qp = box_qp(np.eye(3), np.array([-0.7, -0.45, 0.2]))
-    for rows in (0, 2):
-        rowed = box_qp(qp.Q, qp.g, *loose_rows(rng, 3, rows))
-        solves.clear()
-        assert solve_bqp(rowed).status == "success"
-        assert len(solves) >= 2
-        for (_, x_star), (start, _) in zip(solves, solves[1:]):
-            assert start.tobytes() == bqp._snap_boolean(rowed, x_star).tobytes()
 
 
 @st.composite
@@ -258,7 +230,7 @@ def one_row_rounds(draw):
     x_hat = draw(arrays(np.float64, n, elements=st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
                                                           st.floats(0.0, 1.0))))
     slack = draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
-    return box_qp(np.eye(n), np.zeros(n), a[None, :], np.array([a @ x_hat + slack])), x_hat
+    return box_qp(np.eye(n), np.zeros(n), a, a @ x_hat + slack), x_hat
 
 
 @settings(max_examples=300, deadline=None, database=None, print_blob=True,
@@ -266,7 +238,7 @@ def one_row_rounds(draw):
 @given(one_row_rounds())
 def check_rounded_start(case):
     qp, x_hat = case
-    a, u = qp.A[0], qp.u[0]
+    a, u = qp.a, qp.u
     start = bqp._rounded_start(qp, x_hat)
     assert ((0.0 <= start) & (start <= 1.0)).all()
     assert a @ start - u <= QP_TOL

@@ -307,7 +307,7 @@ def test_build_ad2_subproblem_matches_taylor_model():
         expected = float(f_lin @ d) + 0.5 * float(d @ qp.Q @ d)
         assert qp.objective(x) - qp.objective(x_bar) == pytest.approx(expected, abs=1e-10)
     # ad1 leaves rate slack, so x_bar strictly meets the linearized rate.
-    assert float(qp.A[0] @ x_bar) < float(qp.u[0])
+    assert float(qp.a @ x_bar) < qp.u
 
 
 def test_build_ad2_subproblem_linearizes_the_rate_constraint():
@@ -321,7 +321,7 @@ def test_build_ad2_subproblem_linearizes_the_rate_constraint():
     for _ in range(5):
         x = rng.uniform(0.0, 1.0, size=prob.n_tx)
         linearized = float(grad_c @ (x - x_bar)) + c_bar
-        assert float(qp.A[0] @ x - qp.u[0]) == pytest.approx(linearized, abs=1e-9)
+        assert float(qp.a @ x - qp.u) == pytest.approx(linearized, abs=1e-9)
 
 
 def test_build_ad2_subproblem_zero_multiplier_gives_floor_curvature():

@@ -54,7 +54,7 @@ def convex_qp():
     B = rng.normal(size=(n, n)) / np.sqrt(n)
     Q = B @ B.T + np.eye(n)
     g = rng.normal(size=n)
-    return QpProblem(Q=Q, g=g, A=np.zeros((0, n)), u=np.zeros(0))
+    return QpProblem(Q=Q, g=g, a=np.ones(n), u=100.0)  # loose_row(n)
 
 
 def convex_qp_problem():

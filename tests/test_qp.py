@@ -16,24 +16,24 @@ from adsbqp.rate import build_esr_problem
 from _oracles import active_set_qp, solve_qp_reference
 
 
-def box_qp(Q, g, A=None, u=None):
+def box_qp(Q, g, a=None, u=None):
+    """The box QP with the row a'x <= u; by default the row sum(x) <= n + 1,
+    which no point of the box violates."""
     n = np.asarray(g).size
-    if A is None:
-        A = np.zeros((0, n))
-        u = np.zeros(0)
-    return QpProblem(Q=Q, g=g, A=A, u=u)
+    if a is None:
+        a, u = np.ones(n), n + 1.0
+    return QpProblem(Q=Q, g=g, a=a, u=u)
 
 
-def random_convex_qp(rng, n_max=10, m_max=6):
+def random_convex_qp(rng, n_max=10):
     n = int(rng.integers(2, n_max + 1))
-    m = int(rng.integers(0, m_max + 1))
     B = rng.normal(size=(n, n)) / np.sqrt(n)
     Q = B @ B.T + np.eye(n)
     g = rng.normal(size=n)
-    A = rng.normal(size=(m, n))
-    # Anchor the rows around an interior point so the feasible set is fat.
-    u = A @ np.full(n, 0.5) + rng.uniform(0.2, 1.5, size=m)
-    return box_qp(Q, g, A, u)
+    a = rng.normal(size=n)
+    # Anchor the row around an interior point so the feasible set is fat.
+    u = a @ np.full(n, 0.5) + rng.uniform(0.2, 1.5)
+    return box_qp(Q, g, a, u)
 
 
 def clipped_qp():
@@ -42,7 +42,7 @@ def clipped_qp():
 
 def active_row_qp():
     # min 0.5||x||^2 - e'x  s.t. x1 + x2 <= 1: optimum splits the budget.
-    return box_qp(np.eye(2), -np.ones(2), A=np.array([[1.0, 1.0]]), u=np.array([1.0]))
+    return box_qp(np.eye(2), -np.ones(2), a=np.array([1.0, 1.0]), u=1.0)
 
 
 def interior_qp():
@@ -50,7 +50,7 @@ def interior_qp():
 
 
 def infeasible_qp():
-    return box_qp(np.eye(1), np.zeros(1), A=np.array([[-1.0]]), u=np.array([-2.0]))
+    return box_qp(np.eye(1), np.zeros(1), a=np.array([-1.0]), u=-2.0)
 
 
 def singular_qp():
@@ -65,7 +65,7 @@ def random_qps():
 
 def oracle_qps():
     rng = np.random.default_rng(7)
-    return [random_convex_qp(rng, n_max=5, m_max=3) for _ in range(5)]
+    return [random_convex_qp(rng, n_max=5) for _ in range(5)]
 
 
 def test_box_clipping_is_exact_at_termination():
@@ -79,7 +79,7 @@ def test_active_inequality_row():
     sol = solve_qp(active_row_qp())
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.x_star, [0.5, 0.5], atol=1e-8)
-    assert sol.duals_ineq[0] == pytest.approx(0.5, abs=1e-6)
+    assert sol.dual_row == pytest.approx(0.5, abs=1e-6)
 
 
 def test_kkt_residual_is_a_pure_function_of_the_candidate():
@@ -90,7 +90,7 @@ def test_kkt_residual_is_a_pure_function_of_the_candidate():
     # Corrupting the point must show up in the recomputed residual.
     fake = QpSolution(
         x_star=sol.x_star + 0.1,
-        duals_ineq=sol.duals_ineq,
+        dual_row=sol.dual_row,
         duals_lower=sol.duals_lower,
         duals_upper=sol.duals_upper,
         status="optimal",
@@ -111,7 +111,7 @@ def test_agreement_with_the_active_set_oracle():
     for qp in oracle_qps():
         sol = solve_qp(qp)
         assert sol.status == "optimal"
-        x_ref = active_set_qp(qp.Q, qp.g, qp.A, qp.u, 0.0, 1.0)
+        x_ref = active_set_qp(qp.Q, qp.g, qp.a, qp.u, 0.0, 1.0)
         assert qp.objective(sol.x_star) <= qp.objective(x_ref) + 1e-8
 
 
@@ -128,24 +128,21 @@ def test_infeasible_problem_ends_at_the_step_floor_without_overflow():
         warnings.simplefilter("error", RuntimeWarning)
         sol = solve_qp(infeasible_qp())
     assert sol.status == "infeasible" and sol.iterations < 30
-    assert np.isfinite(sol.duals_ineq).all()
+    assert np.isfinite(sol.dual_row)
 
 
 def degenerate_qp():
-    # A hypothesis draw; the second row is active at x = (11/24) * 1 and
-    # the first is not.
-    return box_qp(np.full((3, 3), 3.0) + np.eye(3), np.full(3, 10.0),
-                  A=np.array([[0.0, -1.0, -1.0], [-1.0, -1.0, -1.0]]), u=np.array([-0.875, -1.375]))
+    # A hypothesis draw, less a row that is not active at the answer: the
+    # row is active at x = (11/24) * 1.
+    return box_qp(np.full((3, 3), 3.0) + np.eye(3), np.full(3, 10.0), a=-np.ones(3), u=-1.375)
 
 
 def degenerate_vertex_qp():
     # The row x2 <= x1 and both lower bounds are active at x = 0, the bounds
     # with zero multipliers.  Without the centering floor the complementarity
-    # outruns the dual residual, z/s of the row passes 1e16 and the dual
-    # residual stalls above 1e-10 until max_iter; the fixed-centering
-    # reference loop ends at max_iter too.
-    return box_qp(np.array([[5.0, 2.0], [2.0, 6.0]]), np.array([7.0, -7.0]),
-                  A=np.array([[-1.0, 1.0], [1.0, 1.0]]), u=np.array([0.0, 2.0]))
+    # outruns the dual residual and z/s grows until the normal matrix fails
+    # its factor; the fixed-centering reference loop ends at max_iter.
+    return box_qp(np.array([[5.0, 2.0], [2.0, 6.0]]), np.array([7.0, -7.0]), a=np.array([-1.0, 1.0]), u=0.0)
 
 
 def single_point_qp():
@@ -153,23 +150,22 @@ def single_point_qp():
     # passes the loop's own test (each residual and s_i z_i within tol)
     # while the residual of its clipped point is 1.16e-10: there z_i times
     # the primal residual adds to z_i * slack_i.  The loop goes on.
-    return box_qp(np.diag([4.0, 6.0]), np.array([-1.0, -4.0]), A=np.array([[1.0, -1.0]]), u=np.array([-1.0]))
+    return box_qp(np.diag([4.0, 6.0]), np.array([-1.0, -4.0]), a=np.array([1.0, -1.0]), u=-1.0)
 
 
-def repeated_rows_qp():
-    # A hypothesis draw, rounded: three copies of the active row sum(x) >= 1.75
-    # and a looser one.  Without the neighborhood the products drift far
-    # apart and Mehrotra's steps cycle with mu near 0.1-0.3 until max_iter.
-    Q = np.array([[1.7, -0.1, -0.1, -0.1], [-0.1, 1.0, 0.0, 0.0], [-0.1, 0.0, 1.0, 0.0],
-                  [-0.1, 0.0, 0.0, 1.0]])
-    return box_qp(Q, np.full(4, 10.0), A=np.full((4, 4), -0.4), u=np.array([-0.2, -0.7, -0.7, -0.7]))
+def cycling_qp():
+    # A random integer draw: the row is active at x = (9, 76, 16) / 83 and
+    # no bound is.  Without the neighborhood Mehrotra's steps cycle until
+    # max_iter.
+    Q = np.array([[28.0, -21.0, -3.0], [-21.0, 20.0, 9.0], [-3.0, 9.0, 20.0]])
+    return box_qp(Q, np.array([-4.0, 3.0, 9.0]), a=np.array([1.0, -1.0, -1.0]), u=-1.0)
 
 
 # At the vertex the bounds' zero multipliers leave x within ~sqrt(tol) of it.
 @pytest.mark.parametrize("make, x, atol", [(degenerate_qp, np.full(3, 1.375 / 3), 1e-9),
                                            (degenerate_vertex_qp, np.zeros(2), 1e-6),
                                            (single_point_qp, np.array([0.0, 1.0]), 1e-9),
-                                           (repeated_rows_qp, np.array([22.75, 31.5, 31.5, 31.5]) / 67, 1e-9)])
+                                           (cycling_qp, np.array([9.0, 76.0, 16.0]) / 83, 1e-9)])
 def test_degenerate_qp_is_solved(make, x, atol):
     qp = make()
     sol = solve_qp(qp)
@@ -181,31 +177,22 @@ def test_degenerate_qp_is_solved(make, x, atol):
 def test_with_g_shares_all_but_the_linear_term():
     qp = active_row_qp()
     tilted = qp.with_g(np.array([-2.0, 0.0]))
-    for name in ("Q", "A", "u"):
+    for name in ("Q", "a", "u"):
         assert getattr(tilted, name) is getattr(qp, name)
     np.testing.assert_array_equal(qp.g, -np.ones(2))
-    want = solve_qp(box_qp(np.eye(2), np.array([-2.0, 0.0]), A=qp.A, u=qp.u))
-    got = solve_qp(tilted)
-    assert got.x_star.tobytes() == want.x_star.tobytes()
+    fresh = box_qp(np.eye(2), np.array([-2.0, 0.0]), a=np.array([1.0, 1.0]), u=1.0)
+    for start in (None, np.array([0.25, 0.25])):
+        assert_same_solution(solve_qp(tilted, start=start), solve_qp(fresh, start=start))
     with pytest.raises(ValueError, match="n entries"):
         qp.with_g(np.zeros(3))
 
 
 def test_validation_rejects_bad_data():
-    with pytest.raises(ValueError):
-        QpProblem(
-            Q=np.array([[1.0, 0.5], [0.0, 1.0]]),  # not symmetric
-            g=np.zeros(2),
-            A=np.zeros((0, 2)),
-            u=np.zeros(0),
-        )
-    with pytest.raises(ValueError):
-        QpProblem(
-            Q=np.eye(2),
-            g=np.zeros(2),
-            A=np.ones((2, 2)),
-            u=np.ones(1),
-        )
+    with pytest.raises(ValueError, match="symmetric"):
+        QpProblem(Q=np.array([[1.0, 0.5], [0.0, 1.0]]), g=np.zeros(2), a=np.ones(2), u=1.0)
+    for a in (np.ones(3), np.ones(1), np.ones((1, 2)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="a must have n entries"):
+            QpProblem(Q=np.eye(2), g=np.zeros(2), a=a, u=1.0)
 
 
 def test_symmetry_is_checked_to_1e_12():
@@ -286,7 +273,7 @@ def assert_agrees(qp, got, want, tol=1e-10):
     (relative above 1): each stops with a duality gap s'z of at most mt * tol."""
     assert got.status == want.status
     if want.status == "optimal":
-        mt = qp.m + 2 * qp.n
+        mt = 1 + 2 * qp.n
         f_want = qp.objective(want.x_star)
         assert abs(qp.objective(got.x_star) - f_want) <= 2 * mt * tol * max(1.0, abs(f_want))
 
@@ -358,11 +345,11 @@ def non_finite_q():
 
 def overflowing_normal_matrix():
     # C' diag(z/s) C overflows in the first iteration.
-    return box_qp(np.eye(2), np.zeros(2), A=np.array([[1e200, 1e200]]), u=np.array([1e200]))
+    return box_qp(np.eye(2), np.zeros(2), a=np.array([1e200, 1e200]), u=1e200)
 
 
 def non_finite_rhs():
-    return box_qp(np.eye(2), np.array([np.nan, 0.0]), A=np.ones((1, 2)), u=np.ones(1))
+    return box_qp(np.eye(2), np.array([np.nan, 0.0]), a=np.ones(2), u=1.0)
 
 
 @pytest.mark.parametrize("make", [non_finite_q, overflowing_normal_matrix, non_finite_rhs])
@@ -378,15 +365,14 @@ def _unit_floats(shape):
 
 @st.composite
 def convex_box_qps(draw):
-    """Random convex QPs over [0, 1]^n with 0-6 rows that all hold with a
-    margin at the box center, so every draw is feasible with an interior."""
+    """Random convex QPs over [0, 1]^n with a row that holds with a margin
+    at the box center, so every draw is feasible with an interior."""
     n = draw(st.integers(1, 8))
-    m = draw(st.integers(0, 6))
     B = draw(_unit_floats((n, n)))
     g = 10.0 * draw(_unit_floats(n))
-    A = draw(_unit_floats((m, n)))
-    margin = draw(arrays(np.float64, m, elements=st.floats(0.1, 2.0)))
-    return box_qp(B @ B.T + np.eye(n), g, A, A @ np.full(n, 0.5) + margin)
+    a = draw(_unit_floats(n))
+    margin = draw(st.floats(0.1, 2.0))
+    return box_qp(B @ B.T + np.eye(n), g, a, a @ np.full(n, 0.5) + margin)
 
 
 @settings(max_examples=200, deadline=None, database=None, print_blob=True,
@@ -394,8 +380,7 @@ def convex_box_qps(draw):
 @given(convex_box_qps())
 def check_random_convex_box_qp(qp):
     sol = solve_qp(qp)
-    # What solve_qp's docstring guarantees for a QP with inequalities:
-    # "optimal" means kkt_residual <= tol at the returned point, and the
+    # What solve_qp's docstring guarantees: "optimal" means kkt_residual <= tol at the returned point, and the
     # reported residual is kkt_residual's.
     assert sol.status == "optimal"
     assert sol.kkt_residual == kkt_residual(qp, sol) <= 1e-10
@@ -417,7 +402,7 @@ def one_row_box_qps(draw):
     a = draw(_unit_floats(n).filter(lambda a: np.abs(a).max() >= 0.1))
     start = draw(arrays(np.float64, n, elements=st.floats(0.0, 1.0)))
     slack = draw(st.floats(1e-6, 2.0))
-    return box_qp(B @ B.T + np.eye(n), g, a[None, :], np.array([a @ start + slack])), start
+    return box_qp(B @ B.T + np.eye(n), g, a, a @ start + slack), start
 
 
 ACTIVE_SET_PATHS = []  # the path of each check_active_set_from_a_start draw
@@ -433,14 +418,15 @@ def check_active_set_from_a_start(case):
     # kkt_residual <= tol, at an objective the interior point agrees with.
     assert sol.status == "optimal"
     assert sol.kkt_residual == kkt_residual(qp, sol) <= 1e-10
-    for duals in (sol.duals_ineq, sol.duals_lower, sol.duals_upper):
+    assert sol.dual_row >= 0.0
+    for duals in (sol.duals_lower, sol.duals_upper):
         assert (duals >= 0.0).all()
     assert_agrees(qp, sol, solve_qp(qp))
     ACTIVE_SET_PATHS.append(sol.path)
 
 
 def test_active_set_answers_are_certified():
-    # A draw whose certificate fails (about 1 in 5,000: rows with entries
+    # A draw whose certificate fails (about 1 in 5,000: a row with entries
     # 1e6 times apart) goes to the interior point; nearly all are served.
     t0 = time.perf_counter()
     ACTIVE_SET_PATHS.clear()
@@ -451,8 +437,9 @@ def test_active_set_answers_are_certified():
 
 def assert_same_solution(got, want):
     """Every field of two QpSolutions, bit for bit."""
-    for name in ("x_star", "duals_ineq", "duals_lower", "duals_upper"):
+    for name in ("x_star", "duals_lower", "duals_upper"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert np.float64(got.dual_row).tobytes() == np.float64(want.dual_row).tobytes()
     assert (got.status, got.iterations, got.path) == (want.status, want.iterations, want.path)
     assert np.float64(got.kkt_residual).tobytes() == np.float64(want.kkt_residual).tobytes()
 
@@ -469,18 +456,15 @@ def first_call_fails(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("case", ["no_start", "infeasible_start", "two_rows", "row_below_tolerance",
-                                  "certificate_fails"])
+@pytest.mark.parametrize("case", ["no_start", "infeasible_start", "row_below_tolerance", "certificate_fails"])
 def test_each_fallback_returns_the_interior_point_result(monkeypatch, case):
     # The QP below is one the active set certifies from x0 (first assert);
     # each case breaks one condition of the routing rule or the certificate.
     qp, x0 = active_row_qp(), np.array([0.25, 0.25])
     assert solve_qp(qp, start=x0).path == "active_set"
     start = {"no_start": None, "infeasible_start": np.array([0.75, 0.75])}.get(case, x0)
-    if case == "two_rows":
-        qp = box_qp(qp.Q, qp.g, A=np.vstack([qp.A, [1.0, -1.0]]), u=np.append(qp.u, 1.0))
-    elif case == "row_below_tolerance":
-        qp = box_qp(qp.Q, qp.g, A=1e-10 * qp.A, u=1e-10 * qp.u)
+    if case == "row_below_tolerance":
+        qp = box_qp(qp.Q, qp.g, a=1e-10 * qp.a, u=1e-10 * qp.u)
     want = solve_qp(qp)
     assert want.path == "interior_point"
     calls = first_call_fails(monkeypatch) if case == "certificate_fails" else []
