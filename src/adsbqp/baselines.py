@@ -19,7 +19,7 @@ from .driver import _ad_loop, bit_rows, build_ad2_subproblem, cheapest_selection
 # ad1 is unused here but stays importable as baselines.ad1, a call site
 # that perfbench's tracer tests wrap.
 from .driver import ad1  # noqa: F401
-from .nlp import InfeasibleProblemError, NlpProblem, find_strictly_feasible, solve_barrier
+from .nlp import MU0, InfeasibleProblemError, NlpProblem, find_strictly_feasible, solve_barrier
 from .rate import EsrProblem
 
 __all__ = [
@@ -62,7 +62,12 @@ def _penalized_barrier_ad2(x_bar: np.ndarray, f, grad_f, hess_f, *,
     iterate x_hat as it is: every barrier iterate is strictly feasible, so
     phase 1 of find_strictly_feasible, from the box midpoint, runs only when
     the first round's x_bar is not (on the box boundary, such as the all-on
-    fallback of driver._initial_switch, or outside the constraint).  A round
+    fallback of driver._initial_switch, or outside the constraint).  Only
+    the first round of each AD2 runs the full barrier schedule from MU0;
+    every later round is one step of a continuation in rho and resumes at
+    the weight the last round ended at, its mu_final (MU_MIN), so it does
+    not walk x_hat, which sits next to a bound or the constraint, back to
+    the centre of the mu = MU0 stage and down again.  A round
     that finds no strictly feasible start ends the homotopy as "stalled"; a
     barrier solve that ends "stalled" or "max_iter" ends it with that
     status, and one that raises RuntimeError ends it as "barrier_failed", as
@@ -70,8 +75,10 @@ def _penalized_barrier_ad2(x_bar: np.ndarray, f, grad_f, hess_f, *,
     """
     n = x_bar.size
     eye = np.eye(n)
+    mu0 = MU0  # the barrier weight the next round starts at
 
     def step(rho, x_hat):
+        nonlocal mu0
         # Gradient-based objective scaling keeps the barrier subproblem
         # well-conditioned when the penalty weight dwarfs the power cost.
         s = 1.0 / max(1.0, rho)
@@ -90,11 +97,12 @@ def _penalized_barrier_ad2(x_bar: np.ndarray, f, grad_f, hess_f, *,
         except InfeasibleProblemError:
             return "stalled"
         try:
-            sol = solve_barrier(nlp, z0=x0)
+            sol = solve_barrier(nlp, z0=x0, mu0=mu0)
         except RuntimeError:
             return "barrier_failed"
         if sol.status != "optimal":
             return sol.status
+        mu0 = sol.mu_final
         x = sol.z_star
         return x, f(x) + rho * penalty_phi(x), sol.iterations, "barrier"
 

@@ -4,17 +4,19 @@ Problem form: min f(z)  s.t.  c(z) <= 0 (m >= 1 general constraints), lo <= z <=
 The barrier subproblems are minimized by Newton's method with Armijo
 backtracking; an eigenvalue shift keeps the Newton system positive definite
 so descent also holds for nonconvex penalized instances.  The barrier weight
-mu starts at MU0 and shrinks MU_FACTOR-fold per stage down to MU_MIN =
-TOL / 10, each stage taking at most MAX_NEWTON_PER_MU Newton steps; all of
-these are constants.  Each point is evaluated once: a line-search trial
-computes the objective, the log sums and the constraint slack, and the
-accepted trial carries them into the next step.  No step does masked work
-on the bounds, so a step costs few Python-level calls and gives the same
-bytes as the plain loop.  The Newton system goes to
-LAPACK's Cholesky routines (potrf/potrs) directly, behind the finiteness
-checks scipy.linalg.cho_factor/cho_solve would make, and the least
-eigenvalue of a shift to syevr as scipy.linalg.eigvalsh calls it; qp holds
-the routines for both solvers.
+mu starts at solve_barrier's mu0 argument (MU0 by default) and shrinks
+MU_FACTOR-fold per stage down to MU_MIN = TOL / 10, each stage taking at
+most MAX_NEWTON_PER_MU Newton steps; all but mu0 are constants.  A caller
+that continues a solve it has already driven to MU_MIN, as each penalty
+round after an AD2's first does, passes mu0 = MU_MIN and runs one stage.
+Each point is evaluated once: a line-search trial computes the objective,
+the log sums and the constraint slack, and the accepted trial carries them
+into the next step.  No step does masked work on the bounds, so a step
+costs few Python-level calls and gives the same bytes as the plain loop.
+The Newton system goes to LAPACK's Cholesky routines (potrf/potrs)
+directly, behind the finiteness checks scipy.linalg.cho_factor/cho_solve
+would make, and the least eigenvalue of a shift to syevr as
+scipy.linalg.eigvalsh calls it; qp holds the routines for both solvers.
 """
 
 from __future__ import annotations
@@ -252,24 +254,25 @@ def _newton_step(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return _cho_solve(_shift_to_pd(H), -grad)
 
 
-def solve_barrier(prob: NlpProblem, z0: np.ndarray | None = None) -> NlpSolution:
-    """Outer barrier loop from mu = MU0 down to MU_MIN, inner damped Newton.
+def solve_barrier(prob: NlpProblem, z0: np.ndarray | None = None, mu0: float = MU0) -> NlpSolution:
+    """Outer barrier loop from mu = mu0 down to MU_MIN, inner damped Newton.
 
-    Stage k runs at mu = max(MU0 / MU_FACTOR**k, MU_MIN), computed from k so
-    that no rounding error accumulates into an extra stage, and a stage that
-    does not converge within MAX_NEWTON_PER_MU Newton steps ends the solve as
-    "max_iter".  No point is evaluated twice: a line-search trial computes
-    only the objective value, the log sums and the constraint slack, which
-    the solve keeps by the point's bytes (a step can round back to z, and a
-    later step can retry a rejected trial), and the accepted trial's
-    objective value, log sums and slack carry over to the next Newton step
-    (and, with the gradient and constraint Jacobian there, to the next mu
-    stage); the barrier gradient and Hessian diagonal are built once per step,
-    at the accepted point, from the gaps as they are (a gap to an infinite
-    bound is +inf and adds 0.0), with no masked update.  The Newton system
-    is factored and solved by LAPACK's potrf/potrs directly, its shift
-    built on an identity made once per order.  Duals are recovered as
-    mu/slack at the final iterate, and the KKT residual there reuses the
+    Stage k runs at mu = max(mu0 / MU_FACTOR**k, MU_MIN), computed from k so
+    that no rounding error accumulates into an extra stage; mu0 = MU0 gives
+    the full schedule, and mu0 <= MU_MIN a single stage at MU_MIN.  A stage
+    that does not converge within MAX_NEWTON_PER_MU Newton steps ends the
+    solve as "max_iter".  No point is evaluated twice: a line-search trial
+    computes only the objective value, the log sums and the constraint
+    slack, which the solve keeps by the point's bytes (a step can round back
+    to z, and a later step can retry a rejected trial), and the accepted
+    trial's objective value, log sums and slack carry over to the next
+    Newton step (and, with the gradient and constraint Jacobian there, to
+    the next mu stage); the barrier gradient and Hessian diagonal are built
+    once per step, at the accepted point, from the gaps as they are (a gap
+    to an infinite bound is +inf and adds 0.0), with no masked update.  The
+    Newton system is factored and solved by LAPACK's potrf/potrs directly,
+    its shift built on an identity made once per order.  Duals are recovered
+    as mu/slack at the final iterate, and the KKT residual there reuses the
     slack and derivatives the loop holds; the accepted inner steps are
     monotone in the barrier objective by the Armijo rule.  iterations counts
     the Newton steps.
@@ -287,7 +290,7 @@ def solve_barrier(prob: NlpProblem, z0: np.ndarray | None = None) -> NlpSolution
     # Every point evaluated so far, by its bytes: (_evaluate there, objective).
     evaluated = {z.tobytes(): (here, f)}
     stage = 0
-    mu = max(MU0, MU_MIN)
+    mu = max(mu0, MU_MIN)
     total_iters = 0
     status = "optimal"
     derivatives = None  # objective gradient and constraint Jacobian at z
@@ -349,7 +352,7 @@ def solve_barrier(prob: NlpProblem, z0: np.ndarray | None = None) -> NlpSolution
         if mu <= MU_MIN:
             break
         stage += 1
-        mu = max(MU0 / MU_FACTOR ** stage, MU_MIN)
+        mu = max(mu0 / MU_FACTOR ** stage, MU_MIN)
 
     duals = mu / np.maximum(here[3], np.finfo(float).tiny)
     if derivatives is None:

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from adsbqp import baselines, nlp
 from adsbqp.baselines import enumerate_selections, solve_ad_nspen, solve_ad_spen
 from adsbqp.channel import ScenarioConfig
 from adsbqp.cli import main
@@ -137,6 +138,31 @@ def test_criterion_6_baseline_comparison_over_seeds():
             assert base.complementarity >= 1e-9
             assert sbqp.objective <= base.objective + 1e-12
     assert time.perf_counter() - t0 < 120.0
+
+
+def test_criterion_6_baselines_resume_their_barrier_solves(monkeypatch):
+    # A penalty round after an AD2's first resumes its barrier solve at the
+    # last round's mu_final, not at MU0, so it does not walk back to the
+    # centre and down again.  On criterion 6's instances the smooth
+    # baselines took 49,797 barrier Newton steps, phase 1 included, when
+    # every round restarted at MU0; now they take under half of that.
+    t0 = time.perf_counter()
+    steps = []
+    solve_barrier = nlp.solve_barrier
+
+    def counted(*args, **kwargs):
+        sol = solve_barrier(*args, **kwargs)
+        steps.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(nlp, "solve_barrier", counted)
+    monkeypatch.setattr(baselines, "solve_barrier", counted)
+    for seed in range(5):
+        prob = selection_problem(seed=seed, n=16, k=16)
+        solve_ad_spen(prob)
+        solve_ad_nspen(prob)
+    assert 0 < sum(steps) < 49_797 // 2
+    assert time.perf_counter() - t0 < 10.0
 
 
 def test_criterion_7_stock_large_scenario_reports_infeasibility_cleanly():

@@ -197,19 +197,20 @@ def test_switch_nlps_match_the_reference_barrier_loop(monkeypatch):
     # rounding apart, so the same point may come back later.)  A round
     # starts at the last iterate, which is strictly feasible, so phase 1
     # runs only from a start on the box boundary: the all-on x_bar, with
-    # the power and multiplier of ad1 there, is added for it.
+    # the power and multiplier of ad1 there, is added for it.  Each call's
+    # mu0 goes to the reference loop too.
     solves = []
 
-    def recorded(prob, z0=None):
+    def recorded(prob, z0=None, mu0=nlp.MU0):
         seen = []
 
         def objective(z):
             seen.append(np.asarray(z, dtype=float).tobytes())
             return prob.objective(z)
 
-        sol = solve_barrier(replace(prob, objective=objective), z0=z0)
+        sol = solve_barrier(replace(prob, objective=objective), z0=z0, mu0=mu0)
         assert all(a != b for a, b in zip(seen, seen[1:]))
-        solves.append((prob, z0, sol))
+        solves.append((prob, z0, mu0, sol))
         return sol
 
     solve_barrier = nlp.solve_barrier
@@ -225,8 +226,9 @@ def test_switch_nlps_match_the_reference_barrier_loop(monkeypatch):
             ad2(prob, P_on, x_on, lam_on)
     monkeypatch.undo()
     assert any(prob.n == 3 for prob, *_ in solves)  # phase 1 ran
-    for prob, z0, sol in solves:
-        assert_same_solution(sol, solve_barrier_reference(prob, z0=z0))
+    assert any(mu0 == nlp.MU_MIN for _, _, mu0, _ in solves)  # a round resumed
+    for prob, z0, mu0, sol in solves:
+        assert_same_solution(sol, solve_barrier_reference(prob, z0=z0, mu0=mu0))
 
 
 def test_switch_nlp_rounds_start_at_the_last_iterate(monkeypatch):
@@ -242,9 +244,9 @@ def test_switch_nlp_rounds_start_at_the_last_iterate(monkeypatch):
 
         return penalty_homotopy(recorded_step, x0)
 
-    def recorded(prob, z0=None):
+    def recorded(prob, z0=None, mu0=nlp.MU0):
         starts.append((prob.n, np.asarray(z0, dtype=float).tobytes()))
-        return solve_barrier(prob, z0=z0)
+        return solve_barrier(prob, z0=z0, mu0=mu0)
 
     solve_barrier = nlp.solve_barrier
     monkeypatch.setattr(baselines, "penalty_homotopy", homotopy)
@@ -256,6 +258,40 @@ def test_switch_nlp_rounds_start_at_the_last_iterate(monkeypatch):
         solve_ad_nspen(prob)
     assert rounds
     assert starts == [(2, x_hat) for x_hat in rounds]
+
+
+def test_only_the_first_round_of_each_ad2_runs_the_full_barrier_schedule(monkeypatch):
+    # A round after an AD2's first continues the last round's barrier solve
+    # in rho: it starts at that solve's mu_final, where the first round of
+    # each AD2 starts at MU0.
+    calls = []  # (AD2 index, mu0, mu_final) of every switch NLP's barrier solve
+    ad2s = []
+
+    def recorded(prob, z0=None, mu0=nlp.MU0):
+        sol = solve_barrier(prob, z0=z0, mu0=mu0)
+        calls.append((len(ad2s), mu0, sol.mu_final))
+        return sol
+
+    def counted(ad2):
+        def ad2_counted(*args):
+            ad2s.append(None)
+            return ad2(*args)
+        return ad2_counted
+
+    solve_barrier = nlp.solve_barrier
+    monkeypatch.setattr(baselines, "solve_barrier", recorded)
+    monkeypatch.setattr(baselines, "_spen_ad2", counted(baselines._spen_ad2))
+    monkeypatch.setattr(baselines, "_nspen_ad2", counted(baselines._nspen_ad2))
+    for seed in range(4):
+        prob = scaled_problem(seed=seed, n=2, k=2)
+        solve_ad_spen(prob)
+        solve_ad_nspen(prob)
+    assert len(calls) > len(ad2s) > 0
+    last = {}  # AD2 index -> mu_final of its last round so far
+    for ad2, mu0, mu_final in calls:
+        assert mu0 == last.get(ad2, nlp.MU0)
+        last[ad2] = mu_final
+    assert {mu0 for _, mu0, _ in calls} == {nlp.MU0, nlp.MU_MIN}
 
 
 def test_phase_one_start_from_all_on_runs_the_homotopy():
@@ -278,7 +314,7 @@ def test_phase_one_start_from_all_on_runs_the_homotopy():
 def test_a_failed_switch_nlp_ends_the_homotopy_with_its_status(monkeypatch, outcome, status):
     # A barrier solve that ends short or raises ends the homotopy with its
     # status; a round with no strictly feasible start ends it as "stalled".
-    def failing(prob, z0=None):
+    def failing(prob, z0=None, mu0=nlp.MU0):
         if isinstance(outcome, Exception):
             raise outcome
         return NlpSolution(np.asarray(z0, dtype=float), np.zeros(prob.m), outcome, 1, 1.0, 1.0)

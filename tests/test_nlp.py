@@ -324,29 +324,30 @@ def barrier_problems(draw):
 def test_random_solves_match_the_reference_loop_bit_for_bit():
     # Every solve, and every phase-1 solve it makes, returns the reference
     # loop's bytes on box, one-sided and free bounds, with a linear
-    # constraint or a curved one, from starts inside and outside.
+    # constraint or a curved one, from starts inside and outside, and from
+    # the full barrier schedule, a shortened one or its last stage alone.
     phase_one = []  # one entry per example: whether its solve ran phase 1
     solve_barrier_lean = nlp.solve_barrier
 
     @settings(max_examples=60, deadline=None, database=None, print_blob=True,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(barrier_problems())
-    @example((linear_objective_problem(), None))  # runs phase 1 from the midpoint
-    def check(case):
+    @given(barrier_problems(), st.sampled_from([nlp.MU0, 1e-4, nlp.MU_MIN]))
+    @example((linear_objective_problem(), None), nlp.MU0)  # runs phase 1 from the midpoint
+    def check(case, mu0):
         prob, z0 = case
         solves = []
 
-        def recorded(prob, z0=None):
-            sol = solve_barrier_lean(prob, z0=z0)
-            solves.append((prob, z0, sol))
+        def recorded(prob, z0=None, mu0=nlp.MU0):
+            sol = solve_barrier_lean(prob, z0=z0, mu0=mu0)
+            solves.append((prob, z0, mu0, sol))
             return sol
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(nlp, "solve_barrier", recorded)
-            nlp.solve_barrier(prob, z0=z0)
+            nlp.solve_barrier(prob, z0=z0, mu0=mu0)
         phase_one.append(len(solves) > 1)
-        for got_prob, got_z0, got in solves:
-            assert_same_solution(got, solve_barrier_reference(got_prob, z0=got_z0))
+        for got_prob, got_z0, got_mu0, got in solves:
+            assert_same_solution(got, solve_barrier_reference(got_prob, z0=got_z0, mu0=got_mu0))
 
     t0 = time.perf_counter()
     check()
