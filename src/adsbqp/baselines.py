@@ -184,5 +184,5 @@ def enumerate_selections(prob: EsrProblem, n_limit: int = 16):
     best = cheapest_selection(prob, X[:count], bounds[:count])
     if best is None:
         return MethodReport("ENUM", float("nan"), float("nan"), count, 0.0, "infeasible"), None, None
-    obj, x_best, P_best = best
+    obj, x_best, P_best, _ = best
     return MethodReport("ENUM", obj, penalty_phi(x_best), count, 0.0, "success"), x_best, P_best

@@ -83,6 +83,8 @@ class Ad2Result:
     x_star: np.ndarray | None  # None when solve_bqp's global search raised
     status: str  # "success" | "complementarity_not_met" | a failed round's status
     trace: list[BqpIterate]
+    # (P, lambda) = driver.ad1(prob, x_star) when the step has solved it.
+    power: tuple[np.ndarray, float] | None = None
 
 
 def penalty_phi(x: np.ndarray) -> float:

@@ -27,9 +27,18 @@ constant, AD2's complementarity tolerance bqp.EPS_COMP among them.
 Every exact decision about 0/1 selections is one search,
 cheapest_selection(prob, X, bounds, incumbent): candidate rows in,
 visited in ascending water-filling bound with ties to the earlier row and
-to the incumbent, the cheapest (objective, x, P) out.  AD2's Boolean
-completion, solve's all-on incumbent and baselines.enumerate_selections
-are its callers.
+to the incumbent, the cheapest (objective, x, P, lambda) out.  AD2's
+Boolean completion, solve's all-on incumbent and
+baselines.enumerate_selections are its callers.
+
+AD2's eigenvalue shift takes the least eigenvalue from np.linalg.eigvalsh,
+and qp's active set solves its faces by np.linalg.solve, so AD-SBQP runs
+on numpy alone wherever the active set answers its QPs (at noise 3e-14,
+say).  scipy's LAPACK routines, which qp loads on first use, serve only
+the graded systems of the QP's interior point (the answer at noise >=
+1e-6, where qp.ROW_REACH routes AD2's unscaled rate row to it) and of the
+smooth baselines' barrier NLP, whose Newton matrices numpy's LU can
+report singular.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ from .bqp import SNAP_REACH, Ad2Result, penalty_phi, solve_bqp
 # solve_barrier is unused here but stays importable as driver.solve_barrier,
 # a call site that perfbench's tracer tests wrap.
 from .nlp import MU_MIN, InfeasibleProblemError, solve_barrier  # noqa: F401
-from .qp import QpProblem, _least_eigenvalue
+from .qp import QpProblem, _check_finite
 from .rate import EsrProblem
 
 __all__ = [
@@ -150,16 +159,27 @@ def ad1(prob: EsrProblem, x_bar: np.ndarray):
 
 
 def _linear_model(prob: EsrProblem, P_star: np.ndarray, x_bar: np.ndarray):
-    """The first-order part of AD2's switch model at (P_star, x_bar): (f, a, slack).
+    """The first-order part of AD2's switch model at (P_star, x_bar): (f, a,
+    slack, weights).
 
     f = P_star.sum(1) + p_rf is the cost per unit of each switch, a = -grad_x
     rate the row of the linearized rate constraint a'(x - x_bar) <= slack,
     and slack = rate - r_th its slack at x_bar (mu / lambda at an ad1 point).
+    The gradient and the rate share weights = rate._snr_weights(P_star,
+    x_bar, prob), which is returned for the Hessian.
     """
+    weights = rate_mod._snr_weights(P_star, x_bar, prob)
     f = P_star.sum(axis=1) + prob.cfg.p_rf
-    a = -rate_mod.grad_rate_wrt_switch(P_star, x_bar, prob)
-    slack = rate_mod.sum_rate(P_star, x_bar, prob) - prob.r_th
-    return f, a, slack
+    a = -rate_mod.grad_rate_wrt_switch(P_star, x_bar, prob, weights)
+    slack = rate_mod.sum_rate(P_star, x_bar, prob, weights) - prob.r_th
+    return f, a, slack, weights
+
+
+def _least_eigenvalue(a: np.ndarray) -> float:
+    """Least eigenvalue of the symmetric a, by np.linalg.eigvalsh; a
+    non-finite a raises ValueError."""
+    _check_finite(a)
+    return float(np.linalg.eigvalsh(a)[0])
 
 
 def build_ad2_subproblem(
@@ -178,9 +198,9 @@ def build_ad2_subproblem(
     exceeds r_th by the slack mu / lambda > 0, so x_bar itself meets the
     linearized constraint and the QP is feasible over the box.
     """
-    f_lin, a, slack = _linear_model(prob, P_star, x_bar)
+    f_lin, a, slack, weights = _linear_model(prob, P_star, x_bar)
 
-    h_rate = rate_mod.hess_rate_wrt_switch(P_star, x_bar, prob)
+    h_rate = rate_mod.hess_rate_wrt_switch(P_star, x_bar, prob, weights)
     Q0 = -lambda_bar * h_rate
     Q0 = 0.5 * (Q0 + Q0.T)
     min_eig = _least_eigenvalue(Q0)
@@ -212,8 +232,9 @@ def cheapest_selection(prob: EsrProblem, X: np.ndarray, bounds: np.ndarray, incu
     result is the one an exhaustive search over X in row order would return
     against the incumbent.  ad1's objective sits about mu = nlp.MU_MIN
     above its bound (the cost of its rate slack), far above rounding error.
-    Returns (objective, x, P) with x the row as float64, or None when no
-    row's power subproblem is feasible and cheaper than incumbent.
+    Returns (objective, x, P, lambda) with x the row as float64 and (P,
+    lambda) = ad1(prob, x), or None when no row's power subproblem is
+    feasible and cheaper than incumbent.
     """
     best, best_key = None, (incumbent, -1)
     for i in np.argsort(bounds, kind="stable"):
@@ -221,12 +242,12 @@ def cheapest_selection(prob: EsrProblem, X: np.ndarray, bounds: np.ndarray, incu
             break
         x = X[i].astype(float)
         try:
-            P, _ = ad1(prob, x)
+            P, lambda_bar = ad1(prob, x)
         except Ad1InfeasibleError:
             continue
         objective = rate_mod.economic_objective(P, x, prob)
         if (objective, i) < best_key:
-            best, best_key = (objective, x, P), (objective, i)
+            best, best_key = (objective, x, P, lambda_bar), (objective, i)
     return best
 
 
@@ -236,8 +257,9 @@ def _complete_boolean(prob: EsrProblem, x: np.ndarray):
     The linearized rate constraint can pin a few coordinates at fractional
     values no penalty weight can move.  The true constraint decides instead:
     cheapest_selection searches the completions of the pinned coordinates,
-    and the cheapest feasible one is returned (None when all completions
-    are infeasible or too many coordinates are fractional).
+    and the cheapest feasible one is returned as (x, P, lambda), its ad1
+    point with it (None when all completions are infeasible or too many
+    coordinates are fractional).
     """
     frac = np.flatnonzero(np.minimum(x, 1.0 - x) > rate_mod.BOOLEAN_TOL)
     if frac.size == 0 or frac.size > 8:
@@ -245,7 +267,7 @@ def _complete_boolean(prob: EsrProblem, x: np.ndarray):
     cands = np.tile(np.round(x), (2 ** frac.size, 1))
     cands[:, frac] = bit_rows(np.arange(2 ** frac.size), frac.size)
     best = cheapest_selection(prob, cands, rate_mod.selection_bounds(cands, prob)[1])
-    return None if best is None else best[1]
+    return None if best is None else best[1:]
 
 
 def _step_bound(f: np.ndarray, a: np.ndarray, slack: float, on: np.ndarray) -> float:
@@ -284,7 +306,8 @@ def _returns_start(prob: EsrProblem, P_star: np.ndarray, x_bar: np.ndarray) -> b
     on = x_bar == 1.0
     if not (on | (x_bar == 0.0)).all():
         return False
-    return _step_bound(*_linear_model(prob, P_star, x_bar), on) <= 0.5 * SNAP_REACH
+    f, a, slack, _ = _linear_model(prob, P_star, x_bar)
+    return _step_bound(f, a, slack, on) <= 0.5 * SNAP_REACH
 
 
 def _sbqp_ad2(prob, P_star, x_bar, lambda_bar) -> Ad2Result:
@@ -299,8 +322,10 @@ def _sbqp_ad2(prob, P_star, x_bar, lambda_bar) -> Ad2Result:
     "success" and no homotopy round, and so does this step.  The half
     leaves room for the QP solver's own error.  A solve_bqp result that is
     neither "success" nor "qp_failed" (a stalled homotopy or QP) is
-    completed to its cheapest Boolean neighbour (_complete_boolean); a QP
-    solve that raised leaves x_bar as it is, with the status "qp_failed".
+    completed to its cheapest Boolean neighbour (_complete_boolean), whose
+    ad1 point the completion has solved and hands on as the result's power;
+    a QP solve that raised leaves x_bar as it is, with the status
+    "qp_failed".
     """
     if _returns_start(prob, P_star, x_bar):
         return Ad2Result(x_bar.copy(), "success", [])
@@ -310,7 +335,8 @@ def _sbqp_ad2(prob, P_star, x_bar, lambda_bar) -> Ad2Result:
     if res.status not in ("success", "qp_failed"):
         completed = _complete_boolean(prob, res.x_star)
         if completed is not None:
-            return Ad2Result(completed, "success", res.trace)
+            x, P, lambda_bar = completed
+            return Ad2Result(x, "success", res.trace, power=(P, lambda_bar))
     return res
 
 
@@ -372,7 +398,8 @@ def _ad_loop(prob: EsrProblem, ad2_fn: Callable[[EsrProblem, np.ndarray, np.ndar
     the list of AdIterate, one per AD2.
 
     Pass k solves AD1 at x_k for P_k, then AD2 from (P_k, x_k) for x_{k+1};
-    the first pass takes the AD1 point the start's scan already solved.
+    the first pass takes the AD1 point the start's scan already solved, and
+    a later one the AD1 point its AD2 returned as power, if any.
     Every exit returns (P_k, x_k), the pair the last AD1 computed.  Right
     after AD1 the loop stops as converged when hypot(||P_k - P_{k-1}||,
     ||x_k - x_{k-1}||) <= EPS_TERM, or as max_iter after MAX_AD_ITER AD2
@@ -439,7 +466,7 @@ def _ad_loop(prob: EsrProblem, ad2_fn: Callable[[EsrProblem, np.ndarray, np.ndar
         if np.array_equal(x, x_bar):  # a repeat: the next iteration is a copy
             status = "converged"
             break
-        start_power, t0 = None, time.perf_counter()
+        start_power, t0 = ad2_res.power, time.perf_counter()
 
     # An AD2 "success" is Boolean to 2 * bqp.EPS_COMP: a snapped or
     # certified start, a completion, or phi(x) <= EPS_COMP on [0, 1]^n.

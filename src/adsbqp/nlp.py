@@ -16,7 +16,11 @@ costs few Python-level calls and gives the same bytes as the plain loop.
 The Newton system goes to LAPACK's Cholesky routines (potrf/potrs)
 directly, behind the finiteness checks scipy.linalg.cho_factor/cho_solve
 would make, and the least eigenvalue of a shift to syevr as
-scipy.linalg.eigvalsh calls it; qp holds the routines for both solvers.
+scipy.linalg.eigvalsh calls it.  qp holds these routines for both its
+interior point and this solver, and loads them from scipy on first use:
+the shifted Newton matrix is positive definite by as little as
+HESSIAN_EIG_FLOOR, and numpy's LU (np.linalg.solve) reports such matrices
+singular where potrf factors them.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable
 import numpy as np
-import scipy.linalg
 
 from .qp import _cho_factor, _cho_solve, _least_eigenvalue
 
@@ -246,7 +249,7 @@ def _shift_to_pd(H: np.ndarray) -> np.ndarray:
         if c is not None:
             return c
         tau = 10.0 * tau + HESSIAN_EIG_FLOOR
-    raise scipy.linalg.LinAlgError("could not regularize the Newton system")
+    raise np.linalg.LinAlgError("could not regularize the Newton system")
 
 
 def _newton_step(H: np.ndarray, grad: np.ndarray) -> np.ndarray:

@@ -16,12 +16,21 @@ from the box center.  Its answer is returned only with a KKT certificate;
 otherwise the interior point solves the QP from scratch (see solve_qp for
 the routing rule).  Both paths and kkt_residual take the KKT residual on
 the row and the box (_residual).  A QpProblem is validated once, when it
-is built, convexity included, and QpProblem.with_g shares all of it but
-the linear term.  The Cholesky factor and solve go to LAPACK's
-potrf/potrs directly, behind the finiteness checks
-scipy.linalg.cho_factor/cho_solve would make; nlp's Newton system uses
-the same routines, and nlp and driver take a least eigenvalue from syevr
-as scipy.linalg.eigvalsh would.
+is built, convexity included (np.linalg.cholesky), and QpProblem.with_g
+shares all of it but the linear term.
+
+The active set solves each face by numpy's LU (np.linalg.solve); a free
+block that LU finds singular ends it without an answer, and the interior
+point answers.  The interior point's normal matrix goes to LAPACK's
+Cholesky routines potrf/potrs directly, behind the finiteness checks
+scipy.linalg.cho_factor/cho_solve would make, and so does nlp's Newton
+system, which also takes the least eigenvalue of a shift from syevr as
+scipy.linalg.eigvalsh would.  Those two solvers factor graded systems:
+z/s spans many orders as the interior point converges, and the barrier's
+Newton matrix is shifted only just positive definite, so that LU reports
+some of its matrices singular where potrf factors them.  The three
+routines are scipy's, loaded on first use (_lapack), so AD-SBQP runs
+without importing scipy wherever the active set answers its QPs.
 """
 
 from __future__ import annotations
@@ -30,7 +39,6 @@ import copy
 import functools
 from dataclasses import dataclass
 import numpy as np
-import scipy.linalg
 
 __all__ = ["QpProblem", "QpSolution", "solve_qp", "kkt_residual"]
 
@@ -66,11 +74,18 @@ ACTIVE_SET_ITER_PER_VARIABLE = 4
 # Any value from 1e-10 to 1e-8 splits that grid's QPs the same way.
 ROW_REACH = 1e-9
 
-# The double-precision routines scipy.linalg.cho_factor/cho_solve and
-# eigvalsh call; on the 16x16 systems of AD-SBQP and the 2-4 variable ones of
-# the barrier NLP the wrappers cost more than the LAPACK call.
-_POTRF, _POTRS, _SYEVR, _SYEVR_LWORK = scipy.linalg.get_lapack_funcs(
-    ("potrf", "potrs", "syevr", "syevr_lwork"), (np.zeros(1),))
+
+@functools.cache
+def _lapack() -> dict:
+    """LAPACK's double-precision potrf, potrs, syevr and syevr_lwork by
+    name, the routines scipy.linalg.cho_factor/cho_solve and eigvalsh call,
+    imported from scipy on the first call.  On the small systems of the
+    interior point and the barrier NLP the wrappers cost more than the
+    LAPACK call."""
+    import scipy.linalg
+
+    names = ("potrf", "potrs", "syevr", "syevr_lwork")
+    return dict(zip(names, scipy.linalg.get_lapack_funcs(names, (np.zeros(1),))))
 
 
 def _check_finite(a: np.ndarray) -> None:
@@ -83,7 +98,7 @@ def _cho_factor(a: np.ndarray) -> np.ndarray | None:
     """The lower factor cho_factor(a, lower=True) returns, or None where it
     raises LinAlgError (a is not positive definite)."""
     _check_finite(a)
-    c, info = _POTRF(a, lower=True, clean=False)
+    c, info = _lapack()["potrf"](a, lower=True, clean=False)
     return c if info == 0 else None
 
 
@@ -93,7 +108,7 @@ def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     Only b is checked: the factor of a finite positive-definite matrix is
     finite."""
     _check_finite(b)
-    x, info = _POTRS(c, b, lower=True)
+    x, info = _lapack()["potrs"](c, b, lower=True)
     if info != 0:
         raise ValueError(f"illegal value in {-info}th argument of internal potrs")
     return x
@@ -102,7 +117,7 @@ def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
 @functools.lru_cache
 def _syevr_workspace(n: int) -> tuple[int, int]:
     """The workspace sizes eigvalsh queries for syevr at order n."""
-    work, iwork, _ = _SYEVR_LWORK(n, lower=1)
+    work, iwork, _ = _lapack()["syevr_lwork"](n, lower=1)
     return int(work), int(iwork)
 
 
@@ -111,10 +126,10 @@ def _least_eigenvalue(a: np.ndarray) -> float:
     eigvalsh calls it (lower triangle, eigenvalue 1 of n, no vectors)."""
     _check_finite(a)
     lwork, liwork = _syevr_workspace(a.shape[0])
-    w, _, _, _, info = _SYEVR(a, compute_v=0, range="I", lower=1, il=1, iu=1,
-                              lwork=lwork, liwork=liwork)
+    w, _, _, _, info = _lapack()["syevr"](a, compute_v=0, range="I", lower=1, il=1, iu=1,
+                                          lwork=lwork, liwork=liwork)
     if info != 0:
-        raise scipy.linalg.LinAlgError(f"syevr failed with info {info}")
+        raise np.linalg.LinAlgError(f"syevr failed with info {info}")
     return float(w[0])
 
 
@@ -186,20 +201,27 @@ class QpSolution:
 
 def _check_psd(Q: np.ndarray) -> None:
     """Raise ValueError unless Q, or Q + 1e-12 I at a single retry, has a
-    Cholesky factor."""
-    if _cho_factor(Q) is None and _cho_factor(Q + 1e-12 * np.eye(Q.shape[0])) is None:
-        raise ValueError("Q is not positive semidefinite")
+    Cholesky factor (np.linalg.cholesky)."""
+    try:
+        np.linalg.cholesky(Q)
+    except np.linalg.LinAlgError:
+        try:
+            np.linalg.cholesky(Q + 1e-12 * np.eye(Q.shape[0]))
+        except np.linalg.LinAlgError:
+            raise ValueError("Q is not positive semidefinite") from None
 
 
 def _residual(qp: QpProblem, x: np.ndarray, z_row: float, z_lower: np.ndarray,
               z_upper: np.ndarray) -> float:
     """The KKT residual of (x, z) on the row and the box: the max of |Qx + g
     + a z_row + z_upper - z_lower|, of the violations of a'x <= u and 0 <= x
-    <= 1, and of each multiplier times its slack."""
-    slack = float(qp.u - qp.a @ x)
-    return float(max(np.abs(qp.Q @ x + qp.g + (qp.a * z_row + z_upper - z_lower)).max(),
-                     -slack, x.max() - 1.0, -x.min(), 0.0,
-                     abs(z_row * slack), np.abs(z_upper * (1.0 - x)).max(), np.abs(z_lower * x).max()))
+    <= 1, and of each multiplier times its slack.  Stationarity and the
+    bounds' products are reduced together: max is exact, so the value is
+    the one separate maxima give, and a NaN in either one gives NaN."""
+    slack = qp.u - float(qp.a @ x)
+    terms = np.concatenate((qp.Q @ x + qp.g + (qp.a * z_row + z_upper - z_lower), z_upper * (1.0 - x), z_lower * x))
+    return max(float(np.abs(terms).max()), -slack, float(x.max()) - 1.0, -float(x.min()), 0.0,
+               float(abs(z_row * slack)))
 
 
 def _step_to_boundary(s, ds, z, dz, fraction):
@@ -227,24 +249,24 @@ def _active_set(qp: QpProblem, start: np.ndarray, tol: float) -> QpSolution | No
 
     The working set fixes each coordinate that sits at 0 or 1, and holds the
     row when it is tight; the start's working set is its coordinates at 0 or
-    1 and the row when its slack is at most tol.  Each iteration factors the
-    free block Q_FF (potrf) and solves once with the two right-hand sides
-    [grad_F, a_F]: with the row in the working set, the step p and the row
-    multiplier nu follow by Schur complement.  A ratio test over the free
+    1 and the row when its slack is at most tol.  Each iteration solves the
+    free block Q_FF once, by LU (np.linalg.solve), with the two right-hand
+    sides [grad_F, a_F]: with the row in the working set, the step p and
+    the row multiplier nu follow by Schur complement.  A ratio test over the free
     coordinates and the row adds the first constraint that blocks; a full
     step lands on the face minimizer, where the bound multipliers are read
     off the gradient and the most negative multiplier, if below -tol, is
     dropped.  Every constraint added blocks a step that the working set
     allows, so the working set stays linearly independent.  The answer is
     returned only when every multiplier is >= 0 and its KKT residual is at
-    most tol; a non-finite g, a free block that fails its factor, a
+    most tol; a non-finite g, a free block that LU finds singular, a
     degenerate row, or ACTIVE_SET_ITER_PER_VARIABLE iterations per
     variable also give None.
     iterations counts the face solves.
     """
     Q, g, a, u = qp.Q, qp.g, qp.a, qp.u
     # Q is finite (checked when qp was built) and so, checked here, is g: the
-    # loop calls LAPACK without _cho_factor's and _cho_solve's checks.
+    # loop's solves check nothing.
     if not np.isfinite(g).all():
         return None
     x = start.copy()
@@ -255,19 +277,20 @@ def _active_set(qp: QpProblem, start: np.ndarray, tol: float) -> QpSolution | No
         nu = 0.0
         if F.size:
             Q_F = Q[F]
-            c, info = _POTRF(Q_F[:, F], lower=True, clean=False)
-            if info:
-                return None
             grad, a_F = Q_F @ x + g[F], a[F]
+            try:
+                step = np.linalg.solve(Q_F[:, F], np.array((grad, a_F)).T if on_row else grad)
+            except np.linalg.LinAlgError:
+                return None
             if on_row:
-                y, v = _POTRS(c, np.array((grad, a_F)).T, lower=True)[0].T
+                y, v = step.T
                 curvature = float(a_F @ v)
                 if not curvature > 0.0:
                     return None
                 nu = -float(a_F @ y) / curvature
                 p = -(y + nu * v)
             else:
-                p = -_POTRS(c, grad, lower=True)[0]
+                p = -step
             x_F = x[F]
             # The distance to the bound each coordinate heads for; only a
             # bound nearer than |p| blocks, so no ratio overflows.
@@ -385,7 +408,7 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, start: np.ndarray | None = None)
         M = qp.Q + (C.T * z_over_s) @ C
         cf = _cho_factor(M)
         if cf is None:
-            raise scipy.linalg.LinAlgError("the normal matrix is not positive definite")
+            raise np.linalg.LinAlgError("the normal matrix is not positive definite")
         # With ds = -r_p - C dx and dz = w + (z/s) C dx, the Newton system
         # for a complementarity target t reduces to M dx = -(r_d + C'w),
         # w = (z/s) r_p + (t - s z - correction) / s.

@@ -146,7 +146,8 @@ def build_esr_problem(cfg: ScenarioConfig, channel: ChannelMatrix | None = None)
     gains = channel.gains()
     p_cap = np.full((cfg.n_tx, cfg.n_users), cfg.p_th / cfg.n_users, dtype=float)
     ones = np.ones(cfg.n_tx)
-    full_cap = _rate(p_cap, ones, gains, cfg.noise_n0b, cfg.bandwidth_b)
+    a, b = _accumulate(p_cap, ones, gains)
+    full_cap = _rate(a * b / cfg.noise_n0b, cfg.bandwidth_b)
     if cfg.r_th_mode == "absolute":
         r_th = float(cfg.r_th_value)
     else:
@@ -171,14 +172,19 @@ def _accumulate(P: np.ndarray, x: np.ndarray, gains: np.ndarray):
     return a, b
 
 
-def _rate(P, x, gains, sigma, bandwidth) -> float:
-    a, b = _accumulate(P, x, gains)
-    return float(bandwidth * np.sum(np.log1p(a * b / sigma)) / LN2)
+def _rate(snr: np.ndarray, bandwidth: float) -> float:
+    """Total rate sum_j B*log2(1 + snr_j) of the per-user snr."""
+    return float(bandwidth * np.sum(np.log1p(snr)) / LN2)
 
 
-def sum_rate(P: np.ndarray, x: np.ndarray, prob: EsrProblem) -> float:
-    """Total rate sum_j B*log2(1 + snr_j)."""
-    return _rate(P, x, prob.gains, prob.sigma, prob.bandwidth)
+def sum_rate(P: np.ndarray, x: np.ndarray, prob: EsrProblem, weights=None) -> float:
+    """Total rate sum_j B*log2(1 + snr_j).
+
+    weights is _snr_weights(P, x, prob) when the caller already holds it."""
+    if weights is not None:
+        return _rate(weights[3], prob.bandwidth)
+    a, b = _accumulate(P, x, prob.gains)
+    return _rate(a * b / prob.sigma, prob.bandwidth)
 
 
 def economic_objective(P: np.ndarray, x: np.ndarray, prob: EsrProblem) -> float:
@@ -210,7 +216,9 @@ def grad_rate_wrt_switch(P: np.ndarray, x: np.ndarray, prob: EsrProblem, weights
 
 
 def hess_rate_wrt_switch(P: np.ndarray, x: np.ndarray, prob: EsrProblem, weights=None) -> np.ndarray:
-    """N x N Hessian of the rate in x; exactly symmetric by construction.
+    """N x N Hessian of the rate in x, symmetric only up to rounding: the
+    curvature term rounds its products differently on either side of the
+    diagonal, so a caller that needs exact symmetry symmetrizes it.
 
     weights is _snr_weights(P, x, prob) when the caller already holds it."""
     gains, a, b, s, c1 = weights or _snr_weights(P, x, prob)

@@ -10,10 +10,14 @@ counts as read when the function's body, nested functions and lambdas
 included, loads its name; lambdas themselves are not scanned, and
 UNREAD_ALLOWED names the parameters a callback protocol imposes.  An
 oracle that imported a private helper would share the code it is meant to
-check.
+check.  AD-SBQP and ENUM run without loading scipy, whose LAPACK routines
+only the QP's interior point and the barrier NLP load, on first use.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "adsbqp"
@@ -186,3 +190,34 @@ def test_private_name_scan_sees_imports_and_attributes():
     assert sorted(private_package_names(source)) == [
         "_hidden (line 2)", "_residual (line 1)",
         "adsbqp.nlp._helper (line 5)", "rate_mod._snr_weights (line 5)"]
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+import adsbqp
+from adsbqp import baselines, driver, rate
+from adsbqp.channel import ScenarioConfig
+
+def problem(n):
+    return rate.build_esr_problem(ScenarioConfig(n_tx=n, n_users=n, seed=0, r_th_mode="fraction",
+                                                 r_th_value=0.5, noise_n0b=3e-14))
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert driver.solve(problem(16))[0].status == "success"
+assert baselines.enumerate_selections(problem(8))[0].status == "success"
+assert scipy_modules() == [], scipy_modules()
+sol, _ = baselines.solve_ad_spen(problem(2))
+assert sol.objective > 0.0 and sol.complementarity >= 1e-9, sol
+assert "scipy.linalg" in scipy_modules()
+"""
+
+
+def test_ad_sbqp_and_enum_load_no_scipy():
+    # A fresh interpreter: pytest's filterwarnings entry imports scipy.linalg
+    # into this process.  AD-SPen's barrier then loads scipy's LAPACK.
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr

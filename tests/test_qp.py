@@ -248,6 +248,18 @@ def test_equalities_of_scale_one_preserved_with_jitter():
     assert sol.kkt_residual <= 1e-8
 
 
+def test_a_singular_free_block_goes_to_the_interior_point():
+    # Q is PSD and singular, so LU finds the free block of an interior start
+    # singular: the active set gives no answer and the interior point does.
+    qp = QpProblem(Q=np.array([[1.0, 1.0], [1.0, 1.0]]), g=np.array([-2.0, -0.5]), a=np.ones(2), u=1.5)
+    start = np.array([0.25, 0.25])
+    assert qp_mod._takes_active_set(qp, start, 1e-10)
+    assert qp_mod._active_set(qp, start, 1e-10) is None
+    sol = solve_qp(qp, start=start)
+    assert sol.path == "interior_point" and sol.status == "optimal"
+    np.testing.assert_allclose(sol.x_star, [1.0, 0.0], atol=1e-8)
+
+
 def test_a_singular_normal_matrix_raises_at_once(monkeypatch):
     # The bound rows give C full column rank, so the normal matrix
     # Q + C' diag(z/s) C of a box QP is positive definite in exact
